@@ -591,10 +591,14 @@ def cmd_render(report, fmt):
 # the oracle battery
 
 
-def cmd_oracle(seed=0, trials=25, out=sys.stdout):
+def cmd_oracle(seed=0, trials=25, out=None):
     """Randomized cross-checks of every derived-value path; prints one
-    PASS/FAIL line per oracle and returns the worst exit code."""
+    PASS/FAIL line per oracle (to ``out``, default the current stdout) and
+    returns the worst exit code."""
+    import itertools
     import random
+
+    out = sys.stdout if out is None else out
 
     rng = random.Random(seed)
     results = []
@@ -627,9 +631,7 @@ def cmd_oracle(seed=0, trials=25, out=sys.stdout):
     for _ in range(trials):
         slopes = sorted(Fraction(rng.randrange(0, 8), rng.choice([1, 2, 4]))
                         for _ in range(rng.randrange(1, 5)))
-        poly = [Fraction(0)]
         # random split polynomial: valuations of prod (X - p^{a_i})
-        import itertools
         avals = [rng.randrange(0, 5) for _ in range(rng.randrange(1, 5))]
         d = len(avals)
         vals = []

@@ -9,7 +9,7 @@ from padicpolygons import (ECarrier, PCarrier, RingConfig, UCarrier,
                            adapted_basis, divisor_exponents, hodge_weights,
                            minor_exponents)
 from padicpolygons.adapted import solve_in_span
-from conftest import random_strunc, random_tilde, random_witt
+from elements import random_strunc, random_tilde, random_witt
 
 
 def _identity(carrier, d):

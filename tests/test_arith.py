@@ -6,10 +6,10 @@ import random
 import pytest
 from fractions import Fraction
 
-from padicpolygons import (DivisibilityError, PrecisionError, RingConfig,
-                           frobenius_w, monodromy_s, phi_s, tronc, val_E,
-                           val_p_K)
-from conftest import random_k_elem, random_strunc, random_witt
+from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
+                           RingConfig, SK0Elem, frobenius_w, monodromy_s,
+                           phi_s, tronc, val_E, val_p_K)
+from elements import random_k_elem, random_strunc, random_witt
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +280,49 @@ def test_k_inverse(cfg7, rng):
             continue
         y = x.inverse()
         assert (x * y - cfg7.k_one()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the num / p^pexp prefix of K0, K and S_{K0}
+
+
+_PREFIXED = {
+    "K0": lambda cfg, num, pexp: K0Elem(cfg.witt, num, pexp),
+    "K": lambda cfg, num, pexp: cfg.k_elem([num], pexp),
+    "SK0": lambda cfg, num, pexp: SK0Elem(cfg, cfg.s([num]), pexp),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PREFIXED))
+def test_p_prefix_semantics(cfg7, kind):
+    make = _PREFIXED[kind]
+    p = cfg7.p
+    a, b = make(cfg7, cfg7.w(3), 1), make(cfg7, cfg7.w(5), 3)
+    # + and - align on the larger pexp
+    total, diff = a + b, a - b
+    assert total.pexp == diff.pexp == 3
+    assert total == make(cfg7, cfg7.w(3 * p * p + 5), 3)
+    assert diff == make(cfg7, cfg7.w(3 * p * p - 5), 3)
+    assert (b - a) == -diff
+    # * adds the prefixes
+    prod = a * b
+    assert prod.pexp == 4
+    assert prod == make(cfg7, cfg7.w(15), 4)
+    # is_zero needs a digit below the prefix
+    assert make(cfg7, cfg7.w(0, prec=3), 2).is_zero()
+    with pytest.raises(PrecisionError):
+        make(cfg7, cfg7.w(0, prec=3), 3).is_zero()
+    assert not make(cfg7, cfg7.w(1, prec=3), 2).is_zero()
+    if kind == "K0":
+        return
+    # mul_p_power of either sign
+    x = make(cfg7, cfg7.w(4), 2)
+    assert x.mul_p_power(1).pexp == 1
+    assert x.mul_p_power(1) == make(cfg7, cfg7.w(4), 1)
+    up = x.mul_p_power(3)
+    assert up.pexp == 0
+    assert up == make(cfg7, cfg7.w(4 * p), 0)
+    down = x.mul_p_power(-2)
+    assert down.pexp == 4
+    assert down == make(cfg7, cfg7.w(4), 4)
+    assert down.mul_p_power(2) == x

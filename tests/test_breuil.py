@@ -13,7 +13,7 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            pseudo_counterexample, rank1_inertia_weight,
                            reduce_mod_p, sabotaged_lattice, solve_eqX,
                            strong_lattice, verify_strong_divisibility)
-from conftest import random_tilde_unit
+from elements import random_tilde_unit
 
 
 def _x(cfg):
