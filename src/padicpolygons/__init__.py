@@ -4,8 +4,7 @@ two-dimensional family construction and its mod-p reductions."""
 
 from .arith import (INF, ConfigError, DivisibilityError, GF, KElem, K0Elem,
                     PrecisionError, RingConfig, SK0Elem, STrunc, TildePoly,
-                    WittElem, WittRing, frobenius_w, monodromy_s, phi_s,
-                    teichmuller, tronc, val_E, val_p_K)
+                    WittElem, WittRing)
 from .polygons import Polygon, from_slopes, lies_above, merge, newton_polygon, \
     same_endpoint
 from .adapted import (AdaptedBasis, ECarrier, PCarrier, UCarrier,

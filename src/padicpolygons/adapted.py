@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import DivisibilityError, PrecisionError, STrunc, TildePoly, WittElem
+from .arith import (DivisibilityError, PrecisionError, STrunc, TildePoly,
+                    WittElem, det)
 
 
 class ECarrier:
@@ -128,20 +129,6 @@ def carrier_by_name(cfg, name):
     return table[name](cfg)
 
 
-def _det(rows, carrier):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = carrier.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor, carrier)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def minor_exponents(rows, carrier, k_max=None):
     """Exponents read off minimal k x k minor valuations (the oracle path).
 
@@ -163,7 +150,7 @@ def minor_exponents(rows, carrier, k_max=None):
         for rsel in combinations(range(d), k):
             for csel in combinations(range(D), k):
                 sub = [[rows[i][j] for j in csel] for i in rsel]
-                best = min(best, min(carrier.val(_det(sub, carrier)),
+                best = min(best, min(carrier.val(det(sub)),
                                      carrier.cap))
                 if best == 0 and k == 1:
                     break

@@ -1,16 +1,37 @@
 """Exact arithmetic in the coefficient rings.
 
-The carriers implemented here:
+The scalars are ``F_{p^m} = F_p[w]/(hbar)`` (``GFElem``) and
+``W = W(F_{p^m})``, realized as Z_p[w]/(h) at a fixed absolute precision
+``p^N`` (``WittElem``) with the Frobenius sigma lifting x -> x^p.  Both
+multiply coordinate tuples with one product mod (modulus, q).
 
-* ``W = W(F_{p^m})``, realized as Z_p[w]/(h) at a fixed absolute precision
-  ``p^N`` (``WittElem``), with the Frobenius sigma lifting x -> x^p;
-* ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p`` (``STrunc``), the truncation of the
-  divided-power ring S in which every formula of the package is stated;
-* ``k[u]/u^{ep}`` (``TildePoly``), the mod-p residue of the above;
-* ``K = K0[u]/E(u)`` (``KElem``) and ``K0`` (``K0Elem``), with a power of p
-  split off as an explicit prefix so integrality stays decidable;
-* polynomials over K0 of degree < ep with a p-power prefix (``SK0Elem``),
-  enough of S_{K0} for troncation and for the filtration computations.
+Every other ring is built on one of two bases:
+
+* ``_Poly``, a fixed-length coefficient tuple over W or k.  It owns the
+  coercion of constants, +, -, negation, ==, ``is_zero``, the monodromy
+  ``N(u^n) = -n u^n`` and, for W coefficients, ``min_prec``, ``scale_p``,
+  ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus.
+
+  - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
+    divided-power ring S in which every formula of the package is stated.
+    It reduces products by E(u)^p and adds phi, troncation, the E-adic
+    valuation and division, and unit inversion.
+  - ``TildePoly``: ``k[u]/u^{ep}``, the mod-p residue of the above.  Its
+    product truncates at u^{ep}; it adds phi, the u-valuation and
+    division, and unit inversion.
+  - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
+    numerator of a K element.
+
+* ``_PExp``, ``num / p^pexp``: a numerator with a power of p split off as
+  an explicit prefix, so integrality stays decidable.  It owns the
+  alignment of prefixes, +, -, negation, *, ==, ``is_zero`` and
+  ``mul_p_power``.
+
+  - ``K0Elem``: ``K0 = Frac(W)``, numerator a ``WittElem``.
+  - ``KElem``: ``K = K0[u]/E(u)``, numerator a ``_KNum``; it adds the
+    norm, the valuation and the inverse.
+  - ``SK0Elem``: numerator an ``STrunc``; enough of S_{K0} for troncation
+    and for the filtration computations.
 
 Precision model: every Witt element carries an absolute precision ``prec``
 (number of significant p-digits) capped by the ring precision.  Ring
@@ -23,6 +44,7 @@ significant digits left raises ``PrecisionError`` instead of guessing.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 INF = math.inf
@@ -51,27 +73,57 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# F_{p^m} = F_p[w]/(hbar)
+def _power(x, n, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply, starting from ``one``."""
+    if n < 0:
+        raise ValueError("negative powers: invert first")
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        n >>= 1
+    return result
 
 
-def _gfp_polymul(a, b, modulus, p):
-    """Product of coefficient tuples over F_p reduced mod a monic modulus."""
+def det(rows):
+    """Cofactor-expansion determinant of a small nonempty square matrix."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * det(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _coord_mul(a, b, modulus, q):
+    """Product of length-m coordinate tuples in (Z/q)[w]/(modulus), for a
+    monic modulus of degree m."""
     m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
+    if m == 1:
+        return ((a[0] * b[0]) % q,)
+    prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k]
+                prod[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % q
         if c:
-            prod[k] = 0
             for i in range(m):
-                prod[k - m + i] = (prod[k - m + i] - c * modulus[i]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return tuple(out)
+                prod[k - m + i] -= c * modulus[i]
+    return tuple([c % q for c in prod[:m]])
+
+
+# ---------------------------------------------------------------------------
+# F_{p^m} = F_p[w]/(hbar)
 
 
 def _gfp_poly_gcd(a, b, p):
@@ -106,16 +158,10 @@ def _gfp_poly_gcd(a, b, p):
 def _gfp_poly_powmod_x(q, modulus, p):
     """x^q mod the monic modulus, as a coefficient tuple."""
     m = len(modulus) - 1
-    result = (1,) + (0,) * (m - 1)
     base = tuple(1 if i == 1 else 0 for i in range(m)) if m > 1 else \
-        tuple((-modulus[0]) % p for _ in range(1))
-    e = q
-    while e:
-        if e & 1:
-            result = _gfp_polymul(result, base, modulus, p)
-        base = _gfp_polymul(base, base, modulus, p)
-        e >>= 1
-    return result
+        ((-modulus[0]) % p,)
+    return _power(base, q, (1,) + (0,) * (m - 1),
+                  lambda a, b: _coord_mul(a, b, modulus, p))
 
 
 def _gfp_is_irreducible(modulus, p):
@@ -229,22 +275,15 @@ class GFElem:
         if isinstance(other, int):
             p = self.field.p
             return GFElem(self.field, tuple((a * other) % p for a in self.coords))
-        return GFElem(self.field, _gfp_polymul(self.coords, other.coords,
-                                               self.field.modulus, self.field.p))
+        return GFElem(self.field, _coord_mul(self.coords, other.coords,
+                                             self.field.modulus, self.field.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one)
 
     def __eq__(self, other):
         return isinstance(other, GFElem) and self.coords == other.coords
@@ -275,25 +314,6 @@ class GFElem:
 # W(F_{p^m}) at capped absolute precision
 
 
-def _wpolymul(a, b, modulus, pc):
-    """Product of integer coordinate tuples mod (modulus, p^c)."""
-    m = len(modulus) - 1
-    if m == 1:
-        return ((a[0] * b[0]) % pc,)
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k] % pc
-        if c:
-            for i in range(m):
-                prod[k - m + i] -= c * modulus[i]
-        prod[k] = 0
-    return tuple(prod[i] % pc for i in range(m))
-
-
 class WittRing:
     """Z_p[w]/(h) at absolute precision p^cap, h monic irreducible mod p."""
 
@@ -318,7 +338,7 @@ class WittRing:
 
     # raw coordinate-tuple helpers (used before WittElem exists)
     def _mul(self, a, b):
-        return _wpolymul(a, b, self.modulus, self.pc)
+        return _coord_mul(a, b, self.modulus, self.pc)
 
     def _add(self, a, b):
         return tuple((x + y) % self.pc for x, y in zip(a, b))
@@ -351,13 +371,7 @@ class WittRing:
             return ((1 % self.pc,),)
         w = tuple(1 if i == 1 else 0 for i in range(m))
         # seed: w^p at full precision (its residue is the target root)
-        rho = (1 % self.pc,) + (0,) * (m - 1)
-        base, e = w, self.p
-        while e:
-            if e & 1:
-                rho = self._mul(rho, base)
-            base = self._mul(base, base)
-            e >>= 1
+        rho = _power(w, self.p, (1 % self.pc,) + (0,) * (m - 1), self._mul)
         h = self.modulus
         hp = tuple(i * h[i] for i in range(1, m + 1))
         for _ in range(self.cap + 2):
@@ -451,23 +465,14 @@ class WittElem:
         other = self._coerce(other)
         prec = min(self.prec, other.prec)
         q = self.ring.p ** prec if prec > 0 else 1
-        coords = _wpolymul(self.coords, other.coords, self.ring.modulus,
-                           self.ring.pc)
+        coords = _coord_mul(self.coords, other.coords, self.ring.modulus,
+                            self.ring.pc)
         return WittElem(self.ring, tuple(c % q for c in coords), prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers: use unit_inverse")
-        result = self.ring.one(self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.ring.one(self.prec))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -496,6 +501,9 @@ class WittElem:
 
     def is_zero(self):
         return self.val() == self.prec
+
+    def min_prec(self):
+        return self.prec
 
     def is_unit(self):
         return self.val() == 0
@@ -704,9 +712,6 @@ class RingConfig:
         w = self.witt.elem(num) * self.witt.elem(den).unit_inverse()
         return K0Elem(self.witt, w, vd)
 
-    def sk0(self, strunc, pexp=0):
-        return SK0Elem(self, strunc, pexp)
-
     def teichmuller_generator(self):
         """Teichmuller lift of the residue-field generator wbar."""
         return self.witt.teichmuller(self.gf.gen())
@@ -717,11 +722,15 @@ class RingConfig:
 
 
 # ---------------------------------------------------------------------------
-# S/Fil^p S = (W/p^N)[u]/E(u)^p
+# Polynomial base: fixed-length coefficient tuples over W or k
 
 
-class STrunc:
-    """Element of S/Fil^p S, stored as the degree-< ep representative."""
+class _Poly:
+    """A dense coefficient tuple of fixed length over W or k.
+
+    Subclasses give the ring: ``_constant`` (a scalar as an element) and the
+    product.  ``min_prec``, ``scale_p``, ``div_exact_p``, ``mul_w`` and the
+    reducing products need W coefficients."""
 
     __slots__ = ("cfg", "coeffs")
 
@@ -729,74 +738,121 @@ class STrunc:
         self.cfg = cfg
         self.coeffs = coeffs
 
+    def _new(self, coeffs):
+        return type(self)(self.cfg, coeffs)
+
     def _coerce(self, other):
-        if isinstance(other, (int, WittElem)):
-            return self.cfg.s([other])
-        return other
+        return other if isinstance(other, _Poly) else self._constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return STrunc(self.cfg, tuple(a + b for a, b in
-                                      zip(self.coeffs, other.coeffs)))
+        return self._new(tuple(a + b for a, b in
+                               zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return STrunc(self.cfg, tuple(a - b for a, b in
-                                      zip(self.coeffs, other.coeffs)))
+        return self._new(tuple(a - b for a, b in
+                               zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return self._coerce(other) - self
 
     def __neg__(self):
-        return STrunc(self.cfg, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, WittElem)):
-            return self.mul_w(other)
-        cfg = self.cfg
-        ep = cfg.e * cfg.p
-        prod = [cfg.witt.zero() for _ in range(2 * ep - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.val() == a.prec:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        return STrunc(cfg, _reduce_by_monic(prod, cfg.Ep, cfg)[:ep])
-
-    __rmul__ = __mul__
-
-    def mul_w(self, w):
-        if isinstance(w, int):
-            w = self.cfg.witt.elem(w)
-        return STrunc(self.cfg, tuple(a * w for a in self.coeffs))
-
-    def mul_u(self):
-        cfg = self.cfg
-        ep = cfg.e * cfg.p
-        shifted = [cfg.witt.zero()] + list(self.coeffs)
-        return STrunc(cfg, tuple(_reduce_by_monic(shifted, cfg.Ep, cfg)[:ep]))
-
-    def shift_u(self, k):
-        out = self
-        for _ in range(k):
-            out = out.mul_u()
-        return out
-
-    def scale_p(self, k):
-        return STrunc(self.cfg, tuple(a.scale_p(k) for a in self.coeffs))
+        return self._new(tuple(-a for a in self.coeffs))
 
     def __eq__(self, other):
-        if not isinstance(other, STrunc):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self - other).is_zero()
 
     def is_zero(self):
         return all(a.is_zero() for a in self.coeffs)
 
+    def monodromy(self):
+        """N(u^n) = -n u^n, extended coefficient-linearly."""
+        return self._new(tuple(a * (-i) for i, a in enumerate(self.coeffs)))
+
     def min_prec(self):
         return min(a.prec for a in self.coeffs)
+
+    def scale_p(self, k):
+        return self._new(tuple(a.scale_p(k) for a in self.coeffs))
+
+    def div_exact_p(self, k=1):
+        return self._new(tuple(a.div_exact_p(k) for a in self.coeffs))
+
+    def mul_w(self, w):
+        """Multiply every coefficient by an element (or integer) of W."""
+        if isinstance(w, int):
+            w = self.cfg.witt.elem(w)
+        return self._new(tuple(a * w for a in self.coeffs))
+
+    def _mul_mod(self, other, modulus):
+        """self * other reduced by a monic W-polynomial of degree
+        len(coeffs); a scalar of W multiplies every coefficient."""
+        if not isinstance(other, _Poly):
+            return self.mul_w(other)
+        n = len(self.coeffs)
+        prod = [self.cfg.witt.zero()] * (2 * n - 1)
+        for i, a in enumerate(self.coeffs):
+            # a coefficient that is zero as known contributes no term and
+            # does not lower the precision of the product
+            if a.val() == a.prec:
+                continue
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] = prod[i + j] + a * b
+        return self._new(tuple(_reduce_by_monic(prod, modulus, self.cfg)[:n]))
+
+    def _mul_u_mod(self, modulus):
+        """self * u reduced by a monic W-polynomial of degree len(coeffs)."""
+        shifted = [self.cfg.witt.zero(), *self.coeffs]
+        return self._new(tuple(_reduce_by_monic(shifted, modulus, self.cfg)
+                               [:len(self.coeffs)]))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
+
+
+def _reduce_by_monic(prod, modpoly, cfg):
+    """Reduce a coefficient list in place by a monic Witt polynomial."""
+    d = len(modpoly) - 1
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c.val() == c.prec:
+            continue
+        for i in range(d):
+            prod[k - d + i] = prod[k - d + i] - c * modpoly[i]
+        prod[k] = cfg.witt.zero(c.prec)
+    return prod
+
+
+# ---------------------------------------------------------------------------
+# S/Fil^p S = (W/p^N)[u]/E(u)^p
+
+
+class STrunc(_Poly):
+    """Element of S/Fil^p S, stored as the degree-< ep representative."""
+
+    __slots__ = ()
+
+    def _constant(self, c):
+        return self.cfg.s([c])
+
+    def __mul__(self, other):
+        return self._mul_mod(other, self.cfg.Ep)
+
+    __rmul__ = __mul__
+
+    def mul_u(self):
+        return self._mul_u_mod(self.cfg.Ep)
+
+    def shift_u(self, k):
+        out = self
+        for _ in range(k):
+            out = out.mul_u()
+        return out
 
     def phi(self):
         """The semilinear Frobenius: sigma on W, u -> u^p."""
@@ -807,11 +863,6 @@ class STrunc:
             acc = acc * up
             acc = acc + a.frobenius()
         return acc
-
-    def monodromy(self):
-        """N(u^n) = -n u^n, extended W-linearly."""
-        return STrunc(self.cfg, tuple(a * (-i) for i, a in
-                                      enumerate(self.coeffs)))
 
     def derivative(self):
         """u-derivative of the canonical degree-< ep representative."""
@@ -854,8 +905,7 @@ class STrunc:
             quot, rem = x.divrem_E(1)
             if any(not c.is_zero() for c in rem):
                 return v
-            ep = self.cfg.e * self.cfg.p
-            x = STrunc(self.cfg, tuple(quot[:ep]))
+            x = STrunc(self.cfg, tuple(quot))
             v += 1
             if x.is_zero():
                 return self.cfg.p
@@ -867,15 +917,10 @@ class STrunc:
         quot, rem = self.divrem_E(s)
         if any(not c.is_zero() for c in rem):
             raise DivisibilityError(f"not divisible by E(u)^{s}")
-        ep = self.cfg.e * self.cfg.p
-        quot = quot[:ep] + [self.cfg.witt.zero()] * (ep - len(quot))
-        return STrunc(self.cfg, tuple(quot[:ep]))
+        return STrunc(self.cfg, tuple(quot))
 
     def val_p(self):
         return min(a.val() for a in self.coeffs)
-
-    def div_exact_p(self, k=1):
-        return STrunc(self.cfg, tuple(a.div_exact_p(k) for a in self.coeffs))
 
     def is_unit(self):
         """Unit in the local ring (W/p^N)[u]/E(u)^p: unit constant term."""
@@ -911,62 +956,21 @@ class STrunc:
                 return i
         return -1
 
-    def __repr__(self):
-        return f"STrunc({[c.coords for c in self.coeffs]})"
-
-
-def _reduce_by_monic(prod, modpoly, cfg):
-    """Reduce a coefficient list in place by a monic Witt polynomial."""
-    d = len(modpoly) - 1
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k]
-        if c.val() == c.prec:
-            continue
-        for i in range(d):
-            prod[k - d + i] = prod[k - d + i] - c * modpoly[i]
-        prod[k] = cfg.witt.zero(c.prec)
-    return prod
-
 
 # ---------------------------------------------------------------------------
 # tilde S_1 = k[u]/u^{ep}
 
 
-class TildePoly:
+class TildePoly(_Poly):
     """Element of k[u]/u^{ep}."""
 
-    __slots__ = ("cfg", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, cfg, coeffs):
-        self.cfg = cfg
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, (int, GFElem)):
-            return self.cfg.tilde([other])
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TildePoly(self.cfg, tuple(a + b for a, b in
-                                         zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return TildePoly(self.cfg, tuple(a - b for a, b in
-                                         zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return TildePoly(self.cfg, tuple(-a for a in self.coeffs))
+    def _constant(self, c):
+        return self.cfg.tilde([c])
 
     def __mul__(self, other):
-        if isinstance(other, (int, GFElem)):
-            other = self._coerce(other)
+        other = self._coerce(other)
         ep = self.cfg.e * self.cfg.p
         out = [self.cfg.gf.zero] * ep
         for i, a in enumerate(self.coeffs):
@@ -979,14 +983,6 @@ class TildePoly:
         return TildePoly(self.cfg, tuple(out))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TildePoly):
-            return NotImplemented
-        return all((a - b).is_zero() for a, b in zip(self.coeffs, other.coeffs))
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
 
     def u_val(self):
         for i, a in enumerate(self.coeffs):
@@ -1036,10 +1032,6 @@ class TildePoly:
                 out[i * self.cfg.p] = a.frobenius()
         return TildePoly(self.cfg, tuple(out))
 
-    def monodromy(self):
-        return TildePoly(self.cfg, tuple(a * (-i) for i, a in
-                                         enumerate(self.coeffs)))
-
     def unit_part(self):
         """(u-valuation, unit cofactor); the cofactor of 0 is undefined."""
         v = self.u_val()
@@ -1047,179 +1039,162 @@ class TildePoly:
             raise ZeroDivisionError("zero has no unit part")
         return v, self.div_exact_u(v)
 
-    def __repr__(self):
-        return f"TildePoly({[c.coords for c in self.coeffs]})"
+
+# ---------------------------------------------------------------------------
+# Prefix base: num / p^pexp
+
+
+class _PExp:
+    """``num / p^pexp``: a numerator with a power of p split off.
+
+    The numerator (a ``WittElem``, ``_KNum`` or ``STrunc``) supplies +, -,
+    *, ``scale_p``, ``is_zero``, ``min_prec`` and ``_coerce``; subclasses
+    supply ``_new``.  Scalars and bare numerators enter with pexp 0."""
+
+    __slots__ = ("num", "pexp")
+
+    def _lift(self, other):
+        if isinstance(other, _PExp):
+            return other
+        return self._new(self.num._coerce(other), 0)
+
+    def _align(self, other):
+        k = max(self.pexp, other.pexp)
+        a = self.num.scale_p(k - self.pexp)
+        b = other.num.scale_p(k - other.pexp)
+        return a, b, k
+
+    def __add__(self, other):
+        a, b, k = self._align(self._lift(other))
+        return self._new(a + b, k)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b, k = self._align(self._lift(other))
+        return self._new(a - b, k)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __neg__(self):
+        return self._new(-self.num, self.pexp)
+
+    def __mul__(self, other):
+        if isinstance(other, _PExp):
+            return self._new(self.num * other.num, self.pexp + other.pexp)
+        return self._new(self.num * other, self.pexp)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def is_zero(self):
+        if self.num.min_prec() - self.pexp < 1:
+            raise PrecisionError("no significant digits below the p-prefix")
+        return self.num.is_zero()
+
+    def mul_p_power(self, k):
+        """Multiply by p^k, k of either sign."""
+        if k < 0 or self.pexp >= k:
+            return self._new(self.num, self.pexp - k)
+        return self._new(self.num.scale_p(k - self.pexp), 0)
 
 
 # ---------------------------------------------------------------------------
 # K0 and K = K0[u]/E(u)
 
 
-class K0Elem:
+class K0Elem(_PExp):
     """Element of K0 = Frac(W), stored as w / p^pexp."""
 
-    __slots__ = ("ring", "w", "pexp")
+    __slots__ = ("ring",)
 
     def __init__(self, ring, w, pexp=0):
         self.ring = ring
-        self.w = w
+        self.num = w
         self.pexp = pexp
 
-    def _align(self, other):
-        k = max(self.pexp, other.pexp)
-        a = self.w.scale_p(k - self.pexp)
-        b = other.w.scale_p(k - other.pexp)
-        return a, b, k
+    def _new(self, num, pexp):
+        return K0Elem(self.ring, num, pexp)
 
-    def __add__(self, other):
-        a, b, k = self._align(other)
-        return K0Elem(self.ring, a + b, k)
-
-    def __sub__(self, other):
-        a, b, k = self._align(other)
-        return K0Elem(self.ring, a - b, k)
-
-    def __neg__(self):
-        return K0Elem(self.ring, -self.w, self.pexp)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return K0Elem(self.ring, self.w * other, self.pexp)
-        return K0Elem(self.ring, self.w * other.w, self.pexp + other.pexp)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, K0Elem):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self):
-        if self.w.prec - self.pexp < 1:
-            raise PrecisionError("no significant digits below the p-prefix")
-        return self.w.is_zero()
+    @property
+    def w(self):
+        return self.num
 
     def val_p(self):
         """Valuation as a Fraction, or INF when zero at working precision."""
-        v = self.w.val()
-        if v == self.w.prec:
+        v = self.num.val()
+        if v == self.num.prec:
             return INF
         return Fraction(v - self.pexp)
 
     def inverse(self):
-        v = self.w.val()
-        if v == self.w.prec:
+        v = self.num.val()
+        if v == self.num.prec:
             raise ZeroDivisionError("zero at working precision")
-        unit = self.w.div_exact_p(v).unit_inverse()
+        unit = self.num.div_exact_p(v).unit_inverse()
         pexp = v - self.pexp
         if pexp < 0:
             return K0Elem(self.ring, unit.scale_p(-pexp), 0)
         return K0Elem(self.ring, unit, pexp)
 
     def frobenius(self):
-        return K0Elem(self.ring, self.w.frobenius(), self.pexp)
-
-    def to_witt(self):
-        return self.w.div_exact_p(self.pexp) if self.pexp else self.w
+        return K0Elem(self.ring, self.num.frobenius(), self.pexp)
 
     def __repr__(self):
-        return f"K0({self.w!r}/p^{self.pexp})"
+        return f"K0({self.num!r}/p^{self.pexp})"
 
 
-class KElem:
-    """Element of K = K0[u]/E(u), stored as (degree-< e Witt poly) / p^pexp."""
+class _KNum(_Poly):
+    """Numerator of a K element: a W-polynomial of degree < e mod E(u)."""
 
-    __slots__ = ("cfg", "coeffs", "pexp")
+    __slots__ = ()
 
-    def __init__(self, cfg, coeffs, pexp=0):
-        self.cfg = cfg
-        self.coeffs = coeffs
-        self.pexp = pexp
-
-    def _align(self, other):
-        k = max(self.pexp, other.pexp)
-        a = tuple(c.scale_p(k - self.pexp) for c in self.coeffs)
-        b = tuple(c.scale_p(k - other.pexp) for c in other.coeffs)
-        return a, b, k
-
-    def __add__(self, other):
-        if isinstance(other, (int, WittElem)):
-            other = self.cfg.k_elem([other])
-        a, b, k = self._align(other)
-        return KElem(self.cfg, tuple(x + y for x, y in zip(a, b)), k)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, WittElem)):
-            other = self.cfg.k_elem([other])
-        a, b, k = self._align(other)
-        return KElem(self.cfg, tuple(x - y for x, y in zip(a, b)), k)
-
-    def __rsub__(self, other):
-        return self.cfg.k_elem([other]).__sub__(self)
-
-    def __neg__(self):
-        return KElem(self.cfg, tuple(-c for c in self.coeffs), self.pexp)
+    def _constant(self, c):
+        return self.cfg.k_elem([c]).num
 
     def __mul__(self, other):
-        if isinstance(other, (int, WittElem)):
-            w = other if isinstance(other, WittElem) else self.cfg.witt.elem(other)
-            return KElem(self.cfg, tuple(c * w for c in self.coeffs), self.pexp)
-        cfg = self.cfg
-        e = cfg.e
-        prod = [cfg.witt.zero() for _ in range(2 * e - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        prod = _reduce_by_monic(prod, cfg.E, cfg)
-        return KElem(cfg, tuple(prod[:e]), self.pexp + other.pexp)
+        return self._mul_mod(other, self.cfg.E)
 
     __rmul__ = __mul__
 
+
+class KElem(_PExp):
+    """Element of K = K0[u]/E(u), stored as (degree-< e Witt poly) / p^pexp."""
+
+    __slots__ = ("cfg",)
+
+    def __init__(self, cfg, coeffs, pexp=0):
+        self.cfg = cfg
+        self.num = _KNum(cfg, coeffs)
+        self.pexp = pexp
+
+    def _new(self, num, pexp):
+        return KElem(self.cfg, num.coeffs, pexp)
+
+    @property
+    def coeffs(self):
+        return self.num.coeffs
+
     def __pow__(self, n):
-        result = self.cfg.k_one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, KElem):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self):
-        if any(c.prec - self.pexp < 1 for c in self.coeffs):
-            raise PrecisionError("no significant digits below the p-prefix")
-        return all(c.is_zero() for c in self.coeffs)
-
-    def mul_p_power(self, k):
-        """Multiply by p^k, k of either sign."""
-        if k >= 0:
-            if self.pexp >= k:
-                return KElem(self.cfg, self.coeffs, self.pexp - k)
-            return KElem(self.cfg, tuple(c.scale_p(k - self.pexp)
-                                         for c in self.coeffs), 0)
-        return KElem(self.cfg, self.coeffs, self.pexp - k)
+        return _power(self, n, self.cfg.k_one())
 
     def _mult_matrix(self):
         """Columns: coordinates of (num * u^j mod E), j < e."""
         cfg = self.cfg
-        cols = [list(self.coeffs)]
+        cols = [self.num]
         for _ in range(cfg.e - 1):
-            prev = cols[-1]
-            shifted = [cfg.witt.zero()] + list(prev)
-            shifted = _reduce_by_monic(shifted, cfg.E, cfg)
-            cols.append(shifted[:cfg.e])
-        return [[cols[j][i] for j in range(cfg.e)] for i in range(cfg.e)]
+            cols.append(cols[-1]._mul_u_mod(cfg.E))
+        return [[cols[j].coeffs[i] for j in range(cfg.e)]
+                for i in range(cfg.e)]
 
     def norm(self):
         """Norm of the numerator down to W (determinant of multiplication)."""
-        return _witt_det(self._mult_matrix(), self.cfg.witt)
+        return det(self._mult_matrix())
 
     def val_p(self):
         """Valuation in (1/e)Z, or INF when zero at working precision."""
@@ -1236,17 +1211,17 @@ class KElem:
         if self.is_zero():
             raise ZeroDivisionError("zero at working precision")
         M = self._mult_matrix()
-        det = _witt_det(M, cfg.witt)
-        d = det.val()
-        if d == det.prec:
+        norm = det(M)
+        d = norm.val()
+        if d == norm.prec:
             raise PrecisionError("norm vanishes at working precision")
-        unit_inv = det.div_exact_p(d).unit_inverse()
+        unit_inv = norm.div_exact_p(d).unit_inverse()
         # first column of the adjugate: signed minors along the first row
         adj = []
         for i in range(cfg.e):
             minor = [[M[rr][cc] for cc in range(cfg.e) if cc != i]
                      for rr in range(1, cfg.e)]
-            mdet = _witt_det(minor, cfg.witt) if minor else cfg.witt.one()
+            mdet = det(minor) if minor else cfg.witt.one()
             adj.append(mdet if i % 2 == 0 else -mdet)
         coeffs = tuple(a * unit_inv for a in adj)
         pexp = d - self.pexp
@@ -1257,105 +1232,40 @@ class KElem:
 
     def to_integral(self):
         """The canonical Witt-coefficient representative (errors if not in O_K)."""
-        if self.pexp == 0:
-            return self.coeffs
-        return tuple(c.div_exact_p(self.pexp) for c in self.coeffs)
+        return self.num.div_exact_p(self.pexp).coeffs
 
     def residue(self):
         """Image in the residue field k (requires valuation >= 0)."""
-        ints = self.to_integral()
-        return ints[0].residue()
+        return self.to_integral()[0].residue()
 
     def to_strunc(self):
-        ints = self.to_integral()
-        return self.cfg.s(list(ints))
+        return self.cfg.s(list(self.to_integral()))
 
     def __repr__(self):
         return f"K({[c.coords for c in self.coeffs]}/p^{self.pexp})"
-
-
-def _witt_det(rows, ring):
-    """Cofactor-expansion determinant of a small matrix over W."""
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ring.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _witt_det(minor, ring)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # Polynomials over K0 of degree < ep with a p-power prefix (inside S_{K0})
 
 
-class SK0Elem:
+class SK0Elem(_PExp):
     """num / p^pexp with num in S/Fil^p S; enough of S_{K0} for troncation,
     monodromy, derivatives of honest polynomials, and reduction to K."""
 
-    __slots__ = ("cfg", "num", "pexp")
+    __slots__ = ("cfg",)
 
     def __init__(self, cfg, num, pexp=0):
         self.cfg = cfg
         self.num = num
         self.pexp = pexp
 
+    def _new(self, num, pexp):
+        return SK0Elem(self.cfg, num, pexp)
+
     @classmethod
     def from_strunc(cls, x):
         return cls(x.cfg, x, 0)
-
-    def _align(self, other):
-        k = max(self.pexp, other.pexp)
-        a = self.num.scale_p(k - self.pexp)
-        b = other.num.scale_p(k - other.pexp)
-        return a, b, k
-
-    def __add__(self, other):
-        if isinstance(other, STrunc):
-            other = SK0Elem.from_strunc(other)
-        a, b, k = self._align(other)
-        return SK0Elem(self.cfg, a + b, k)
-
-    def __sub__(self, other):
-        if isinstance(other, STrunc):
-            other = SK0Elem.from_strunc(other)
-        a, b, k = self._align(other)
-        return SK0Elem(self.cfg, a - b, k)
-
-    def __neg__(self):
-        return SK0Elem(self.cfg, -self.num, self.pexp)
-
-    def __mul__(self, other):
-        if isinstance(other, STrunc):
-            other = SK0Elem.from_strunc(other)
-        if isinstance(other, (int, WittElem)):
-            return SK0Elem(self.cfg, self.num * other, self.pexp)
-        return SK0Elem(self.cfg, self.num * other.num, self.pexp + other.pexp)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SK0Elem):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self):
-        if self.pexp and self.num.min_prec() - self.pexp < 1:
-            raise PrecisionError("no significant digits below the p-prefix")
-        return self.num.is_zero()
-
-    def mul_p_power(self, k):
-        if k >= 0:
-            if self.pexp >= k:
-                return SK0Elem(self.cfg, self.num, self.pexp - k)
-            return SK0Elem(self.cfg, self.num.scale_p(k - self.pexp), 0)
-        return SK0Elem(self.cfg, self.num, self.pexp - k)
 
     def tronc(self, s):
         return SK0Elem(self.cfg, self.num.tronc(s), self.pexp)
@@ -1367,58 +1277,14 @@ class SK0Elem:
         return SK0Elem(self.cfg, self.num.derivative(), self.pexp)
 
     def mod_E(self):
-        k = self.num.mod_E()
-        return KElem(self.cfg, k.coeffs, self.pexp)
+        return KElem(self.cfg, self.num.mod_E().coeffs, self.pexp)
 
     def val_E(self):
         return self.num.val_E()
 
     def to_strunc(self):
         """Exact representative in S (errors when not integral)."""
-        if self.pexp == 0:
-            return self.num
         return self.num.div_exact_p(self.pexp)
 
     def __repr__(self):
         return f"SK0({self.num!r}/p^{self.pexp})"
-
-
-# ---------------------------------------------------------------------------
-# The named operations
-
-
-def frobenius_w(x):
-    """sigma(x) on W(F_{p^m}): the unique ring lift of x -> x^p."""
-    return x.frobenius()
-
-
-def phi_s(x):
-    """Frobenius on S/Fil^p S: sigma on W and u -> u^p."""
-    return x.phi()
-
-
-def monodromy_s(x):
-    """N on S/Fil^p S: the W-linear Leibniz operator with N(u) = -u."""
-    return x.monodromy()
-
-
-def tronc(x, s):
-    """The degree-< es polynomial congruent to x modulo E(u)^s."""
-    return x.tronc(s)
-
-
-def val_E(x):
-    """E(u)-adic valuation in [0, p] of an element of S/Fil^p S."""
-    return x.val_E()
-
-
-def val_p_K(x):
-    """p-adic valuation of an element of K (a Fraction, or INF if it
-    vanishes at working precision)."""
-    if isinstance(x, K0Elem):
-        return x.val_p()
-    return x.val_p()
-
-
-def teichmuller(witt_ring, x):
-    return witt_ring.teichmuller(x)

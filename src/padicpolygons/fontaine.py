@@ -50,12 +50,6 @@ def _k0_one(cfg):
     return K0Elem(cfg.witt, cfg.witt.one(), 0)
 
 
-def _k0_p_power(cfg, n):
-    if n >= 0:
-        return K0Elem(cfg.witt, cfg.witt.one().scale_p(n), 0)
-    return K0Elem(cfg.witt, cfg.witt.one(), -n)
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Parameters of the two-dimensional family D(L)."""
@@ -104,7 +98,8 @@ def family_module(params):
     cfg = params.cfg
     params.validate()
     zero, one = _k0_zero(cfg), _k0_one(cfg)
-    phi = ((_k0_p_power(cfg, params.n1), zero), (zero, _k0_p_power(cfg, params.n2)))
+    phi = ((one.mul_p_power(params.n1), zero),
+           (zero, one.mul_p_power(params.n2)))
     nmat = ((zero, zero), (zero, zero))
     kzero, kone = cfg.k_zero(), cfg.k_one()
     full = ((kone, kzero), (kzero, kone))

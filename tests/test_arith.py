@@ -7,8 +7,7 @@ import pytest
 from fractions import Fraction
 
 from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
-                           RingConfig, SK0Elem, frobenius_w, monodromy_s,
-                           phi_s, tronc, val_E, val_p_K)
+                           RingConfig, SK0Elem)
 from elements import random_k_elem, random_strunc, random_witt
 
 
@@ -18,18 +17,18 @@ from elements import random_k_elem, random_strunc, random_witt
 
 def test_frobenius_identity_on_zp(cfg7m1):
     x = cfg7m1.w(5)
-    assert frobenius_w(x) == x
+    assert x.frobenius() == x
 
 
 def test_frobenius_of_zero(cfg7):
-    assert frobenius_w(cfg7.witt.zero()).is_zero()
+    assert cfg7.witt.zero().frobenius().is_zero()
 
 
 def test_frobenius_is_other_hensel_root(cfg7):
     # sigma(teich(w)) must be a root of the modulus at full precision,
     # congruent to w^p mod p, and distinct from teich(w) itself
     w = cfg7.witt.teichmuller(cfg7.witt.gen())
-    s = frobenius_w(w)
+    s = w.frobenius()
     hval = cfg7.witt._eval_intpoly(cfg7.witt.modulus, s.coords)
     assert all(c % cfg7.p ** cfg7.prec == 0 for c in hval)
     assert s.residue() == w.residue().frobenius()
@@ -41,15 +40,15 @@ def test_frobenius_order_m(cfg7, rng):
         x = random_witt(cfg7, rng)
         y = x
         for _ in range(cfg7.m):
-            y = frobenius_w(y)
+            y = y.frobenius()
         assert y == x
 
 
 def test_frobenius_ring_homomorphism(cfg7, rng):
     for _ in range(20):
         x, y = random_witt(cfg7, rng), random_witt(cfg7, rng)
-        assert frobenius_w(x * y) == frobenius_w(x) * frobenius_w(y)
-        assert frobenius_w(x + y) == frobenius_w(x) + frobenius_w(y)
+        assert (x * y).frobenius() == x.frobenius() * y.frobenius()
+        assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
 
 def test_inseparable_modulus_rejected():
@@ -83,18 +82,18 @@ def test_unit_inverse(cfg7, rng):
 
 
 def test_phi_defining_relation(cfg7):
-    assert phi_s(cfg7.s_u(1)) == cfg7.s_u(cfg7.p)
+    assert cfg7.s_u(1).phi() == cfg7.s_u(cfg7.p)
 
 
 def test_phi_of_E_is_p_times_unit(cfg7):
-    phiE = phi_s(cfg7.s_E())
+    phiE = cfg7.s_E().phi()
     assert phiE.val_p() == 1
     c = phiE.div_exact_p(1)
     assert c.is_unit()
     assert c == cfg7.c
     # E^2 -> p^2 c^2 by multiplicativity
     E2 = cfg7.s_E() * cfg7.s_E()
-    assert phi_s(E2) == (c * c).scale_p(2)
+    assert E2.phi() == (c * c).scale_p(2)
 
 
 def test_phi_semilinear_and_multiplicative(cfg7, rng):
@@ -102,30 +101,30 @@ def test_phi_semilinear_and_multiplicative(cfg7, rng):
         a = random_witt(cfg7, rng)
         x = random_strunc(cfg7, rng, 6)
         y = random_strunc(cfg7, rng, 6)
-        assert phi_s(x.mul_w(a)) == phi_s(x).mul_w(frobenius_w(a))
-        assert phi_s(x * y) == phi_s(x) * phi_s(y)
+        assert x.mul_w(a).phi() == x.phi().mul_w(a.frobenius())
+        assert (x * y).phi() == x.phi() * y.phi()
 
 
 def test_phi_intertwines_E_multiplication(cfg7, rng):
     pc = cfg7.c.scale_p(1)
     for _ in range(10):
         x = random_strunc(cfg7, rng, 8)
-        assert phi_s(cfg7.s_E() * x) == pc * phi_s(x)
+        assert (cfg7.s_E() * x).phi() == pc * x.phi()
 
 
 def test_monodromy_defining_relations(cfg7):
     u = cfg7.s_u(1)
-    assert monodromy_s(u) == -u
+    assert u.monodromy() == -u
     u3 = cfg7.s_u(3)
-    assert monodromy_s(u3) == u3.mul_w(-3)
-    assert monodromy_s(cfg7.s([cfg7.w(11)])).is_zero()
+    assert u3.monodromy() == u3.mul_w(-3)
+    assert cfg7.s([cfg7.w(11)]).monodromy().is_zero()
 
 
 def test_monodromy_leibniz(cfg7, rng):
     for _ in range(100):
         x = random_strunc(cfg7, rng, 6)
         y = random_strunc(cfg7, rng, 6)
-        assert monodromy_s(x * y) == monodromy_s(x) * y + x * monodromy_s(y)
+        assert (x * y).monodromy() == x.monodromy() * y + x * y.monodromy()
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +133,14 @@ def test_monodromy_leibniz(cfg7, rng):
 
 def test_tronc_kills_E_power(cfg7):
     E2 = cfg7.s_E() * cfg7.s_E()
-    assert tronc(E2, 2).is_zero()
-    assert tronc(cfg7.s_E(), 1).is_zero()
+    assert E2.tronc(2).is_zero()
+    assert cfg7.s_E().tronc(1).is_zero()
 
 
 def test_tronc_fixes_low_degree(cfg7, rng):
     t = random_strunc(cfg7, rng, cfg7.e)
     x = cfg7.s([cfg7.p]) + t * cfg7.s_E()
-    assert tronc(x, 2) == x
+    assert x.tronc(2) == x
 
 
 def _longdiv_remainder(cfg, x, divisor):
@@ -161,7 +160,7 @@ def test_tronc_difference_divisible(cfg7, rng):
     E2 = list(cfg7._E_power(2))
     for _ in range(25):
         x = random_strunc(cfg7, rng)
-        diff = x - tronc(x, 2)
+        diff = x - x.tronc(2)
         rem = _longdiv_remainder(cfg7, diff, E2)
         assert all(c.is_zero() for c in rem)
 
@@ -172,10 +171,10 @@ def test_tronc_idempotent_and_linear(cfg7, rng):
         y = random_strunc(cfg7, rng)
         a = random_witt(cfg7, rng)
         s = rng.choice([1, 2])
-        t = tronc(x, s)
-        assert tronc(t, s) == t
-        assert tronc(x + y, s) == tronc(x, s) + tronc(y, s)
-        assert tronc(x.mul_w(a), s) == tronc(x, s).mul_w(a)
+        t = x.tronc(s)
+        assert t.tronc(s) == t
+        assert (x + y).tronc(s) == x.tronc(s) + y.tronc(s)
+        assert x.mul_w(a).tronc(s) == x.tronc(s).mul_w(a)
 
 
 def test_phi_tronc_congruence(cfg7, rng):
@@ -183,7 +182,7 @@ def test_phi_tronc_congruence(cfg7, rng):
     r = cfg7.r
     for _ in range(25):
         x = random_strunc(cfg7, rng)
-        diff = phi_s(x) - phi_s(tronc(x, r))
+        diff = x.phi() - x.tronc(r).phi()
         assert diff.val_p() >= r
 
 
@@ -192,8 +191,8 @@ def test_phi_tronc_congruence(cfg7, rng):
 
 
 def test_val_p_K_uniformizer_and_p(cfg7):
-    assert val_p_K(cfg7.pi()) == Fraction(1, cfg7.e)
-    assert val_p_K(cfg7.k_elem([cfg7.p])) == 1
+    assert cfg7.pi().val_p() == Fraction(1, cfg7.e)
+    assert cfg7.k_elem([cfg7.p]).val_p() == 1
 
 
 def _sylvester_resultant(E_ints, A_ints):
@@ -238,7 +237,7 @@ def test_val_p_K_resultant_oracle(cfg7m1):
     # x = p/(2 pi) for e = 2, p = 7 has valuation 1/2
     x = cfg7m1.k_elem([cfg7m1.p]) * cfg7m1.pi().inverse() * \
         cfg7m1.k_elem([2]).inverse()
-    assert val_p_K(x) == Fraction(1, 2)
+    assert x.val_p() == Fraction(1, 2)
     # independent check on random integral elements via the resultant
     rng = random.Random(7)
     for _ in range(15):
@@ -250,7 +249,7 @@ def test_val_p_K_resultant_oracle(cfg7m1):
         while res % 7 == 0:
             res //= 7
             v += 1
-        assert val_p_K(k) == Fraction(v, 2)
+        assert k.val_p() == Fraction(v, 2)
 
 
 def test_val_p_K_multiplicative(cfg7, rng):
@@ -259,18 +258,18 @@ def test_val_p_K_multiplicative(cfg7, rng):
         y = random_k_elem(cfg7, rng)
         if x.is_zero() or y.is_zero():
             continue
-        vx, vy, vxy = val_p_K(x), val_p_K(y), val_p_K(x * y)
+        vx, vy, vxy = x.val_p(), y.val_p(), (x * y).val_p()
         assert vxy == vx + vy
 
 
 def test_val_E_examples(cfg7, rng):
     E3 = cfg7.s_E() * cfg7.s_E() * cfg7.s_E()
     unit = cfg7.s([3, 1])
-    assert val_E(E3 * unit) == 3
-    assert val_E(cfg7.s_zero()) == cfg7.p
+    assert (E3 * unit).val_E() == 3
+    assert cfg7.s_zero().val_E() == cfg7.p
     t = random_strunc(cfg7, rng, cfg7.e)
     x = cfg7.s([cfg7.w(1 + cfg7.p)]) + t * cfg7.s_E()
-    assert val_E(x) == 0
+    assert x.val_E() == 0
 
 
 def test_k_inverse(cfg7, rng):
@@ -326,3 +325,17 @@ def test_p_prefix_semantics(cfg7, kind):
     assert down.pexp == 4
     assert down == make(cfg7, cfg7.w(4), 4)
     assert down.mul_p_power(2) == x
+
+
+def test_powers(cfg7, rng):
+    pi, x = cfg7.pi(), random_witt(cfg7, rng)
+    assert pi ** 3 == pi * pi * pi
+    assert pi ** 0 == cfg7.k_one()
+    assert x ** 5 == x * x * x * x * x
+    # negative powers of W and K raise instead of looping; k inverts
+    with pytest.raises(ValueError):
+        pi ** -1
+    with pytest.raises(ValueError):
+        x ** -2
+    g = cfg7.gf.gen()
+    assert g ** -2 * g * g == cfg7.gf.one
