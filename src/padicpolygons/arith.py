@@ -113,13 +113,13 @@ def _coord_mul(a, b, modulus, q):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
+                prod[i + j] = (prod[i + j] + ai * bj) % q
     for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k] % q
+        c = prod[k]
         if c:
             for i in range(m):
-                prod[k - m + i] -= c * modulus[i]
-    return tuple([c % q for c in prod[:m]])
+                prod[k - m + i] = (prod[k - m + i] - c * modulus[i]) % q
+    return tuple(prod[:m])
 
 
 # ---------------------------------------------------------------------------

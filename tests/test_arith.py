@@ -312,8 +312,6 @@ def test_p_prefix_semantics(cfg7, kind):
     with pytest.raises(PrecisionError):
         make(cfg7, cfg7.w(0, prec=3), 3).is_zero()
     assert not make(cfg7, cfg7.w(1, prec=3), 2).is_zero()
-    if kind == "K0":
-        return
     # mul_p_power of either sign
     x = make(cfg7, cfg7.w(4), 2)
     assert x.mul_p_power(1).pexp == 1
