@@ -8,19 +8,22 @@ multiply coordinate tuples with one product mod (modulus, q).
 Every other ring is built on one of two bases:
 
 * ``_Poly``, a fixed-length coefficient tuple over W or k.  It owns the
-  coercion of constants, +, -, negation, ==, ``is_zero``, the monodromy
-  ``N(u^n) = -n u^n`` and, for W coefficients, ``min_prec``, ``scale_p``,
-  ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus.
+  coercion of constants, +, -, negation, ==, ``is_zero`` and the monodromy
+  ``N(u^n) = -n u^n``.
 
-  - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
-    divided-power ring S in which every formula of the package is stated.
-    It reduces products by E(u)^p and adds phi, troncation, the E-adic
-    valuation and division, and unit inversion.
-  - ``TildePoly``: ``k[u]/u^{ep}``, the mod-p residue of the above.  Its
+  - ``TildePoly``: ``k[u]/u^{ep}``, the mod-p residue of ``STrunc``.  Its
     product truncates at u^{ep}; it adds phi, the u-valuation and
     division, and unit inversion.
-  - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
-    numerator of a K element.
+  - ``_WPoly``, the W-coefficient case, adds ``min_prec``, ``scale_p``,
+    ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus.
+    Two rings are built on it:
+
+    - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
+      divided-power ring S in which every formula of the package is
+      stated.  It reduces products by E(u)^p and adds phi, troncation, the
+      E-adic valuation and division, and unit inversion.
+    - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
+      numerator of a K element.
 
 * ``_PExp``, ``num / p^pexp``: a numerator with a power of p split off as
   an explicit prefix, so integrality stays decidable.  It owns the
@@ -36,9 +39,12 @@ Every other ring is built on one of two bases:
 Precision model: every Witt element carries an absolute precision ``prec``
 (number of significant p-digits) capped by the ring precision.  Ring
 operations report ``min`` of the input precisions, multiplication by p gains
-one digit, and exact division by p costs one.  Predicates (zero tests, unit
-tests, valuations) answer for the element *as known*; an element with no
-significant digits left raises ``PrecisionError`` instead of guessing.
+one digit, and exact division by p costs one.  A product reduced by a
+monic modulus skips the coefficients that are zero as known and caps its
+precision at the digits their unknown part leaves known.  Predicates
+(zero tests, unit tests, valuations) answer for the element *as known*; an
+element with no significant digits left raises ``PrecisionError`` instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -729,8 +735,7 @@ class _Poly:
     """A dense coefficient tuple of fixed length over W or k.
 
     Subclasses give the ring: ``_constant`` (a scalar as an element) and the
-    product.  ``min_prec``, ``scale_p``, ``div_exact_p``, ``mul_w`` and the
-    reducing products need W coefficients."""
+    product."""
 
     __slots__ = ("cfg", "coeffs")
 
@@ -774,6 +779,22 @@ class _Poly:
         """N(u^n) = -n u^n, extended coefficient-linearly."""
         return self._new(tuple(a * (-i) for i, a in enumerate(self.coeffs)))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
+
+
+def _zero_bound(c, others):
+    """Digits known of c * x for every x in others, where c is zero as known:
+    c.prec plus the least valuation among others."""
+    return c.prec + min(x.val() for x in others)
+
+
+class _WPoly(_Poly):
+    """A ``_Poly`` over W: adds the p-adic precision and scalings and the
+    product reduced by a monic modulus."""
+
+    __slots__ = ()
+
     def min_prec(self):
         return min(a.prec for a in self.coeffs)
 
@@ -795,44 +816,49 @@ class _Poly:
         if not isinstance(other, _Poly):
             return self.mul_w(other)
         n = len(self.coeffs)
+        cap = self.cfg.prec
         prod = [self.cfg.witt.zero()] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
-            # a coefficient that is zero as known contributes no term and
-            # does not lower the precision of the product
+            # a coefficient that is zero as known adds no term; its unknown
+            # digits only bound the precision of the product
             if a.val() == a.prec:
+                if a.prec < cap:
+                    cap = min(cap, _zero_bound(a, other.coeffs))
                 continue
             for j, b in enumerate(other.coeffs):
                 prod[i + j] = prod[i + j] + a * b
-        return self._new(tuple(_reduce_by_monic(prod, modulus, self.cfg)[:n]))
+        return self._new(_reduce_by_monic(prod, modulus, self.cfg, cap))
 
     def _mul_u_mod(self, modulus):
         """self * u reduced by a monic W-polynomial of degree len(coeffs)."""
         shifted = [self.cfg.witt.zero(), *self.coeffs]
-        return self._new(tuple(_reduce_by_monic(shifted, modulus, self.cfg)
-                               [:len(self.coeffs)]))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
+        return self._new(_reduce_by_monic(shifted, modulus, self.cfg,
+                                          self.cfg.prec))
 
 
-def _reduce_by_monic(prod, modpoly, cfg):
-    """Reduce a coefficient list in place by a monic Witt polynomial."""
+def _reduce_by_monic(prod, modpoly, cfg, cap):
+    """The remainder of a coefficient list by a monic Witt polynomial, as a
+    tuple of len(modpoly) - 1 coefficients known to at most cap digits."""
     d = len(modpoly) - 1
     for k in range(len(prod) - 1, d - 1, -1):
         c = prod[k]
         if c.val() == c.prec:
+            if c.prec < cap:
+                cap = min(cap, _zero_bound(c, modpoly[:d]))
             continue
         for i in range(d):
             prod[k - d + i] = prod[k - d + i] - c * modpoly[i]
-        prod[k] = cfg.witt.zero(c.prec)
-    return prod
+    if cap < cfg.prec:
+        return tuple(c if c.prec <= cap else cfg.witt.elem(c.coords, cap)
+                     for c in prod[:d])
+    return tuple(prod[:d])
 
 
 # ---------------------------------------------------------------------------
 # S/Fil^p S = (W/p^N)[u]/E(u)^p
 
 
-class STrunc(_Poly):
+class STrunc(_WPoly):
     """Element of S/Fil^p S, stored as the degree-< ep representative."""
 
     __slots__ = ()
@@ -1109,7 +1135,7 @@ class _PExp:
 
 
 class K0Elem(_PExp):
-    """Element of K0 = Frac(W), stored as w / p^pexp."""
+    """Element of K0 = Frac(W), stored as num / p^pexp with num in W."""
 
     __slots__ = ("ring",)
 
@@ -1120,10 +1146,6 @@ class K0Elem(_PExp):
 
     def _new(self, num, pexp):
         return K0Elem(self.ring, num, pexp)
-
-    @property
-    def w(self):
-        return self.num
 
     def val_p(self):
         """Valuation as a Fraction, or INF when zero at working precision."""
@@ -1149,7 +1171,7 @@ class K0Elem(_PExp):
         return f"K0({self.num!r}/p^{self.pexp})"
 
 
-class _KNum(_Poly):
+class _KNum(_WPoly):
     """Numerator of a K element: a W-polynomial of degree < e mod E(u)."""
 
     __slots__ = ()
@@ -1174,7 +1196,9 @@ class KElem(_PExp):
         self.pexp = pexp
 
     def _new(self, num, pexp):
-        return KElem(self.cfg, num.coeffs, pexp)
+        out = KElem.__new__(KElem)
+        out.cfg, out.num, out.pexp = self.cfg, num, pexp
+        return out
 
     @property
     def coeffs(self):

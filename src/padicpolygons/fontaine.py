@@ -189,7 +189,7 @@ def _sqrt_zp(cfg, x):
     """Square root of a K0 element, or None if there is none in Q_p."""
     if x.is_zero():
         return _k0_zero(cfg)
-    num = x.w
+    num = x.num
     vnum = num.val()
     if (vnum - x.pexp) % 2 != 0:
         return None
@@ -224,7 +224,7 @@ def _sqrt_zp(cfg, x):
 
 
 def _k0_to_k(cfg, x):
-    coeffs = (x.w,) + tuple(cfg.witt.zero() for _ in range(cfg.e - 1))
+    coeffs = (x.num,) + tuple(cfg.witt.zero() for _ in range(cfg.e - 1))
     return KElem(cfg, coeffs, x.pexp)
 
 

@@ -337,3 +337,20 @@ def test_powers(cfg7, rng):
         x ** -2
     g = cfg7.gf.gen()
     assert g ** -2 * g * g == cfg7.gf.one
+
+
+def test_products_bound_unknown_digits_of_zero_coefficients(cfg7):
+    """A coefficient that is zero only to 3 digits is skipped by the reduced
+    products, but its unknown digits still bound what the product knows."""
+    low = cfg7.w(0, prec=3)
+    s = cfg7.s([low, 1]) * cfg7.s_one()
+    assert s.coeffs[0].prec == 3
+    assert (s - cfg7.s([7 ** 3, 1])).is_zero()
+    k = cfg7.k_elem([low, 1]) * cfg7.k_elem([2, 3])
+    assert [c.prec for c in k.coeffs] == [3, 3]
+    assert (k - cfg7.k_elem([7 ** 3, 1]) * cfg7.k_elem([2, 3])).is_zero()
+    assert [c.prec for c in (cfg7.k_elem([low, 1]) ** 2).coeffs] == [3, 3]
+    # u * (low u) = 7 low: the reduction by E skips the zero u^2 term, which
+    # leaves the constant term 3 + v_p(E_0) = 4 digits
+    k = cfg7.pi() * cfg7.k_elem([0, low])
+    assert k.coeffs[0].prec == 4
