@@ -394,6 +394,30 @@ class WittRing:
             pows.append(self._mul(pows[-1], rho))
         return tuple(pows)
 
+    def _val(self, coords, prec):
+        """p-adic valuation of coordinates known mod p^prec, clamped at prec."""
+        if prec < 1:
+            raise PrecisionError("element has no significant digits")
+        p, q, best = self.p, self.p ** prec, prec
+        for c in coords:
+            c %= q
+            if c:
+                v = 0
+                while c % p == 0:
+                    c //= p
+                    v += 1
+                best = min(best, v)
+        return best
+
+    def _frobenius(self, coords):
+        """Coordinates of sigma(x) mod p^cap."""
+        acc = [0] * self.m
+        for a, rp in zip(coords, self._frob_pows):
+            if a:
+                for s, c in enumerate(rp):
+                    acc[s] += a * c
+        return tuple(c % self.pc for c in acc)
+
     def elem(self, value, prec=None):
         prec = self.cap if prec is None else min(prec, self.cap)
         if isinstance(value, int):
@@ -492,18 +516,7 @@ class WittElem:
 
     def val(self):
         """p-adic valuation, clamped at prec (val == prec means zero as known)."""
-        if self.prec < 1:
-            raise PrecisionError("element has no significant digits")
-        p, best = self.ring.p, self.prec
-        for c in self.coords:
-            c %= p ** self.prec
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                best = min(best, v)
-        return best
+        return self.ring._val(self.coords, self.prec)
 
     def is_zero(self):
         return self.val() == self.prec
@@ -546,12 +559,10 @@ class WittElem:
 
     def frobenius(self):
         """sigma(x): the unique lift of x -> x^p on the residue field."""
-        acc = (0,) * self.ring.m
-        for a, rp in zip(self.coords, self.ring._frob_pows):
-            if a:
-                acc = self.ring._add(acc, tuple((a * c) % self.ring.pc for c in rp))
         q = self.ring.p ** self.prec if self.prec > 0 else 1
-        return WittElem(self.ring, tuple(c % q for c in acc), self.prec)
+        return WittElem(self.ring, tuple(c % q for c in
+                                         self.ring._frobenius(self.coords)),
+                        self.prec)
 
     def residue(self):
         if self.prec < 1:
@@ -600,7 +611,7 @@ class RingConfig:
             raise ConfigError("E(u) must be Eisenstein: v_p(E_0) = 1")
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
         self._E_powers = {1: self.E}
-        self.Ep = self._E_power(p)
+        self._kernels = {}
         self._c = None
 
     def _as_witt(self, c):
@@ -619,6 +630,12 @@ class RingConfig:
                     prod[i + j] = prod[i + j] + a * b
             self._E_powers[s] = tuple(prod)
         return self._E_powers[s]
+
+    def _kernel(self, s):
+        """The int kernel of the modulus E(u)^s, built on first use."""
+        if s not in self._kernels:
+            self._kernels[s] = _Monic(self, self._E_power(s))
+        return self._kernels[s]
 
     # element factories ----------------------------------------------------
 
@@ -783,10 +800,174 @@ class _Poly:
         return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
 
 
-def _zero_bound(c, others):
-    """Digits known of c * x for every x in others, where c is zero as known:
-    c.prec plus the least valuation among others."""
-    return c.prec + min(x.val() for x in others)
+class _Monic:
+    """The int kernel of (W/p^N)[u]/(M) for a monic W-polynomial M of
+    degree d, the modulus of ``STrunc`` (E^p) or ``_KNum`` (E).
+
+    A list of coefficients is flat: coefficient k holds the coordinates
+    ``flat[k*m : k*m + m]``, not necessarily reduced, and a separate list
+    holds the precisions.  A product is one Kronecker-packed bigint product
+    over (u, w); the reduction by M loops over its nonzero coefficients."""
+
+    def __init__(self, cfg, coeffs):
+        witt = self.witt = cfg.witt
+        self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
+        self.d = d = len(coeffs) - 1
+        self.ppow = [witt.p ** k for k in range(self.N + 1)]
+        self.mv = min(c.val() for c in coeffs[:d])
+        # terms[t]: (offset, v) pairs, coordinate t of a coefficient c of the
+        # quotient at u^j adds c_t * v to flat[j*m + offset]
+        self.terms = [[] for _ in range(self.m)]
+        for t in range(self.m):
+            wt = tuple(int(s == t) for s in range(self.m))
+            for i, c in enumerate(coeffs[:d]):
+                for s, v in enumerate(_coord_mul(wt, c.coords, witt.modulus,
+                                                 self.pc)):
+                    if v:
+                        self.terms[t].append((i * self.m + s, v))
+        # bytes per packed slot: a product slot sums d*m terms below pc^2
+        self.W = (d * self.m * (self.pc - 1) ** 2).bit_length() // 8 + 1
+        self._powers = None
+
+    def _pack(self, flat):
+        """A flat list (coordinates in [0, pc)) as one int with 2m-1 slots
+        per coefficient."""
+        W, m = self.W, self.m
+        pad = bytes(W * (m - 1))
+        return int.from_bytes(b"".join(
+            b"".join(c.to_bytes(W, "little") for c in flat[k:k + m]) + pad
+            for k in range(0, len(flat), m)), "little")
+
+    def _unpack(self, x, count):
+        """The first count coefficients of a packed int, reduced by h."""
+        W, m = self.W, self.m
+        span, h = 2 * m - 1, self.witt.modulus
+        buf = x.to_bytes(count * span * W, "little")
+        flat = []
+        for k in range(0, len(buf), span * W):
+            s = [int.from_bytes(buf[k + t * W:k + (t + 1) * W], "little")
+                 for t in range(span)]
+            for t in range(span - 1, m - 1, -1):
+                if s[t]:
+                    for r in range(m):
+                        s[t - m + r] -= s[t] * h[r]
+            flat += s[:m]
+        return flat
+
+    def _zero(self, flat, k, P):
+        """Whether coefficient k is zero mod p^P (P >= 1)."""
+        q = self.ppow[P]
+        return not any(c % q for c in flat[k * self.m:(k + 1) * self.m])
+
+    def elems(self, flat, precs):
+        """WittElems of the coefficients, reduced mod p^prec."""
+        m, witt, ppow = self.m, self.witt, self.ppow
+        return tuple(WittElem(witt, tuple(c % ppow[P] if P > 0 else 0
+                                          for c in flat[k * m:(k + 1) * m]), P)
+                     for k, P in enumerate(precs))
+
+    def reduce(self, flat, precs, cap):
+        """The remainder by M of the coefficients (flat, precs), as (flat,
+        precs) of d coefficients known to at most cap digits.
+
+        From the top down, each coefficient of degree >= d is zero-tested at
+        its running precision.  A nonzero one is taken off with M and passes
+        its precision to the d coefficients below it; a zero one is skipped
+        and lowers the cap to its precision plus the least valuation among
+        the lower coefficients of M."""
+        m, d, pc, terms = self.m, self.d, self.pc, self.terms
+        passed = []         # (degree, precision) passed down, increasing
+        out = [0] * d
+        for k in range(len(precs) - 1, -1, -1):
+            while passed and passed[0][0] > k + d:
+                passed.pop(0)
+            P = precs[k]
+            if passed and passed[0][1] < P:
+                P = passed[0][1]
+            if k < d:
+                out[k] = min(P, cap)
+                continue
+            if P < 1:
+                raise PrecisionError("element has no significant digits")
+            if self._zero(flat, k, P):
+                cap = min(cap, P + self.mv)
+                continue
+            base = (k - d) * m
+            for t in range(m):
+                c = flat[k * m + t] % pc
+                if c:
+                    for off, v in terms[t]:
+                        flat[base + off] -= c * v
+            while passed and passed[-1][1] >= P:
+                passed.pop()
+            passed.append((k, P))
+        return flat[:d * m], out
+
+    def mul(self, fa, pa, fb, pb):
+        """The reduced product of two lists of d coefficients.
+
+        Raw coefficient k knows the least precision among the pairs i + j = k
+        whose a_i is not zero as known; a zero a_i known to fewer than N
+        digits lowers the cap to its precision plus the least valuation of
+        b."""
+        N, m, d = self.N, self.m, self.d
+        pc, W = self.pc, self.W
+        skip, lowzero, nz = bytes(W * m), N, []
+        chunks = []
+        for i, P in enumerate(pa):
+            if P < 1:
+                raise PrecisionError("element has no significant digits")
+            if self._zero(fa, i, P):
+                lowzero = min(lowzero, P)
+                chunks.append(skip)
+            else:
+                nz.append(i)
+                chunks.append(b"".join((c % pc).to_bytes(W, "little")
+                                       for c in fa[i * m:(i + 1) * m]))
+        cap = N
+        if lowzero < N:
+            cap = min(N, lowzero + min(
+                self.witt._val(fb[j * m:(j + 1) * m], Q)
+                for j, Q in enumerate(pb)))
+        pad = bytes(W * (m - 1))
+        packed_a = int.from_bytes(pad.join(chunks), "little")
+        packed_b = self._pack([c % pc for c in fb])
+        flat = self._unpack(packed_a * packed_b, 2 * d - 1)
+        # raw precisions: each precision level marks the degrees it reaches
+        precs = [N] * (2 * d - 1)
+        reach = {}
+        row = (1 << d) - 1
+        for i in nz:
+            if pa[i] < N:
+                reach[pa[i]] = reach.get(pa[i], 0) | row << i
+        if nz:
+            nzmask = sum(1 << i for i in nz)
+            for j, Q in enumerate(pb):
+                if Q < N:
+                    reach[Q] = reach.get(Q, 0) | nzmask << j
+        for P in sorted(reach, reverse=True):
+            mask = reach[P]
+            for k in range(2 * d - 1):
+                if mask >> k & 1:
+                    precs[k] = P
+        return self.reduce(flat, precs, cap)
+
+    def powers(self, step):
+        """Packed u^(step*i) mod M at full precision, i < d (built once)."""
+        if self._powers is None:
+            m, d, pc, terms = self.m, self.d, self.pc, self.terms
+            vec = [1] + [0] * (d * m - 1)
+            self._powers = []
+            for _ in range(d):
+                self._powers.append(self._pack([c % pc for c in vec]))
+                for _ in range(step):
+                    top = [c % pc for c in vec[-m:]]
+                    vec = [0] * m + vec[:-m]
+                    for t, c in enumerate(top):
+                        if c:
+                            for off, v in terms[t]:
+                                vec[off] -= c * v
+        return self._powers
 
 
 class _WPoly(_Poly):
@@ -810,48 +991,23 @@ class _WPoly(_Poly):
             w = self.cfg.witt.elem(w)
         return self._new(tuple(a * w for a in self.coeffs))
 
-    def _mul_mod(self, other, modulus):
-        """self * other reduced by a monic W-polynomial of degree
-        len(coeffs); a scalar of W multiplies every coefficient."""
+    def _ints(self):
+        return ([c for a in self.coeffs for c in a.coords],
+                [a.prec for a in self.coeffs])
+
+    def _mul_mod(self, other, kernel):
+        """self * other reduced by the kernel's modulus; a scalar of W
+        multiplies every coefficient."""
         if not isinstance(other, _Poly):
             return self.mul_w(other)
-        n = len(self.coeffs)
-        cap = self.cfg.prec
-        prod = [self.cfg.witt.zero()] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            # a coefficient that is zero as known adds no term; its unknown
-            # digits only bound the precision of the product
-            if a.val() == a.prec:
-                if a.prec < cap:
-                    cap = min(cap, _zero_bound(a, other.coeffs))
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        return self._new(_reduce_by_monic(prod, modulus, self.cfg, cap))
+        return self._new(kernel.elems(*kernel.mul(*self._ints(),
+                                                  *other._ints())))
 
-    def _mul_u_mod(self, modulus):
-        """self * u reduced by a monic W-polynomial of degree len(coeffs)."""
-        shifted = [self.cfg.witt.zero(), *self.coeffs]
-        return self._new(_reduce_by_monic(shifted, modulus, self.cfg,
-                                          self.cfg.prec))
-
-
-def _reduce_by_monic(prod, modpoly, cfg, cap):
-    """The remainder of a coefficient list by a monic Witt polynomial, as a
-    tuple of len(modpoly) - 1 coefficients known to at most cap digits."""
-    d = len(modpoly) - 1
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k]
-        if c.val() == c.prec:
-            if c.prec < cap:
-                cap = min(cap, _zero_bound(c, modpoly[:d]))
-            continue
-        for i in range(d):
-            prod[k - d + i] = prod[k - d + i] - c * modpoly[i]
-    if cap < cfg.prec:
-        return tuple(c if c.prec <= cap else cfg.witt.elem(c.coords, cap)
-                     for c in prod[:d])
-    return tuple(prod[:d])
+    def _mul_u_mod(self, kernel):
+        """self * u reduced by the kernel's modulus."""
+        flat, precs = self._ints()
+        return self._new(kernel.elems(*kernel.reduce(
+            [0] * kernel.m + flat, [kernel.N] + precs, kernel.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -867,12 +1023,12 @@ class STrunc(_WPoly):
         return self.cfg.s([c])
 
     def __mul__(self, other):
-        return self._mul_mod(other, self.cfg.Ep)
+        return self._mul_mod(other, self.cfg._kernel(self.cfg.p))
 
     __rmul__ = __mul__
 
     def mul_u(self):
-        return self._mul_u_mod(self.cfg.Ep)
+        return self._mul_u_mod(self.cfg._kernel(self.cfg.p))
 
     def shift_u(self, k):
         out = self
@@ -881,14 +1037,41 @@ class STrunc(_WPoly):
         return out
 
     def phi(self):
-        """The semilinear Frobenius: sigma on W, u -> u^p."""
+        """The semilinear Frobenius: sigma on W, u -> u^p.
+
+        The value is sum_i sigma(a_i) (u^{p i} mod E^p), from the kernel's
+        table of powers, and it knows the digits that Horner's rule over the
+        reduced product knows.  For e >= 2, u^p is a monomial, so each
+        Horner step spreads the precision of its constant term to every
+        coefficient or caps them all at it: every coefficient knows
+        min_{i >= 1} prec a_i, the constant term also prec a_0.  For e = 1,
+        u^p mod E^p is p^2 times a polynomial, and the zero skips of the
+        products grant digits that depend on every partial sum, so Horner's
+        rule runs on the kernel."""
         cfg = self.cfg
-        up = cfg.s_u(cfg.p)
-        acc = cfg.s_zero()
-        for a in reversed(self.coeffs):
-            acc = acc * up
-            acc = acc + a.frobenius()
-        return acc
+        kernel = cfg._kernel(cfg.p)
+        m, n, N = kernel.m, kernel.d, kernel.N
+        flat, precs = self._ints()
+        sig = [c for k in range(0, n * m, m)
+               for c in cfg.witt._frobenius(flat[k:k + m])]
+        powers = kernel.powers(cfg.p)
+        if cfg.e == 1:
+            up = kernel._unpack(powers[1], n)
+            acc, acc_precs = [0] * (n * m), [N] * n
+            for k in range(n - 1, -1, -1):
+                acc, acc_precs = kernel.mul(acc, acc_precs, up, [N] * n)
+                acc[:m] = [a + b for a, b in zip(acc, sig[k * m:k * m + m])]
+                acc_precs[0] = min(acc_precs[0], precs[k])
+            return STrunc(cfg, kernel.elems(acc, acc_precs))
+        low = min(precs[1:])
+        if low < 1:
+            raise PrecisionError("element has no significant digits")
+        total = 0
+        for k, (P, power) in enumerate(zip(precs, powers)):
+            if P > 0 and not kernel._zero(flat, k, P):
+                total += kernel._pack(sig[k * m:k * m + m]) * power
+        return STrunc(cfg, kernel.elems(kernel._unpack(total, n),
+                                        [min(low, precs[0])] + [low] * (n - 1)))
 
     def derivative(self):
         """u-derivative of the canonical degree-< ep representative."""
@@ -1180,7 +1363,7 @@ class _KNum(_WPoly):
         return self.cfg.k_elem([c]).num
 
     def __mul__(self, other):
-        return self._mul_mod(other, self.cfg.E)
+        return self._mul_mod(other, self.cfg._kernel(1))
 
     __rmul__ = __mul__
 
@@ -1212,7 +1395,7 @@ class KElem(_PExp):
         cfg = self.cfg
         cols = [self.num]
         for _ in range(cfg.e - 1):
-            cols.append(cols[-1]._mul_u_mod(cfg.E))
+            cols.append(cols[-1]._mul_u_mod(cfg._kernel(1)))
         return [[cols[j].coeffs[i] for j in range(cfg.e)]
                 for i in range(cfg.e)]
 
