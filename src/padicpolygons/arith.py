@@ -855,7 +855,9 @@ class _Monic:
         return flat
 
     def _zero(self, flat, k, P):
-        """Whether coefficient k is zero mod p^P (P >= 1)."""
+        """Whether coefficient k, known to P digits, is zero as known."""
+        if P < 1:
+            raise PrecisionError("element has no significant digits")
         q = self.ppow[P]
         return not any(c % q for c in flat[k * self.m:(k + 1) * self.m])
 
@@ -867,28 +869,28 @@ class _Monic:
                      for k, P in enumerate(precs))
 
     def reduce(self, flat, precs, cap):
-        """The remainder by M of the coefficients (flat, precs), as (flat,
-        precs) of d coefficients known to at most cap digits.
+        """Division by M of the coefficients (flat, precs), at most cap
+        digits known: returns (flat, precs) whose first d coefficients are
+        the remainder and whose coefficient d + j is the quotient's u^j.
 
-        From the top down, each coefficient of degree >= d is zero-tested at
-        its running precision.  A nonzero one is taken off with M and passes
-        its precision to the d coefficients below it; a zero one is skipped
-        and lowers the cap to its precision plus the least valuation among
-        the lower coefficients of M."""
+        From the top down, each coefficient of degree >= d is the quotient's
+        and is zero-tested at its running precision.  A nonzero one is
+        taken off with M and passes its precision to the d coefficients
+        below it; a zero one is skipped and lowers the cap of all below it
+        to its precision plus the least valuation among the lower
+        coefficients of M."""
         m, d, pc, terms = self.m, self.d, self.pc, self.terms
         passed = []         # (degree, precision) passed down, increasing
-        out = [0] * d
+        out = [0] * len(precs)
         for k in range(len(precs) - 1, -1, -1):
             while passed and passed[0][0] > k + d:
                 passed.pop(0)
             P = precs[k]
             if passed and passed[0][1] < P:
                 P = passed[0][1]
+            out[k] = min(P, cap)
             if k < d:
-                out[k] = min(P, cap)
                 continue
-            if P < 1:
-                raise PrecisionError("element has no significant digits")
             if self._zero(flat, k, P):
                 cap = min(cap, P + self.mv)
                 continue
@@ -901,7 +903,7 @@ class _Monic:
             while passed and passed[-1][1] >= P:
                 passed.pop()
             passed.append((k, P))
-        return flat[:d * m], out
+        return flat, out
 
     def mul(self, fa, pa, fb, pb):
         """The reduced product of two lists of d coefficients.
@@ -915,8 +917,6 @@ class _Monic:
         skip, lowzero, nz = bytes(W * m), N, []
         chunks = []
         for i, P in enumerate(pa):
-            if P < 1:
-                raise PrecisionError("element has no significant digits")
             if self._zero(fa, i, P):
                 lowzero = min(lowzero, P)
                 chunks.append(skip)
@@ -950,7 +950,8 @@ class _Monic:
             for k in range(2 * d - 1):
                 if mask >> k & 1:
                     precs[k] = P
-        return self.reduce(flat, precs, cap)
+        flat, precs = self.reduce(flat, precs, cap)
+        return flat, precs[:d]
 
     def powers(self, step):
         """Packed u^(step*i) mod M at full precision, i < d (built once)."""
@@ -1006,8 +1007,9 @@ class _WPoly(_Poly):
     def _mul_u_mod(self, kernel):
         """self * u reduced by the kernel's modulus."""
         flat, precs = self._ints()
-        return self._new(kernel.elems(*kernel.reduce(
-            [0] * kernel.m + flat, [kernel.N] + precs, kernel.N)))
+        flat, precs = kernel.reduce([0] * kernel.m + flat, [kernel.N] + precs,
+                                    kernel.N)
+        return self._new(kernel.elems(flat, precs[:kernel.d]))
 
 
 # ---------------------------------------------------------------------------
@@ -1082,18 +1084,10 @@ class STrunc(_WPoly):
 
     def divrem_E(self, s):
         """Quotient and remainder by E(u)^s (monic of degree es)."""
-        Es = self.cfg._E_power(s)
-        work = list(self.coeffs)
-        d = self.cfg.e * s
-        quot = [self.cfg.witt.zero() for _ in range(len(work))]
-        for k in range(len(work) - 1, d - 1, -1):
-            c = work[k]
-            if c.val() == c.prec:
-                continue
-            quot[k - d] = quot[k - d] + c
-            for i in range(d + 1):
-                work[k - d + i] = work[k - d + i] - c * Es[i]
-        return quot, work[:d]
+        kernel = self.cfg._kernel(s)
+        out = kernel.elems(*kernel.reduce(*self._ints(), self.cfg.prec))
+        zeros = [self.cfg.witt.zero()] * min(kernel.d, len(out))
+        return list(out[kernel.d:]) + zeros, list(out[:kernel.d])
 
     def tronc(self, s):
         """The degree-< es representative modulo E(u)^s."""

@@ -341,7 +341,8 @@ def test_powers(cfg7, rng):
 
 def test_products_bound_unknown_digits_of_zero_coefficients(cfg7):
     """A coefficient that is zero only to 3 digits is skipped by the reduced
-    products, but its unknown digits still bound what the product knows."""
+    products, phi and the division by E, but its unknown digits still bound
+    what they know."""
     low = cfg7.w(0, prec=3)
     s = cfg7.s([low, 1]) * cfg7.s_one()
     assert s.coeffs[0].prec == 3
@@ -354,3 +355,14 @@ def test_products_bound_unknown_digits_of_zero_coefficients(cfg7):
     # leaves the constant term 3 + v_p(E_0) = 4 digits
     k = cfg7.pi() * cfg7.k_elem([0, low])
     assert k.coeffs[0].prec == 4
+    # phi(1 + low u) = 1 + sigma(low) u^7: every coefficient keeps 3 digits
+    f = cfg7.s([1, low]).phi()
+    assert [c.prec for c in f.coeffs] == [3] * 14
+    assert (f - cfg7.s([1, 7 ** 3]).phi()).is_zero()
+    # low u^2 = low E + 7 low: division by E skips the zero u^2 term, so the
+    # quotient knows 3 digits and the remainder 3 + v_p(E_0) = 4
+    quot, rem = cfg7.s([0, 0, low]).divrem_E(1)
+    assert quot[0].prec == 3 and [c.prec for c in rem] == [4, 4]
+    lquot, lrem = cfg7.s([0, 0, 7 ** 3]).divrem_E(1)
+    assert (quot[0] - lquot[0]).is_zero()
+    assert all((a - b).is_zero() for a, b in zip(rem, lrem))

@@ -86,18 +86,31 @@ def ref_phi(x):
 
 
 def ref_divrem_E(x, s):
-    Es = x.cfg._E_power(s)
+    """The coefficient loop of division by E^s, with the zero-skip cap: a
+    skipped top coefficient leaves a zero quotient coefficient known to its
+    own precision, and caps everything below it at that precision plus the
+    least valuation among the lower coefficients of E^s."""
+    cfg = x.cfg
+    Es = cfg._E_power(s)
     work = list(x.coeffs)
-    d = x.cfg.e * s
-    quot = [x.cfg.witt.zero() for _ in range(len(work))]
+    d = cfg.e * s
+    mv = min(c.val() for c in Es[:d])
+    quot = [cfg.witt.zero() for _ in range(len(work))]
+    cap = cfg.prec
+
+    def capped(c):
+        return c if c.prec <= cap else cfg.witt.elem(c.coords, cap)
+
     for k in range(len(work) - 1, d - 1, -1):
         c = work[k]
         if c.val() == c.prec:
+            quot[k - d] = capped(cfg.w(0, c.prec))
+            cap = min(cap, c.prec + mv)
             continue
-        quot[k - d] = quot[k - d] + c
-        for i in range(d + 1):
+        quot[k - d] = capped(c)
+        for i in range(d):
             work[k - d + i] = work[k - d + i] - c * Es[i]
-    return quot, work[:d]
+    return quot, [capped(c) for c in work[:d]]
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +208,40 @@ def test_products_raise_where_the_reference_raises(cfg):
     same(lambda: y * x, lambda: ref_mul(y, x))
     same(y.phi, lambda: ref_phi(y))
     same(cfg.s([1, empty]).phi, lambda: ref_phi(cfg.s([1, empty])))
+
+
+# ---------------------------------------------------------------------------
+# claimed digits against full-precision lifts of the inputs
+
+
+def lift(x, rng):
+    """A full-precision element that agrees with x to each coefficient's
+    precision."""
+    cfg = x.cfg
+    q = cfg.p ** cfg.prec
+    return type(x)(cfg, tuple(
+        cfg.w(tuple(c + rng.randrange(q) * cfg.p ** a.prec for c in a.coords))
+        for a in x.coeffs))
+
+
+def claims_hold(op, *args):
+    """op(*args) claims only digits that op of full-precision lifts of the
+    arguments has, or raises PrecisionError."""
+    try:
+        claimed = op(*args)
+    except PrecisionError:
+        return
+    rng = random.Random(8)
+    for _ in range(3):
+        exact = op(*(lift(x, rng) for x in args))
+        for c, t in zip(claimed, exact):
+            q = c.ring.p ** max(c.prec, 0)
+            assert all((a - b) % q == 0 for a, b in zip(c.coords, t.coords))
+
+
+def test_claimed_digits_hold_for_lifts(cfg):
+    for x, y in rough_pairs(cfg, rough_strunc, trials(cfg, 30, 4), 7):
+        claims_hold(lambda a, b: (a * b).coeffs, x, y)
+        claims_hold(lambda a: a.phi().coeffs, x)
+        for s in (1, 2):
+            claims_hold(lambda a: sum(a.divrem_E(s), []), x)
