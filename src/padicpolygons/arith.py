@@ -1099,20 +1099,22 @@ class STrunc(_WPoly):
         return STrunc(self.cfg, tuple(rem))
 
     def val_E(self):
-        """Largest i <= p with E(u)^i dividing the representative (p if zero)."""
+        """Largest i <= p with E(u)^i dividing the representative (p if zero):
+        repeated division by E on the int kernel."""
+        cfg = self.cfg
         if self.is_zero():
-            return self.cfg.p
-        x = self
-        v = 0
-        while v < self.cfg.p:
-            quot, rem = x.divrem_E(1)
-            if any(not c.is_zero() for c in rem):
+            return cfg.p
+        kernel, e = cfg._kernel(1), cfg.e
+        flat, precs = self._ints()
+        for v in range(cfg.p):
+            flat, precs = kernel.reduce(flat, precs, cfg.prec)
+            if not all(kernel._zero(flat, k, P) for k, P in enumerate(precs[:e])):
                 return v
-            x = STrunc(self.cfg, tuple(quot))
-            v += 1
-            if x.is_zero():
-                return self.cfg.p
-        return v
+            flat = flat[e * kernel.m:] + [0] * (e * kernel.m)
+            precs = precs[e:] + [cfg.prec] * e
+            if all(kernel._zero(flat, k, P) for k, P in enumerate(precs)):
+                break
+        return cfg.p
 
     def div_exact_E(self, s):
         if s == 0:

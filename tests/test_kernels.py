@@ -200,6 +200,38 @@ def test_divrem_E_matches_reference(cfg):
             same(lambda: x.divrem_E(s), lambda: ref_divrem_E(x, s))
 
 
+def ref_val_E(x):
+    """Repeated division by E through the reference division."""
+    if x.is_zero():
+        return x.cfg.p
+    v = 0
+    while v < x.cfg.p:
+        quot, rem = ref_divrem_E(x, 1)
+        if any(not c.is_zero() for c in rem):
+            return v
+        x = STrunc(x.cfg, tuple(quot))
+        v += 1
+        if x.is_zero():
+            return x.cfg.p
+    return v
+
+
+def test_val_E_matches_repeated_division(cfg):
+    rng = random.Random(9)
+    E = cfg.s_E()
+    for _ in range(trials(cfg, 40, 10)):
+        x = rough_strunc(cfg, rng)
+        for k in range(rng.randrange(4)):
+            x = x * E
+        try:
+            want = ref_val_E(x)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                x.val_E()
+            continue
+        assert x.val_E() == want
+
+
 def test_products_raise_where_the_reference_raises(cfg):
     empty = cfg.w(0, prec=0)
     x = cfg.s([cfg.w(0, prec=2), 1])
