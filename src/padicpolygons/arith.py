@@ -15,8 +15,11 @@ Every other ring is built on one of two bases:
     product truncates at u^{ep}; it adds phi, the u-valuation and
     division, and unit inversion.
   - ``_WPoly``, the W-coefficient case, adds ``min_prec``, ``scale_p``,
-    ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus.
-    Two rings are built on it:
+    ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus,
+    which runs on ``_Kernel``: flat int coordinate lists, one
+    Kronecker-packed bigint product over (u, w), and a reduction that loops
+    over the nonzero coefficients of the modulus.  Two rings are built on
+    it:
 
     - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
       divided-power ring S in which every formula of the package is
@@ -37,14 +40,28 @@ Every other ring is built on one of two bases:
     and for the filtration computations.
 
 Precision model: every Witt element carries an absolute precision ``prec``
-(number of significant p-digits) capped by the ring precision.  Ring
-operations report ``min`` of the input precisions, multiplication by p gains
-one digit, and exact division by p costs one.  A product reduced by a
-monic modulus skips the coefficients that are zero as known and caps its
-precision at the digits their unknown part leaves known.  Predicates
-(zero tests, unit tests, valuations) answer for the element *as known*; an
-element with no significant digits left raises ``PrecisionError`` instead
-of guessing.
+(number of significant p-digits) capped by the ring precision N.
+Coefficient-wise operations report ``min`` of the input precisions,
+multiplication by p gains one digit, and exact division by p costs one.
+The kernel's operations follow three rules:
+
+* Product a * b: raw coefficient k knows min(prec a_i, prec b_j) minimized
+  over the pairs i + j = k whose a_i is not zero as known.  A zero a_i
+  known to fewer than N digits caps the product at prec a_i plus the least
+  valuation of b.
+* Division by a monic M of degree d (the reduction of a product, and
+  ``divrem_E``): from the top down, each quotient coefficient is
+  zero-tested at its running precision.  A nonzero one passes that
+  precision to the d coefficients below it; a zero one is skipped, keeps
+  its own precision, and caps all below it at that precision plus the
+  least valuation of the lower coefficients of M.
+* phi knows what Horner's rule over the product knows: for e >= 2,
+  min_{i >= 1} prec a_i at every coefficient and also prec a_0 at the
+  constant term; for e = 1, Horner's rule runs on the kernel.
+
+Predicates (zero tests, unit tests, valuations) answer for the element *as
+known*; an element with no significant digits left raises
+``PrecisionError`` instead of guessing.
 """
 
 from __future__ import annotations
@@ -627,6 +644,10 @@ class RingConfig:
             prod = [self.witt.zero() for _ in range(len(half) + self.e)]
             for i, a in enumerate(half):
                 for j, b in enumerate(self.E):
+                    # exact zeros at full precision add nothing
+                    if a.prec == b.prec == self.prec and not (
+                            any(a.coords) and any(b.coords)):
+                        continue
                     prod[i + j] = prod[i + j] + a * b
             self._E_powers[s] = tuple(prod)
         return self._E_powers[s]
@@ -634,7 +655,7 @@ class RingConfig:
     def _kernel(self, s):
         """The int kernel of the modulus E(u)^s, built on first use."""
         if s not in self._kernels:
-            self._kernels[s] = _Monic(self, self._E_power(s))
+            self._kernels[s] = _Kernel(self, self._E_power(s))
         return self._kernels[s]
 
     # element factories ----------------------------------------------------
@@ -800,106 +821,90 @@ class _Poly:
         return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
 
 
-class _Monic:
-    """The int kernel of (W/p^N)[u]/(M) for a monic W-polynomial M of
-    degree d, the modulus of ``STrunc`` (E^p) or ``_KNum`` (E).
+class _Kernel:
+    """The int kernel of (W/p^N)[u]/(M), M a monic W-polynomial of degree d:
+    E^p for ``STrunc``, E for ``_KNum``.
 
-    A list of coefficients is flat: coefficient k holds the coordinates
-    ``flat[k*m : k*m + m]``, not necessarily reduced, and a separate list
-    holds the precisions.  A product is one Kronecker-packed bigint product
-    over (u, w); the reduction by M loops over its nonzero coefficients."""
+    Coefficient lists are flat, coefficient k being the coordinates
+    ``flat[k*m:(k+1)*m]`` (not necessarily reduced), with a separate list
+    of precisions.  A product is one Kronecker-packed bigint product over
+    (u, w); the reduction by M loops over the nonzero coefficients of M."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
-        self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
-        self.d = d = len(coeffs) - 1
+        self.N, self.m, self.pc, self.d = cfg.prec, witt.m, witt.pc, len(coeffs) - 1
         self.ppow = [witt.p ** k for k in range(self.N + 1)]
-        self.mv = min(c.val() for c in coeffs[:d])
-        # terms[t]: (offset, v) pairs, coordinate t of a coefficient c of the
-        # quotient at u^j adds c_t * v to flat[j*m + offset]
-        self.terms = [[] for _ in range(self.m)]
-        for t in range(self.m):
-            wt = tuple(int(s == t) for s in range(self.m))
-            for i, c in enumerate(coeffs[:d]):
-                for s, v in enumerate(_coord_mul(wt, c.coords, witt.modulus,
-                                                 self.pc)):
-                    if v:
-                        self.terms[t].append((i * self.m + s, v))
-        # bytes per packed slot: a product slot sums d*m terms below pc^2
-        self.W = (d * self.m * (self.pc - 1) ** 2).bit_length() // 8 + 1
+        self.mv = min(c.val() for c in coeffs[:-1])
+        # terms[t]: (offset, v) pairs; coordinate t of a quotient coefficient
+        # c at u^j adds c_t * v to flat[j*m + offset]
+        self.terms = [[(i * self.m + s, v) for i, c in enumerate(coeffs[:-1])
+                       for s, v in enumerate(_coord_mul(
+                           tuple(int(r == t) for r in range(self.m)), c.coords,
+                           witt.modulus, self.pc)) if v]
+                      for t in range(self.m)]
+        # bytes per packed slot: a slot sums at most d*m terms below pc^2
+        self.W = (self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
         self._powers = None
 
     def _pack(self, flat):
-        """A flat list (coordinates in [0, pc)) as one int with 2m-1 slots
-        per coefficient."""
+        """Coordinates in [0, pc) as one int, 2m-1 slots per coefficient."""
         W, m = self.W, self.m
-        pad = bytes(W * (m - 1))
-        return int.from_bytes(b"".join(
-            b"".join(c.to_bytes(W, "little") for c in flat[k:k + m]) + pad
+        return int.from_bytes(bytes(W * (m - 1)).join(
+            b"".join(c.to_bytes(W, "little") for c in flat[k:k + m])
             for k in range(0, len(flat), m)), "little")
 
     def _unpack(self, x, count):
         """The first count coefficients of a packed int, reduced by h."""
-        W, m = self.W, self.m
-        span, h = 2 * m - 1, self.witt.modulus
-        buf = x.to_bytes(count * span * W, "little")
-        flat = []
-        for k in range(0, len(buf), span * W):
-            s = [int.from_bytes(buf[k + t * W:k + (t + 1) * W], "little")
-                 for t in range(span)]
-            for t in range(span - 1, m - 1, -1):
-                if s[t]:
-                    for r in range(m):
-                        s[t - m + r] -= s[t] * h[r]
-            flat += s[:m]
-        return flat
+        W, m, h = self.W, self.m, self.witt.modulus
+        buf = x.to_bytes(count * (2 * m - 1) * W, "little")
+        s = [int.from_bytes(buf[k:k + W], "little")
+             for k in range(0, len(buf), W)]
+        for k in range(len(s) - 1, -1, -1):
+            if k % (2 * m - 1) >= m and s[k]:
+                for r in range(m):
+                    s[k - m + r] -= s[k] * h[r]
+        return [c for k in range(0, len(s), 2 * m - 1) for c in s[k:k + m]]
 
     def _zero(self, flat, k, P):
         """Whether coefficient k, known to P digits, is zero as known."""
         if P < 1:
             raise PrecisionError("element has no significant digits")
-        q = self.ppow[P]
-        return not any(c % q for c in flat[k * self.m:(k + 1) * self.m])
+        return not any(c % self.ppow[P] for c in flat[k * self.m:(k + 1) * self.m])
 
     def elems(self, flat, precs):
         """WittElems of the coefficients, reduced mod p^prec."""
-        m, witt, ppow = self.m, self.witt, self.ppow
-        return tuple(WittElem(witt, tuple(c % ppow[P] if P > 0 else 0
-                                          for c in flat[k * m:(k + 1) * m]), P)
+        m, ppow = self.m, self.ppow
+        return tuple(WittElem(self.witt, tuple(c % ppow[max(P, 0)]
+                                               for c in flat[k * m:k * m + m]), P)
                      for k, P in enumerate(precs))
 
     def reduce(self, flat, precs, cap):
-        """Division by M of the coefficients (flat, precs), at most cap
-        digits known: returns (flat, precs) whose first d coefficients are
-        the remainder and whose coefficient d + j is the quotient's u^j.
+        """Division by M of (flat, precs) with at most cap digits known:
+        returns (flat, precs) whose first d coefficients are the remainder
+        and whose coefficient d + j is the quotient's u^j.
 
-        From the top down, each coefficient of degree >= d is the quotient's
-        and is zero-tested at its running precision.  A nonzero one is
-        taken off with M and passes its precision to the d coefficients
-        below it; a zero one is skipped and lowers the cap of all below it
-        to its precision plus the least valuation among the lower
-        coefficients of M."""
-        m, d, pc, terms = self.m, self.d, self.pc, self.terms
+        From the top down, each quotient coefficient is zero-tested at its
+        running precision.  A nonzero one is taken off with M and passes its
+        precision to the d coefficients below it; a zero one is skipped and
+        caps all below it at its precision plus the least valuation among
+        the lower coefficients of M."""
+        m, d, pc = self.m, self.d, self.pc
         passed = []         # (degree, precision) passed down, increasing
-        out = [0] * len(precs)
+        out = list(precs)
         for k in range(len(precs) - 1, -1, -1):
             while passed and passed[0][0] > k + d:
                 passed.pop(0)
-            P = precs[k]
-            if passed and passed[0][1] < P:
-                P = passed[0][1]
+            P = min(precs[k], passed[0][1]) if passed else precs[k]
             out[k] = min(P, cap)
             if k < d:
                 continue
             if self._zero(flat, k, P):
                 cap = min(cap, P + self.mv)
                 continue
-            base = (k - d) * m
             for t in range(m):
                 c = flat[k * m + t] % pc
-                if c:
-                    for off, v in terms[t]:
-                        flat[base + off] -= c * v
+                for off, v in self.terms[t] if c else ():
+                    flat[(k - d) * m + off] -= c * v
             while passed and passed[-1][1] >= P:
                 passed.pop()
             passed.append((k, P))
@@ -910,64 +915,40 @@ class _Monic:
 
         Raw coefficient k knows the least precision among the pairs i + j = k
         whose a_i is not zero as known; a zero a_i known to fewer than N
-        digits lowers the cap to its precision plus the least valuation of
+        digits caps the product at its precision plus the least valuation of
         b."""
-        N, m, d = self.N, self.m, self.d
-        pc, W = self.pc, self.W
-        skip, lowzero, nz = bytes(W * m), N, []
-        chunks = []
-        for i, P in enumerate(pa):
-            if self._zero(fa, i, P):
-                lowzero = min(lowzero, P)
-                chunks.append(skip)
-            else:
-                nz.append(i)
-                chunks.append(b"".join((c % pc).to_bytes(W, "little")
-                                       for c in fa[i * m:(i + 1) * m]))
-        cap = N
-        if lowzero < N:
-            cap = min(N, lowzero + min(
-                self.witt._val(fb[j * m:(j + 1) * m], Q)
-                for j, Q in enumerate(pb)))
-        pad = bytes(W * (m - 1))
-        packed_a = int.from_bytes(pad.join(chunks), "little")
-        packed_b = self._pack([c % pc for c in fb])
-        flat = self._unpack(packed_a * packed_b, 2 * d - 1)
-        # raw precisions: each precision level marks the degrees it reaches
-        precs = [N] * (2 * d - 1)
-        reach = {}
-        row = (1 << d) - 1
+        N, m, d, pc = self.N, self.m, self.d, self.pc
+        zero = [self._zero(fa, i, P) for i, P in enumerate(pa)]
+        low = min([P for P, z in zip(pa, zero) if z], default=N)
+        cap = N if low >= N else min(N, low + min(
+            self.witt._val(fb[j * m:j * m + m], Q) for j, Q in enumerate(pb)))
+        a = [0 if zero[k // m] else c % pc for k, c in enumerate(fa)]
+        flat = self._unpack(self._pack(a) * self._pack([c % pc for c in fb]),
+                            2 * d - 1)
+        # each precision below N marks the raw coefficients it reaches
+        reach, nz = {}, [i for i, z in enumerate(zero) if not z]
         for i in nz:
-            if pa[i] < N:
-                reach[pa[i]] = reach.get(pa[i], 0) | row << i
-        if nz:
-            nzmask = sum(1 << i for i in nz)
-            for j, Q in enumerate(pb):
-                if Q < N:
-                    reach[Q] = reach.get(Q, 0) | nzmask << j
-        for P in sorted(reach, reverse=True):
-            mask = reach[P]
+            reach[pa[i]] = reach.get(pa[i], 0) | ((1 << d) - 1) << i
+        nz = sum(1 << i for i in nz)
+        for j, Q in enumerate(pb):
+            reach[Q] = reach.get(Q, 0) | nz << j
+        precs = [N] * (2 * d - 1)
+        for P in sorted(p for p in reach if p < N)[::-1]:
             for k in range(2 * d - 1):
-                if mask >> k & 1:
+                if reach[P] >> k & 1:
                     precs[k] = P
         flat, precs = self.reduce(flat, precs, cap)
-        return flat, precs[:d]
+        return flat[:d * m], precs[:d]
 
     def powers(self, step):
         """Packed u^(step*i) mod M at full precision, i < d (built once)."""
         if self._powers is None:
-            m, d, pc, terms = self.m, self.d, self.pc, self.terms
-            vec = [1] + [0] * (d * m - 1)
-            self._powers = []
+            N, d, m = self.N, self.d, self.m
+            vec, self._powers = [1] + [0] * (d * m - 1), []
             for _ in range(d):
-                self._powers.append(self._pack([c % pc for c in vec]))
-                for _ in range(step):
-                    top = [c % pc for c in vec[-m:]]
-                    vec = [0] * m + vec[:-m]
-                    for t, c in enumerate(top):
-                        if c:
-                            for off, v in terms[t]:
-                                vec[off] -= c * v
+                self._powers.append(self._pack([c % self.pc for c in vec]))
+                vec = self.reduce([0] * (step * m) + vec, [N] * (d + step),
+                                  N)[0][:d * m]
         return self._powers
 
 
@@ -1042,14 +1023,12 @@ class STrunc(_WPoly):
         """The semilinear Frobenius: sigma on W, u -> u^p.
 
         The value is sum_i sigma(a_i) (u^{p i} mod E^p), from the kernel's
-        table of powers, and it knows the digits that Horner's rule over the
-        reduced product knows.  For e >= 2, u^p is a monomial, so each
-        Horner step spreads the precision of its constant term to every
-        coefficient or caps them all at it: every coefficient knows
-        min_{i >= 1} prec a_i, the constant term also prec a_0.  For e = 1,
-        u^p mod E^p is p^2 times a polynomial, and the zero skips of the
-        products grant digits that depend on every partial sum, so Horner's
-        rule runs on the kernel."""
+        table; the digits are those Horner's rule over the product knows.
+        For e >= 2, u^p is a monomial, so each Horner step spreads the
+        precision of its constant term to every coefficient, or caps them
+        all at it.  For e = 1, u^p mod E^p is p^2 times a polynomial, and
+        the zero skips grant digits that depend on each partial sum, so
+        Horner's rule runs on the kernel."""
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
         m, n, N = kernel.m, kernel.d, kernel.N
