@@ -832,7 +832,8 @@ class _Kernel:
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
-        self.N, self.m, self.pc, self.d = cfg.prec, witt.m, witt.pc, len(coeffs) - 1
+        self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
+        self.d = len(coeffs) - 1
         self.ppow = [witt.p ** k for k in range(self.N + 1)]
         self.mv = min(c.val() for c in coeffs[:-1])
         # terms[t]: (offset, v) pairs; coordinate t of a quotient coefficient
@@ -869,14 +870,15 @@ class _Kernel:
         """Whether coefficient k, known to P digits, is zero as known."""
         if P < 1:
             raise PrecisionError("element has no significant digits")
-        return not any(c % self.ppow[P] for c in flat[k * self.m:(k + 1) * self.m])
+        q, m = self.ppow[P], self.m
+        return not any(c % q for c in flat[k * m:k * m + m])
 
     def elems(self, flat, precs):
         """WittElems of the coefficients, reduced mod p^prec."""
         m, ppow = self.m, self.ppow
-        return tuple(WittElem(self.witt, tuple(c % ppow[max(P, 0)]
-                                               for c in flat[k * m:k * m + m]), P)
-                     for k, P in enumerate(precs))
+        return tuple(WittElem(self.witt, tuple(
+            c % ppow[max(P, 0)] for c in flat[k * m:k * m + m]), P)
+            for k, P in enumerate(precs))
 
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
@@ -940,14 +942,14 @@ class _Kernel:
         flat, precs = self.reduce(flat, precs, cap)
         return flat[:d * m], precs[:d]
 
-    def powers(self, step):
-        """Packed u^(step*i) mod M at full precision, i < d (built once)."""
+    def powers(self):
+        """Packed u^(p*i) mod M at full precision, i < d (built once)."""
         if self._powers is None:
-            N, d, m = self.N, self.d, self.m
+            N, d, m, p = self.N, self.d, self.m, self.witt.p
             vec, self._powers = [1] + [0] * (d * m - 1), []
             for _ in range(d):
                 self._powers.append(self._pack([c % self.pc for c in vec]))
-                vec = self.reduce([0] * (step * m) + vec, [N] * (d + step),
+                vec = self.reduce([0] * (p * m) + vec, [N] * (d + p),
                                   N)[0][:d * m]
         return self._powers
 
@@ -1035,7 +1037,7 @@ class STrunc(_WPoly):
         flat, precs = self._ints()
         sig = [c for k in range(0, n * m, m)
                for c in cfg.witt._frobenius(flat[k:k + m])]
-        powers = kernel.powers(cfg.p)
+        powers = kernel.powers()
         if cfg.e == 1:
             up = kernel._unpack(powers[1], n)
             acc, acc_precs = [0] * (n * m), [N] * n
@@ -1051,8 +1053,8 @@ class STrunc(_WPoly):
         for k, (P, power) in enumerate(zip(precs, powers)):
             if P > 0 and not kernel._zero(flat, k, P):
                 total += kernel._pack(sig[k * m:k * m + m]) * power
-        return STrunc(cfg, kernel.elems(kernel._unpack(total, n),
-                                        [min(low, precs[0])] + [low] * (n - 1)))
+        precs = [min(low, precs[0])] + [low] * (n - 1)
+        return STrunc(cfg, kernel.elems(kernel._unpack(total, n), precs))
 
     def derivative(self):
         """u-derivative of the canonical degree-< ep representative."""
@@ -1087,7 +1089,8 @@ class STrunc(_WPoly):
         flat, precs = self._ints()
         for v in range(cfg.p):
             flat, precs = kernel.reduce(flat, precs, cfg.prec)
-            if not all(kernel._zero(flat, k, P) for k, P in enumerate(precs[:e])):
+            if not all(kernel._zero(flat, k, P)
+                       for k, P in enumerate(precs[:e])):
                 return v
             flat = flat[e * kernel.m:] + [0] * (e * kernel.m)
             precs = precs[e:] + [cfg.prec] * e
