@@ -22,7 +22,8 @@ RINGS = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(RINGS), ids=str)
+@pytest.fixture(scope="module", params=sorted(RINGS),
+                ids=lambda key: "%d-%d-%d" % key)
 def cfg(request):
     p, m, e = request.param
     E, prec = RINGS[request.param]
@@ -113,6 +114,22 @@ def ref_divrem_E(x, s):
     return quot, [capped(c) for c in work[:d]]
 
 
+def ref_val_E(x):
+    """Repeated division by E through the reference division."""
+    if x.is_zero():
+        return x.cfg.p
+    v = 0
+    while v < x.cfg.p:
+        quot, rem = ref_divrem_E(x, 1)
+        if any(not c.is_zero() for c in rem):
+            return v
+        x = STrunc(x.cfg, tuple(quot))
+        v += 1
+        if x.is_zero():
+            return x.cfg.p
+    return v
+
+
 # ---------------------------------------------------------------------------
 # random inputs
 
@@ -200,28 +217,12 @@ def test_divrem_E_matches_reference(cfg):
             same(lambda: x.divrem_E(s), lambda: ref_divrem_E(x, s))
 
 
-def ref_val_E(x):
-    """Repeated division by E through the reference division."""
-    if x.is_zero():
-        return x.cfg.p
-    v = 0
-    while v < x.cfg.p:
-        quot, rem = ref_divrem_E(x, 1)
-        if any(not c.is_zero() for c in rem):
-            return v
-        x = STrunc(x.cfg, tuple(quot))
-        v += 1
-        if x.is_zero():
-            return x.cfg.p
-    return v
-
-
 def test_val_E_matches_repeated_division(cfg):
     rng = random.Random(9)
     E = cfg.s_E()
     for _ in range(trials(cfg, 40, 10)):
         x = rough_strunc(cfg, rng)
-        for k in range(rng.randrange(4)):
+        for _ in range(rng.randrange(4)):
             x = x * E
         try:
             want = ref_val_E(x)
