@@ -231,16 +231,16 @@ def smith_reduce(rows, carrier, track=False):
                     M[i][j] = ws * M[i][j] - wj * M[i][s]
             pivot_vals.append(v)
             continue
-        unit = carrier.unit_inverse(carrier.shift_div(M[s][s], v))
+        cofactor = carrier.shift_div(M[s][s], v)
+        unit = carrier.unit_inverse(cofactor)
         # normalize the pivot row so the pivot is exactly pi^v
         for j in range(D):
             M[s][j] = M[s][j] * unit
         if track:
             for j in range(d):
                 T[s][j] = T[s][j] * unit
-            uinv = carrier.unit_inverse(unit)
             for i in range(d):
-                Tinv[i][s] = Tinv[i][s] * uinv
+                Tinv[i][s] = Tinv[i][s] * cofactor
         for i in range(d):
             if i == s:
                 continue
@@ -312,47 +312,59 @@ def adapted_basis(gens, rank, carrier, bound=None):
     return AdaptedBasis(basis, exponents)
 
 
-def solve_in_span(columns, target, carrier, rank=None):
-    """Coefficients x with sum(x_j * columns[j]) = target, or None.
+def span_solver(columns, carrier, rank):
+    """Factor the rank x n matrix of ``columns`` once (one tracked Smith
+    reduction) and return ``solve(target)``: coefficients x with
+    sum(x_j * columns[j]) = target, or None.
 
     Linear solve over the local carrier ring; membership fails when a
     division is inexact or a cleared row of the target is nonzero.
     """
-    if not columns:
-        return None
-    rank = len(target) if rank is None else rank
+    n = len(columns)
+    if not n:
+        return lambda target: None
     rows = [[col[i] for col in columns] for i in range(rank)]
     vals, T, _, C = smith_reduce(rows, carrier, track=True)
-    n = len(columns)
-    # T * target must be solvable against diag(pi^{vals})
-    tb = []
-    for i in range(rank):
-        acc = carrier.zero()
-        for j in range(rank):
-            acc = acc + T[i][j] * target[j]
-        tb.append(acc)
-    y = []
-    for i in range(rank):
-        if i < min(rank, n) and vals[i] < carrier.cap:
-            if min(carrier.val(tb[i]), carrier.cap) < vals[i]:
-                return None
-            try:
-                y.append(carrier.shift_div(tb[i], vals[i]))
-            except DivisibilityError:
-                return None
-        else:
-            v = min(carrier.val(tb[i]), carrier.cap)
-            if v < carrier.cap:
-                return None
-            y.append(carrier.zero())
-    y += [carrier.zero()] * (n - len(y))
-    x = []
-    for j in range(n):
-        acc = carrier.zero()
-        for k in range(n):
-            acc = acc + C[j][k] * y[k]
-        x.append(acc)
-    return x
+
+    def solve(target):
+        # T * target must be solvable against diag(pi^{vals})
+        tb = []
+        for i in range(rank):
+            acc = carrier.zero()
+            for j in range(rank):
+                acc = acc + T[i][j] * target[j]
+            tb.append(acc)
+        y = []
+        for i in range(rank):
+            if i < min(rank, n) and vals[i] < carrier.cap:
+                if min(carrier.val(tb[i]), carrier.cap) < vals[i]:
+                    return None
+                try:
+                    y.append(carrier.shift_div(tb[i], vals[i]))
+                except DivisibilityError:
+                    return None
+            else:
+                v = min(carrier.val(tb[i]), carrier.cap)
+                if v < carrier.cap:
+                    return None
+                y.append(carrier.zero())
+        y += [carrier.zero()] * (n - len(y))
+        x = []
+        for j in range(n):
+            acc = carrier.zero()
+            for k in range(n):
+                acc = acc + C[j][k] * y[k]
+            x.append(acc)
+        return x
+
+    return solve
+
+
+def solve_in_span(columns, target, carrier, rank=None):
+    """Coefficients x with sum(x_j * columns[j]) = target, or None (see
+    ``span_solver``, which factors once for many targets)."""
+    rank = len(target) if rank is None else rank
+    return span_solver(columns, carrier, rank)(target)
 
 
 def hodge_weights(exponents, r, e, mode):

@@ -1121,7 +1121,13 @@ class STrunc(_WPoly):
         two = cfg.s([2])
         steps = max(1, (cfg.prec + cfg.e * cfg.p).bit_length() + 1)
         for _ in range(steps):
-            y = y * (two - self * y)
+            nxt = y * (two - self * y)
+            # the step depends on y alone: once it returns y, no later
+            # step changes it
+            if all(a.coords == b.coords and a.prec == b.prec
+                   for a, b in zip(nxt.coeffs, y.coeffs)):
+                return nxt
+            y = nxt
         return y
 
     def constant_term(self):

@@ -586,11 +586,10 @@ def _normalize_generators(obj):
                     for i, g in enumerate(obj.fil_gens)))
 
 
-def _phi2_of_member(obj, vec):
-    """phi_2 of an element of Fil^2 expressed against the generators."""
-    carrier = adapted.UCarrier(obj.cfg)
-    coeffs = adapted.solve_in_span([list(g) for g in obj.fil_gens],
-                                   list(vec), carrier)
+def _phi2_of_member(obj, solve, vec):
+    """phi_2 of an element of Fil^2 expressed against the generators, whose
+    factorization ``solve`` (from ``adapted.span_solver``) carries."""
+    coeffs = solve(list(vec))
     if coeffs is None:
         return None
     out = [obj.cfg.tilde_zero(), obj.cfg.tilde_zero()]
@@ -652,14 +651,17 @@ def classify_rank2(obj):
 
     # the sub-object: Fil^2 M' = u^{sub_exp} M', generated by u^{sub_exp} m
     gen_fil = tuple(c.shift_u(sub_exp) for c in m_vec)
-    img = _phi2_of_member(obj, gen_fil)
+    # one factorization of the generators serves both phi_2 targets
+    solve = adapted.span_solver([list(g) for g in obj.fil_gens],
+                                adapted.UCarrier(cfg), 2)
+    img = _phi2_of_member(obj, solve, gen_fil)
     checks["fil_member"] = img is not None
     lam = _proportional_unit(img, m_vec) if img is not None else None
     checks["phi2_proportional_unit"] = lam is not None
     # N-stability through the commutation rule: phi_2(u^e N(u^{sub_exp} m)) = 0
     nvec = obj.n_of(gen_fil)
     nshift = tuple(c.shift_u(e) for c in nvec)
-    nimg = _phi2_of_member(obj, nshift)
+    nimg = _phi2_of_member(obj, solve, nshift)
     checks["n_stable"] = nimg is not None and nimg[0].is_zero() and \
         nimg[1].is_zero()
     if not all(checks.values()):

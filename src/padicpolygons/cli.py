@@ -6,11 +6,17 @@ cross-check oracles).  Instance documents are JSON; all integers are decimal
 strings or numbers, rationals are "num/den", p-adic coefficients are integer
 values mod p^prec.  Exit status: 0 when every verdict holds, 1 when some
 verdict fails, 2 on errors.
+
+Rings are shared per process: every document with the same ring key (p, m,
+e, E, prec, r, modulus) gets the same ``RingConfig``, so E^p, its kernels,
+the table of u^{p i} mod E^p, c = phi(E)/p and the Frobenius lift are
+built once per ring.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +41,7 @@ class DocError(ValueError):
 
 def _as_int(value, path):
     if isinstance(value, int):
-        return value
+        return int(value)  # a bool as its int: True and 1 share a ring key
     if isinstance(value, str):
         try:
             return int(value, 10)
@@ -61,11 +67,18 @@ def parse_ring(doc, path="ring", prec_override=None, r=2):
         prec = prec_override
     modulus = ring.get("modulus")
     if modulus is not None:
-        modulus = [_as_int(c, f"{path}.modulus") for c in modulus]
+        modulus = tuple(_as_int(c, f"{path}.modulus") for c in modulus)
     try:
-        return RingConfig(p, m, e, E_coeffs, prec=prec, r=r, modulus=modulus)
+        return _ring(p, m, e, tuple(E_coeffs), prec, r, modulus)
     except ConfigError as exc:
         raise DocError(path, str(exc)) from None
+
+
+@functools.cache
+def _ring(p, m, e, E_coeffs, prec, r, modulus):
+    """The process's one RingConfig for a ring key.  A rejected key is not
+    cached, so it raises again on every call."""
+    return RingConfig(p, m, e, E_coeffs, prec=prec, r=r, modulus=modulus)
 
 
 def _parse_witt_coord(value, path):
@@ -121,7 +134,7 @@ def _parse_k_elem(cfg, value, path):
     return cfg.k_elem(ws, pexp)
 
 
-# --- tiny expression language for L values: integers, p, pi, x, + - * ^ ()
+# --- tiny expression language for L values: integers, p, pi, x, + - * / ^ ()
 
 
 def _tokenize(text):
@@ -142,7 +155,7 @@ def _tokenize(text):
                 j += 1
             out.append(("name", text[i:j]))
             i = j
-        elif ch in "+-*^()":
+        elif ch in "+-*/^()":
             out.append((ch, ch))
             i += 1
         else:
@@ -153,7 +166,7 @@ def _tokenize(text):
 
 def parse_L_expression(cfg, text):
     """Evaluate an L expression in K: integers, 'p', 'pi' (the class of u),
-    'x' (the Teichmuller lift of the residue generator), +, -, *, ^."""
+    'x' (the Teichmuller lift of the residue generator), +, -, *, /, ^."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -199,9 +212,15 @@ def parse_L_expression(cfg, text):
 
     def term():
         val = factor()
-        while peek() == "*":
-            take("*")
-            val = val * factor()
+        while peek() in "*/":
+            op, _ = take()
+            rhs = factor()
+            if op == "/":
+                try:
+                    rhs = rhs.inverse()
+                except ZeroDivisionError:
+                    raise DocError("L", "division by zero") from None
+            val = val * rhs
         return val
 
     def expr():

@@ -8,7 +8,7 @@ import pytest
 from padicpolygons import (ECarrier, PCarrier, RingConfig, UCarrier,
                            adapted_basis, divisor_exponents, hodge_weights,
                            minor_exponents)
-from padicpolygons.adapted import solve_in_span
+from padicpolygons.adapted import smith_reduce, solve_in_span
 from elements import random_strunc, random_tilde, random_witt
 
 
@@ -105,6 +105,47 @@ def test_exponent_sum_matches_determinant(cfg7, rng):
         vdet = min(det.u_val(), uc.cap)
         if vdet < uc.cap and uc.cap not in exps:
             assert sum(exps) == vdet
+
+
+def _matmul(carrier, A, B):
+    return [[sum((a * B[k][j] for k, a in enumerate(row)), carrier.zero())
+             for j in range(len(B[0]))] for row in A]
+
+
+def _diag(carrier, vals, d, D):
+    return [[carrier.pi_power(vals[i]) if i == j else carrier.zero()
+             for j in range(D)] for i in range(d)]
+
+
+def _unimodular(cfg, carrier, rng, n):
+    """L * R with L unit lower triangular and R upper triangular with unit
+    diagonal entries: an invertible matrix."""
+    rand = _random_matrix(cfg, carrier, rng, 2 * n, n, 1)
+    low = [[carrier.one() if i == j else rand[i][j] if i > j
+            else carrier.zero() for j in range(n)] for i in range(n)]
+    up = [[_random_unit_like(cfg, carrier, rng) if i == j
+           else rand[n + i][j] if i < j else carrier.zero()
+           for j in range(n)] for i in range(n)]
+    return _matmul(carrier, low, up)
+
+
+def test_tracked_smith_transforms(cfg7, rng):
+    # planted M = U diag(pi^n) V: T M C = diag(pi^v), T Tinv = Tinv T = I
+    for carrier in (UCarrier(cfg7), PCarrier(cfg7)):
+        for exps in ((0, 2), (1, 2), (0, 1, 2), (1, 1, 2)):
+            d, D = len(exps), len(exps) + 1
+            for _ in range(3):
+                M = _matmul(carrier, _unimodular(cfg7, carrier, rng, d),
+                            _matmul(carrier, _diag(carrier, exps, d, D),
+                                    _unimodular(cfg7, carrier, rng, D)))
+                vals, T, Tinv, C = smith_reduce([list(r) for r in M],
+                                                carrier, track=True)
+                assert sorted(vals) == list(exps)
+                assert _matmul(carrier, _matmul(carrier, T, M), C) == \
+                    _diag(carrier, vals, d, D)
+                eye = _identity(carrier, d)
+                assert _matmul(carrier, T, Tinv) == eye
+                assert _matmul(carrier, Tinv, T) == eye
 
 
 def test_adapted_basis_diagonal_example(cfg7):

@@ -86,6 +86,16 @@ def ref_phi(x):
     return acc
 
 
+def ref_unit_inverse(x):
+    """Newton's iteration for 1/x, run for the full fixed step count."""
+    cfg = x.cfg
+    y = cfg.s([x.coeffs[0].unit_inverse()])
+    two = cfg.s([2])
+    for _ in range(max(1, (cfg.prec + cfg.e * cfg.p).bit_length() + 1)):
+        y = y * (two - x * y)
+    return y
+
+
 def ref_divrem_E(x, s):
     """The coefficient loop of division by E^s, with the zero-skip cap: a
     skipped top coefficient leaves a zero quotient coefficient known to its
@@ -151,6 +161,17 @@ def rough_strunc(cfg, rng):
     return cfg.s([rough_witt(cfg, rng) for _ in range(top)])
 
 
+def rough_unit(cfg, rng):
+    """A unit of S/Fil^p S: a rough element with a unit constant term of
+    random precision."""
+    coeffs = list(rough_strunc(cfg, rng).coeffs)
+    q = cfg.p ** cfg.prec
+    coeffs[0] = cfg.w((1 + cfg.p * rng.randrange(q),) +
+                      tuple(rng.randrange(q) for _ in range(cfg.m - 1)),
+                      rng.randrange(1, cfg.prec + 1))
+    return cfg.s(coeffs)
+
+
 def rough_k(cfg, rng):
     return cfg.k_elem([rough_witt(cfg, rng) for _ in range(cfg.e)])
 
@@ -202,6 +223,11 @@ def test_mul_u_matches_reference(cfg):
 def test_phi_matches_horner(cfg):
     for x, _ in rough_pairs(cfg, rough_strunc, trials(cfg, 40, 3), 3):
         same(x.phi, lambda: ref_phi(x))
+
+
+def test_unit_inverse_matches_fixed_step_newton(cfg):
+    for x, _ in rough_pairs(cfg, rough_unit, trials(cfg, 20, 4), 10):
+        same(x.unit_inverse, lambda: ref_unit_inverse(x))
 
 
 def test_k_products_match_reference(cfg):
