@@ -1,7 +1,10 @@
 """The command-line entry point."""
 
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 from padicpolygons import RingConfig, cli
 
@@ -119,3 +122,146 @@ def test_L_division_by_zero_exits_2(tmp_path, capsys):
     path = _write(tmp_path, json.dumps(_family_doc(7, 2, 2, "x/(p-p)")))
     assert cli.main(["analyze", "--input", path]) == 2
     assert capsys.readouterr().err == "error: L: division by zero\n"
+
+
+# ---------------------------------------------------------------------------
+# golden runs of the command line: exit code, stdout, stderr and any --out
+# file of each case, compared byte for byte with tests/golden/cli/<case>.txt.
+# To re-record after an intended output change:
+#     PADIC_UPDATE_GOLDEN=1 python -m pytest tests/test_cli.py -q
+
+GOLDEN_CLI = GOLDEN / "cli"
+
+_RING_7_2_2 = {"p": 7, "m": 2, "e": 2, "E": [-7, 0, 1], "prec": 7}
+
+
+def _matrix_doc(carrier, entries):
+    return {"mode": "matrix", "ring": _RING_7_2_2,
+            "matrix": {"carrier": carrier, "entries": entries}}
+
+
+def _filtered_doc(ring, flt):
+    return {"mode": "filtered", "ring": ring, "filtered": flt}
+
+
+def _sweep_doc(L):
+    doc = _family_doc(7, 2, 2, None)
+    del doc["family"]["L"]
+    doc["L"] = L
+    return doc
+
+
+def _family_report():
+    return json.loads((GOLDEN / "analyze_7_2_2_x+pi_prec7.json").read_text(
+        encoding="utf-8"))
+
+
+def _sweep_report():
+    return {"mode": "sweep",
+            "rows": [{"status": "ok", "report": _family_report()},
+                     {"status": "error", "L_spec": "x/(p-p)",
+                      "error": "L: division by zero"}],
+            "summary": {"total": 2, "failed": 0, "errors": 1}}
+
+
+_ANALYZE = ["analyze", "--input", "doc.json"]
+_SWEEP = ["sweep", "--input", "doc.json", "--prec", "7"]
+_RENDER = ["render", "--input", "doc.json"]
+_FAMILY = _family_doc(7, 2, 2, "x+pi")
+_FILTERED_PASS = _filtered_doc(_RING_7_2_2, {
+    "r": 2, "phi": [["7", 0], [0, {"w": [1, 0], "pexp": 0}]],
+    "jumps": [[0, [[1, 0], [0, 1]]], [1, [["x", 1]]], [2, []]]})
+# phi = identity has Newton slopes (0, 0), below the Hodge slopes (1, 1)
+_FILTERED_IDENTITY = _filtered_doc(
+    {"p": 7, "m": 1, "e": 1, "E": [-7, 1], "prec": 6},
+    {"r": 2, "phi": [[1, 0], [0, 1]], "N": [[0, 0], [0, 0]],
+     "jumps": [[0, [[1, 0], [0, 1]]], [2, []]]})
+
+# case name -> (argv, document); a document that is a str is written as is
+CLI_CASES = {
+    # analyze, one per mode
+    "analyze_family_ascii": (_ANALYZE + ["--prec", "7", "--format", "ascii"],
+                             _FAMILY),
+    "analyze_family_svg": (_ANALYZE + ["--prec", "7", "--format", "svg"],
+                           _FAMILY),
+    "analyze_family_L_coeffs": (
+        _ANALYZE + ["--prec", "7"],
+        _family_doc(7, 2, 2, {"coeffs": [[0, 1], 0], "pexp": 0})),
+    "analyze_pseudo_11_2": (
+        _ANALYZE, {"mode": "pseudo", "ring": {"p": 11}, "pseudo": {"n": 2}}),
+    "analyze_matrix_E": (_ANALYZE, _matrix_doc(
+        "E", [[[-7, 0, 1], [1]], [[0], [[1, 2], 3]]])),
+    "analyze_matrix_u": (_ANALYZE, _matrix_doc(
+        "u", [[[0, 0, 1], 2], [[0, [1, 1]], [0, 0, 0, 5]]])),
+    "analyze_matrix_p": (_ANALYZE, _matrix_doc(
+        "p", [[49, [1, 7]], ["14", 0]])),
+    "analyze_matrix_ascii": (_ANALYZE + ["--format", "ascii"], _matrix_doc(
+        "p", [[49, [1, 7]], ["14", 0]])),
+    "analyze_matrix_svg": (_ANALYZE + ["--format", "svg"], _matrix_doc(
+        "p", [[49, [1, 7]], ["14", 0]])),
+    "analyze_filtered": (_ANALYZE, _FILTERED_PASS),
+    "analyze_filtered_identity_exits_1": (_ANALYZE, _FILTERED_IDENTITY),
+    # sweep
+    "sweep_all_ok": (_SWEEP, _sweep_doc(["x", "pi", "x+pi"])),
+    "sweep_error_row": (_SWEEP, _sweep_doc(["x", "x/(p-p)"])),
+    "sweep_error_row_ascii": (_SWEEP + ["--format", "ascii"],
+                              _sweep_doc(["x/(p-p)", "x"])),
+    # render
+    "render_json": (_RENDER + ["--format", "json"], _family_report()),
+    "render_ascii": (_RENDER, _family_report()),
+    "render_svg": (_RENDER + ["--format", "svg"], _family_report()),
+    "render_out": (_RENDER + ["--format", "svg", "--out", "out.txt"],
+                   _family_report()),
+    "render_sweep_ascii": (_RENDER, _sweep_report()),
+    "analyze_out": (_ANALYZE + ["--prec", "7", "--out", "out.txt"], _FAMILY),
+    # exit 2
+    "error_unreadable_json": (_ANALYZE, '{"mode": "family",\n'),
+    "error_missing_file": (["analyze", "--input", "missing.json"], None),
+    "error_unknown_mode": (_ANALYZE, {"mode": "tropical"}),
+    "error_missing_family": (_ANALYZE, {"mode": "family",
+                                        "ring": _RING_7_2_2}),
+    "error_ring_p_not_integer": (_ANALYZE, _filtered_doc(
+        {"p": "seven", "e": 1, "E": [-7, 1]}, {})),
+    "error_ring_E_length": (_ANALYZE, _matrix_doc("E", [[1]]) | {
+        "ring": {"p": 7, "e": 2, "E": [-7, 1]}}),
+    "error_invalid_ring": (_ANALYZE, _family_doc(7, 1, 3, "x")),
+    "error_L_unknown_name": (_ANALYZE, _family_doc(7, 2, 2, "y")),
+    "error_L_bad_character": (_ANALYZE, _family_doc(7, 2, 2, "x$")),
+    "error_L_bad_exponent": (_ANALYZE, _family_doc(7, 2, 2, "x^pi")),
+    "error_L_too_many_coeffs": (_ANALYZE, _family_doc(7, 2, 2, [1, 2, 3])),
+    "error_L_in_Qp": (_ANALYZE, _family_doc(7, 1, 2, "x")),
+    "error_bad_rational": (_ANALYZE, _filtered_doc(_RING_7_2_2, {
+        "phi": [["1/0", 0], [0, 1]], "jumps": []})),
+    "error_no_fil0": (_ANALYZE, _filtered_doc(_RING_7_2_2, {
+        "phi": [[1, 0], [0, 1]], "jumps": [[1, []]]})),
+    "error_empty_matrix": (_ANALYZE, _matrix_doc("p", [])),
+    "error_precision": (_ANALYZE + ["--prec", "6"],
+                        _family_doc(7, 2, 2, "pi^3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_golden(case, tmp_path, monkeypatch, capsys):
+    argv, doc = CLI_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / "doc.json").write_text(text, encoding="utf-8")
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    got = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+    out = tmp_path / "out.txt"
+    if out.exists():
+        got += "--- out.txt\n" + out.read_text(encoding="utf-8")
+    golden = GOLDEN_CLI / f"{case}.txt"
+    if os.environ.get("PADIC_UPDATE_GOLDEN"):
+        golden.parent.mkdir(exist_ok=True)
+        golden.write_text(got, encoding="utf-8")
+    assert got == golden.read_text(encoding="utf-8")
+
+
+def test_cli_golden_exit_codes():
+    # every exit code of the command line is pinned by some golden case
+    codes = {(GOLDEN_CLI / f"{case}.txt").read_text(
+        encoding="utf-8").split("\n", 1)[0] for case in CLI_CASES}
+    assert codes == {"exit 0", "exit 1", "exit 2"}
