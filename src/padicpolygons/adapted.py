@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (DivisibilityError, PrecisionError, STrunc, TildePoly,
-                    WittElem, det)
+from .arith import DivisibilityError, det
 
 
 class ECarrier:
@@ -358,13 +357,6 @@ def span_solver(columns, carrier, rank):
         return x
 
     return solve
-
-
-def solve_in_span(columns, target, carrier, rank=None):
-    """Coefficients x with sum(x_j * columns[j]) = target, or None (see
-    ``span_solver``, which factors once for many targets)."""
-    rank = len(target) if rank is None else rank
-    return span_solver(columns, carrier, rank)(target)
 
 
 def hodge_weights(exponents, r, e, mode):

@@ -116,11 +116,6 @@ class FamilyElements:
     warnings: list = field(default_factory=list)
 
 
-def _as_integral_poly(cfg, x):
-    """Degree-< e Witt-coefficient polynomial representing a K element."""
-    return cfg.s(list(x.to_integral()))
-
-
 def build_elements(params, norm):
     """Construct t, Z, U, V, B_1, B_2 for n1 = n2 = 1 and verify on the way:
     the three defining properties of t, the congruence Z = sigma(lambda)
@@ -136,7 +131,7 @@ def build_elements(params, norm):
     warnings = []
     L = norm.L
     case = norm.case_tag
-    L0 = _as_integral_poly(cfg, L)
+    L0 = L.to_strunc()
     lam = L0.coeffs[0]
     slam = lam.frobenius()
     mu = slam - lam
@@ -154,7 +149,7 @@ def build_elements(params, norm):
         t = (L1 * denom.unit_inverse()).tronc(1)
     else:
         denom_pi = (-L0.mod_E()) + slam
-        t = _as_integral_poly(cfg, L1.mod_E() * denom_pi.inverse())
+        t = (L1.mod_E() * denom_pi.inverse()).to_strunc()
 
     if ((L0.mul_w(-1) + slam) * t - L1).val_E() < 1:
         raise VerificationError("t does not satisfy its defining congruence")
@@ -188,9 +183,10 @@ def build_elements(params, norm):
 
     # U (L_0 - sigma(lambda)) = p + V E(u), both of degree < e
     diff = L0 + cfg.s([-slam])
-    U = _as_integral_poly(cfg, diff.mod_E().inverse().mul_p_power(1))
-    V = (U * diff + cfg.s([-cfg.p])).div_exact_E(1).tronc(1)
-    if not ((U * diff) - (cfg.s([cfg.p]) + V * cfg.s_E())).is_zero():
+    U = diff.mod_E().inverse().mul_p_power(1).to_strunc()
+    U_diff = U * diff
+    V = (U_diff + cfg.s([-cfg.p])).div_exact_E(1).tronc(1)
+    if not (U_diff - (cfg.s([cfg.p]) + V * cfg.s_E())).is_zero():
         raise VerificationError("U, V do not satisfy U(L_0 - sigma(lambda)) "
                                 "= p + V E(u)")
     if case == "ii":
@@ -244,40 +240,36 @@ def _m_of(elements, A, Z=None):
     return (A, B)
 
 
-def strong_lattice(elements, n=1):
-    """The strongly divisible lattice for n1 = n2 = 1 (so n = 1)."""
-    if n != 1:
-        raise ValueError("only n = 1 is constructed for n1 = n2 = 1")
+def _lattice(elements, Z, failures=()):
+    """The lattice on f_1 = Z e_1 + e_2, f_2 = p e_1 with Fil^2 generators
+    m(p + tE), m(UE), E^2 f_1 and E^2 f_2.  An m(A) whose construction
+    raises one of ``failures`` is recorded as that exception."""
     cfg = elements.cfg
     E = cfg.s_E()
-    A1 = cfg.s([cfg.p]) + elements.t * E
-    A2 = elements.U * E
-    gens = [
-        ("m(p+tE)", _m_of(elements, A1)),
-        ("m(UE)", _m_of(elements, A2)),
-        ("E^2*f1", (E * E, cfg.s_zero())),
-        ("E^2*f2", (cfg.s_zero(), E * E)),
-    ]
-    return StrongLattice(cfg, 1, 1, 1, elements.Z, gens, elements)
+    E2 = E * E
+    gens = []
+    for name, A in (("m(p+tE)", cfg.s([cfg.p]) + elements.t * E),
+                    ("m(UE)", elements.U * E)):
+        try:
+            gens.append((name, _m_of(elements, A, Z)))
+        except failures as exc:
+            gens.append((name, exc))
+    gens.append(("E^2*f1", (E2, cfg.s_zero())))
+    gens.append(("E^2*f2", (cfg.s_zero(), E2)))
+    return StrongLattice(cfg, 1, 1, 1, Z, gens, elements)
+
+
+def strong_lattice(elements):
+    """The strongly divisible lattice for n1 = n2 = 1 (so n = 1)."""
+    return _lattice(elements, elements.Z)
 
 
 def sabotaged_lattice(elements):
     """Negative control: the same construction with Z replaced by Z + 1.
     The m(A) division by p may fail; a failed generator is recorded and
     counts as a verification failure."""
-    cfg = elements.cfg
-    E = cfg.s_E()
-    Zbad = elements.Z + cfg.s_one()
-    gens = []
-    for name, A in (("m(p+tE)", cfg.s([cfg.p]) + elements.t * E),
-                    ("m(UE)", elements.U * E)):
-        try:
-            gens.append((name, _m_of(elements, A, Z=Zbad)))
-        except (DivisibilityError, PrecisionError) as exc:
-            gens.append((name, exc))
-    gens.append(("E^2*f1", (E * E, cfg.s_zero())))
-    gens.append(("E^2*f2", (cfg.s_zero(), E * E)))
-    return StrongLattice(cfg, 1, 1, 1, Zbad, gens, elements)
+    return _lattice(elements, elements.Z + elements.cfg.s_one(),
+                    (DivisibilityError, PrecisionError))
 
 
 @dataclass
@@ -353,16 +345,6 @@ class TildeObject:
         return tuple(out)
 
 
-def _phi2_direct(lat, A, B):
-    x, y = lat.e_coords(A, B)
-    fA, fB = lat.f_coords(x.phi().scale_p(lat.n1), y.phi().scale_p(lat.n2))
-    return (fA.div_exact_p(2).reduce_mod_p(), fB.div_exact_p(2).reduce_mod_p())
-
-
-def _pairs_equal(a, b):
-    return (a[0] - b[0]).is_zero() and (a[1] - b[1]).is_zero()
-
-
 def reduce_mod_p(lat, report=None):
     """The mod-p object of a verified lattice, with the case-dependent pair
     of Fil^2 generators and both computations of their phi_2-images (direct
@@ -377,23 +359,15 @@ def reduce_mod_p(lat, report=None):
         raise VerificationError("cannot reduce an unverified lattice")
     direct = dict(report.phi2_images)
     gens = dict(lat.fil_gens)
-    E = cfg.s_E()
-    A1 = cfg.s([cfg.p]) + elements.t * E
-    g1 = tuple(c.reduce_mod_p() for c in gens["m(p+tE)"])
-    if elements.case_tag == "i":
-        A2 = E * E
-        g2 = (A2.reduce_mod_p(), cfg.tilde_zero())
-        img2 = _phi2_direct(lat, A2, cfg.s_zero())
-    else:
-        A2 = elements.U * E
-        g2 = tuple(c.reduce_mod_p() for c in gens["m(UE)"])
-        img2 = direct["m(UE)"]
-    img1 = direct["m(p+tE)"]
-    if not _pairs_equal(img1, phi2_image(A1, lat)) or \
-            not _pairs_equal(img2, phi2_image(A2, lat)):
-        raise VerificationError("direct phi_2 images disagree with the "
-                                "C-formula")
-    return TildeObject(cfg, 2, [g1, g2], [img1, img2])
+    names = ("m(p+tE)", "E^2*f1" if elements.case_tag == "i" else "m(UE)")
+    for name in names:
+        formula = phi2_image(gens[name][0], lat)
+        if not all((a - b).is_zero() for a, b in zip(direct[name], formula)):
+            raise VerificationError("direct phi_2 images disagree with the "
+                                    "C-formula")
+    return TildeObject(cfg, 2,
+                       [tuple(c.reduce_mod_p() for c in gens[n]) for n in names],
+                       [direct[n] for n in names])
 
 
 def ideal_membership(A, elements):
@@ -418,7 +392,7 @@ def ideal_membership(A, elements):
     vr = ratio.val_p()
     if vr == INF or vr < 0:
         return None
-    return s1, _as_integral_poly(cfg, ratio)
+    return s1, ratio.to_strunc()
 
 
 def phi2_image(A, lat):
@@ -432,12 +406,11 @@ def phi2_image(A, lat):
     if ideal_membership(A, elements) is None:
         raise ValueError("A is not in the premise ideal")
     term1 = (A * elements.PL2).tronc(2).phi().div_exact_p(1)
-    term2 = A.phi() * elements.Z
+    phiA = A.phi()
     slam2 = elements.lam.frobenius().frobenius()
     term3 = (A - A.tronc(2)).phi().mul_w(slam2)
-    C = (term1 - term2 + term3).div_exact_p(2)
-    f1_coeff = A.phi().div_exact_p(1)
-    return (f1_coeff.reduce_mod_p(), C.reduce_mod_p())
+    C = (term1 - phiA * elements.Z + term3).div_exact_p(2)
+    return (phiA.div_exact_p(1).reduce_mod_p(), C.reduce_mod_p())
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +676,7 @@ def _family_exponents(cfg, lat):
     """Adapted exponents of Fil^2 on the E(u)-adic and u-adic carriers."""
     ec = adapted.ECarrier(cfg)
     # (p L_2, p) spans the same K0[u]/E^p-submodule as the true generator
-    E2 = cfg.s_E() * cfg.s_E()
+    E2 = dict(lat.fil_gens)["E^2*f1"][0]
     cols_E = [
         (lat.elements.PL2, cfg.s([cfg.p])),
         (E2, cfg.s_zero()),

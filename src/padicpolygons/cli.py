@@ -19,20 +19,20 @@ import argparse
 import functools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
-from . import adapted, breuil, fontaine, polygons
-from .arith import (INF, ConfigError, DivisibilityError, K0Elem, KElem,
+from . import adapted, breuil, fontaine, oracle, polygons
+from .arith import (INF, ConfigError, DivisibilityError, K0Elem,
                     PrecisionError, RingConfig)
 
 
 class DocError(ValueError):
-    """Malformed instance document; carries the offending field path."""
+    """Malformed input; carries the offending field path."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 # ---------------------------------------------------------------------------
@@ -50,28 +50,47 @@ def _as_int(value, path):
     raise DocError(path, f"expected an integer, got {type(value).__name__}")
 
 
-def parse_ring(doc, path="ring", prec_override=None, r=2):
-    if "ring" not in doc:
-        raise DocError(path, "missing section")
-    ring = doc["ring"]
-    p = _as_int(ring.get("p"), f"{path}.p")
-    m = _as_int(ring.get("m", 1), f"{path}.m")
-    e = _as_int(ring.get("e"), f"{path}.e")
+def _section(doc, name, kind=dict):
+    """doc[name], which must be an object (a list for ``kind=list``)."""
+    value = doc.get(name)
+    if not isinstance(value, kind):
+        raise DocError(name, "missing section" if value is None else
+                       f"expected {'an object' if kind is dict else 'a list'}")
+    return value
+
+
+def _matrix(value, path):
+    """A nonempty list of rows, all lists of one length."""
+    if not isinstance(value, list) or not value:
+        raise DocError(path, "expected a nonempty matrix")
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != len(value[0]):
+            raise DocError(f"{path}[{i}]", "rows must be lists of one length")
+    return value
+
+
+def parse_ring(doc, prec_override=None, r=2):
+    ring = _section(doc, "ring")
+    p = _as_int(ring.get("p"), "ring.p")
+    m = _as_int(ring.get("m", 1), "ring.m")
+    e = _as_int(ring.get("e"), "ring.e")
     E = ring.get("E")
     if not isinstance(E, list) or len(E) != e + 1:
-        raise DocError(f"{path}.E", "expected a list of e+1 coefficients")
-    E_coeffs = [_parse_witt_coord(c, f"{path}.E[{i}]") for i, c in enumerate(E)]
+        raise DocError("ring.E", "expected a list of e+1 coefficients")
+    E_coeffs = [_parse_witt_coord(c, f"ring.E[{i}]") for i, c in enumerate(E)]
     prec = ring.get("prec")
-    prec = _as_int(prec, f"{path}.prec") if prec is not None else None
+    prec = _as_int(prec, "ring.prec") if prec is not None else None
     if prec_override is not None:
         prec = prec_override
     modulus = ring.get("modulus")
     if modulus is not None:
-        modulus = tuple(_as_int(c, f"{path}.modulus") for c in modulus)
+        if not isinstance(modulus, list):
+            raise DocError("ring.modulus", "expected a list of integers")
+        modulus = tuple(_as_int(c, "ring.modulus") for c in modulus)
     try:
         return _ring(p, m, e, tuple(E_coeffs), prec, r, modulus)
     except ConfigError as exc:
-        raise DocError(path, str(exc)) from None
+        raise DocError("ring", str(exc)) from None
 
 
 @functools.cache
@@ -90,11 +109,10 @@ def _parse_witt_coord(value, path):
     raise DocError(path, "expected an integer or coordinate list")
 
 
-def _witt_of(cfg, coord, path):
-    if isinstance(coord, tuple):
-        if len(coord) != cfg.m:
-            raise DocError(path, f"expected {cfg.m} coordinates")
-        return cfg.w(coord)
+def _witt_of(cfg, value, path):
+    coord = _parse_witt_coord(value, path)
+    if isinstance(coord, tuple) and len(coord) != cfg.m:
+        raise DocError(path, f"expected {cfg.m} coordinates")
     return cfg.w(coord)
 
 
@@ -109,10 +127,9 @@ def _parse_k0(cfg, value, path):
             raise DocError(path, f"bad rational {value!r}") from None
         return cfg.k0_from_fraction(fr)
     if isinstance(value, dict):
-        w = _witt_of(cfg, _parse_witt_coord(value.get("w", 0), path), path)
+        w = _witt_of(cfg, value.get("w", 0), path)
         return K0Elem(cfg.witt, w, _as_int(value.get("pexp", 0), path))
-    return K0Elem(cfg.witt,
-                  _witt_of(cfg, _parse_witt_coord(value, path), path), 0)
+    return K0Elem(cfg.witt, _witt_of(cfg, value, path), 0)
 
 
 def _parse_k_elem(cfg, value, path):
@@ -129,9 +146,8 @@ def _parse_k_elem(cfg, value, path):
         coeffs = [coeffs]
     if len(coeffs) > cfg.e:
         raise DocError(path, f"at most e = {cfg.e} coefficients")
-    ws = [_witt_of(cfg, _parse_witt_coord(c, f"{path}[{i}]"), f"{path}[{i}]")
-          for i, c in enumerate(coeffs)]
-    return cfg.k_elem(ws, pexp)
+    return cfg.k_elem([_witt_of(cfg, c, f"{path}[{i}]")
+                       for i, c in enumerate(coeffs)], pexp)
 
 
 # --- tiny expression language for L values: integers, p, pi, x, + - * / ^ ()
@@ -140,26 +156,18 @@ def _parse_k_elem(cfg, value, path):
 def _tokenize(text):
     out, i = [], 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        ch, j = text[i], i + 1
+        if ch.isdigit() or ch.isalpha():
+            same = str.isdigit if ch.isdigit() else str.isalpha
+            while j < len(text) and same(text[j]):
                 j += 1
-            out.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(("name", text[i:j]))
-            i = j
+            word = text[i:j]
+            out.append(("int", int(word)) if ch.isdigit() else ("name", word))
         elif ch in "+-*/^()":
             out.append((ch, ch))
-            i += 1
-        else:
+        elif not ch.isspace():
             raise DocError("L", f"unexpected character {ch!r}")
+        i = j
     out.append(("end", None))
     return out
 
@@ -264,89 +272,80 @@ def _strunc_json(x):
     return [_witt_str(c) for c in coeffs]
 
 
-def _verdicts_json(verdicts):
-    return [{"name": n, "passed": bool(ok), "evidence": str(d)}
-            for n, ok, d in verdicts]
-
-
-def _ring_json(cfg):
-    return {"p": cfg.p, "m": cfg.m, "e": cfg.e, "prec": cfg.prec,
-            "E": [_witt_str(c) for c in cfg.E]}
+def _report(mode, cfg, elements, polys, verdicts, warnings=(), **sections):
+    """The report layout of every mode; ``sections`` are the mode's own."""
+    return {"mode": mode,
+            "ring": {"p": cfg.p, "m": cfg.m, "e": cfg.e, "prec": cfg.prec,
+                     "E": [_witt_str(c) for c in cfg.E]},
+            **sections,
+            "elements": elements,
+            "polygons": {name: poly_to_json(P) for name, P in polys.items()},
+            "verdicts": [{"name": n, "passed": bool(ok), "evidence": str(d)}
+                         for n, ok, d in verdicts],
+            "warnings": list(warnings)}
 
 
 def family_report(analysis):
     el = analysis.elements
-    return {
-        "mode": "family",
-        "ring": _ring_json(analysis.cfg),
-        "family": {"n1": analysis.params.n1, "n2": analysis.params.n2},
-        "elements": {
-            "case": el.case_tag,
-            "j": el.j,
-            "v": _frac_str(el.v),
-            "v_exact": el.v_exact,
-            "shift": analysis.norm.shift,
-            "L_normalized": _strunc_json(el.L0),
-            "t": _strunc_json(el.t),
-            "Z": _strunc_json(el.Z),
-            "U": _strunc_json(el.U),
-            "V": _strunc_json(el.V),
-            "adapted_exponents_E": list(analysis.exponents_E),
-            "adapted_exponents_u": list(analysis.exponents_u),
-            "classification_shape": analysis.classification.shape,
-            "irreducible": analysis.classification.irreducible,
-        },
-        "polygons": {
-            "hodge_V": poly_to_json(analysis.hodge_V),
-            "newton_V": poly_to_json(analysis.newton_V),
-            "hodge_Mbar": poly_to_json(analysis.hodge_Mbar),
-            "inertia": poly_to_json(analysis.inertia),
-        },
-        "verdicts": _verdicts_json(analysis.verdicts),
-        "warnings": list(analysis.warnings),
+    elements = {
+        "case": el.case_tag,
+        "j": el.j,
+        "v": _frac_str(el.v),
+        "v_exact": el.v_exact,
+        "shift": analysis.norm.shift,
+        "L_normalized": _strunc_json(el.L0),
+        "t": _strunc_json(el.t),
+        "Z": _strunc_json(el.Z),
+        "U": _strunc_json(el.U),
+        "V": _strunc_json(el.V),
+        "adapted_exponents_E": list(analysis.exponents_E),
+        "adapted_exponents_u": list(analysis.exponents_u),
+        "classification_shape": analysis.classification.shape,
+        "irreducible": analysis.classification.irreducible,
     }
+    polys = {"hodge_V": analysis.hodge_V, "newton_V": analysis.newton_V,
+             "hodge_Mbar": analysis.hodge_Mbar, "inertia": analysis.inertia}
+    return _report("family", analysis.cfg, elements, polys, analysis.verdicts,
+                   analysis.warnings, family={"n1": analysis.params.n1,
+                                              "n2": analysis.params.n2})
 
 
 def pseudo_report(analysis):
-    return {
-        "mode": "pseudo",
-        "ring": _ring_json(analysis.cfg),
-        "pseudo": {"n": analysis.n, "r": analysis.r},
-        "elements": {"adapted_exponents_u": list(analysis.exponents)},
-        "polygons": {
-            "hodge_Mbar": poly_to_json(analysis.hodge_Mbar),
-            "newton": poly_to_json(analysis.newton),
-            "inertia_bound": poly_to_json(analysis.inertia_bound),
-        },
-        "verdicts": _verdicts_json(analysis.verdicts),
-        "warnings": [],
-    }
+    polys = {"hodge_Mbar": analysis.hodge_Mbar, "newton": analysis.newton,
+             "inertia_bound": analysis.inertia_bound}
+    return _report("pseudo", analysis.cfg,
+                   {"adapted_exponents_u": list(analysis.exponents)}, polys,
+                   analysis.verdicts, pseudo={"n": analysis.n, "r": analysis.r})
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _family_report(doc, n1, n2, L, path, prec_override):
+    """The family report for one L value (``path`` names it in errors)."""
+    cfg = parse_ring(doc, prec_override=prec_override, r=n1 + n2)
+    L = _parse_k_elem(cfg, L, path)
+    params = fontaine.FamilyParams(cfg, n1, n2, L)
+    return family_report(breuil.analyze_family(params))
+
+
+def _family_ns(fam):
+    return (_as_int(fam.get("n1", 1), "family.n1"),
+            _as_int(fam.get("n2", 1), "family.n2"))
+
+
 def cmd_analyze(doc, prec_override=None):
     """Analyze one instance document; returns the report dict."""
     mode = doc.get("mode")
     if mode == "family":
-        fam = doc.get("family")
-        if not isinstance(fam, dict):
-            raise DocError("family", "missing section")
-        n1 = _as_int(fam.get("n1", 1), "family.n1")
-        n2 = _as_int(fam.get("n2", 1), "family.n2")
-        cfg = parse_ring(doc, prec_override=prec_override, r=n1 + n2)
-        L = _parse_k_elem(cfg, fam.get("L"), "family.L")
-        params = fontaine.FamilyParams(cfg, n1, n2, L)
-        analysis = breuil.analyze_family(params)
-        return family_report(analysis)
+        fam = _section(doc, "family")
+        n1, n2 = _family_ns(fam)
+        return _family_report(doc, n1, n2, fam.get("L"), "family.L",
+                              prec_override)
     if mode == "pseudo":
-        ps = doc.get("pseudo")
-        if not isinstance(ps, dict):
-            raise DocError("pseudo", "missing section")
-        n = _as_int(ps.get("n"), "pseudo.n")
-        p = _as_int(doc.get("ring", {}).get("p"), "ring.p")
+        n = _as_int(_section(doc, "pseudo").get("n"), "pseudo.n")
+        p = _as_int(_section(doc, "ring").get("p"), "ring.p")
         analysis = breuil.pseudo_counterexample(n, p, prec=prec_override)
         return pseudo_report(analysis)
     if mode == "matrix":
@@ -358,115 +357,86 @@ def cmd_analyze(doc, prec_override=None):
 
 def _parse_carrier_entry(cfg, carrier, value, path):
     if carrier.name == "p":
-        return _witt_of(cfg, _parse_witt_coord(value, path), path)
+        return _witt_of(cfg, value, path)
     if not isinstance(value, list):
         value = [value]
     if carrier.name == "E":
-        return cfg.s([_witt_of(cfg, _parse_witt_coord(c, path), path)
-                      for c in value])
-    coeffs = []
-    for c in value:
-        c = _parse_witt_coord(c, path)
-        coeffs.append(c if isinstance(c, tuple) else c)
-    return cfg.tilde(coeffs)
+        return cfg.s([_witt_of(cfg, c, path) for c in value])
+    return cfg.tilde([_parse_witt_coord(c, path) for c in value])
 
 
 def _analyze_matrix(doc, prec_override):
-    mat = doc.get("matrix")
-    if not isinstance(mat, dict):
-        raise DocError("matrix", "missing section")
+    mat = _section(doc, "matrix")
     cfg = parse_ring(doc, prec_override=prec_override)
     carrier = adapted.carrier_by_name(cfg, mat.get("carrier", "E"))
-    entries = mat.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise DocError("matrix.entries", "expected a nonempty matrix")
+    entries = _matrix(mat.get("entries"), "matrix.entries")
     rows = [[_parse_carrier_entry(cfg, carrier, v, f"matrix.entries[{i}][{j}]")
              for j, v in enumerate(row)] for i, row in enumerate(entries)]
     exps = adapted.divisor_exponents(rows, carrier)
-    oracle = adapted.minor_exponents(rows, carrier)
-    verdicts = [("exponent_paths_agree", exps == oracle,
-                 f"reduction {exps} vs minors {oracle}")]
-    return {
-        "mode": "matrix",
-        "ring": _ring_json(cfg),
-        "matrix": {"carrier": carrier.name},
-        "elements": {"exponents": exps},
-        "polygons": {},
-        "verdicts": _verdicts_json(verdicts),
-        "warnings": [],
-    }
+    minors = adapted.minor_exponents(rows, carrier)
+    verdicts = [("exponent_paths_agree", exps == minors,
+                 f"reduction {exps} vs minors {minors}")]
+    return _report("matrix", cfg, {"exponents": exps}, {}, verdicts,
+                   matrix={"carrier": carrier.name})
+
+
+def _parse_k0_matrix(cfg, rows, path):
+    return tuple(tuple(_parse_k0(cfg, v, f"{path}[{i}][{j}]")
+                       for j, v in enumerate(row))
+                 for i, row in enumerate(_matrix(rows, path)))
 
 
 def _analyze_filtered(doc, prec_override):
-    flt = doc.get("filtered")
-    if not isinstance(flt, dict):
-        raise DocError("filtered", "missing section")
+    flt = _section(doc, "filtered")
     r = _as_int(flt.get("r", 2), "filtered.r")
     cfg = parse_ring(doc, prec_override=prec_override, r=r)
-    phi_rows = flt.get("phi")
-    if not isinstance(phi_rows, list):
-        raise DocError("filtered.phi", "missing matrix")
-    dim = len(phi_rows)
-    phi = tuple(tuple(_parse_k0(cfg, v, f"filtered.phi[{i}][{j}]")
-                      for j, v in enumerate(row))
-                for i, row in enumerate(phi_rows))
-    n_rows = flt.get("N")
-    if n_rows is None:
+    phi = _parse_k0_matrix(cfg, flt.get("phi"), "filtered.phi")
+    dim = len(phi)
+    if flt.get("N") is None:
         zero = K0Elem(cfg.witt, cfg.witt.zero(), 0)
         nmat = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))
     else:
-        nmat = tuple(tuple(_parse_k0(cfg, v, f"filtered.N[{i}][{j}]")
-                           for j, v in enumerate(row))
-                     for i, row in enumerate(n_rows))
+        nmat = _parse_k0_matrix(cfg, flt["N"], "filtered.N")
     jumps = flt.get("jumps")
     if not isinstance(jumps, list):
         raise DocError("filtered.jumps", "expected [[t, [basis vectors]], ...]")
     bases = {}
-    for item in jumps:
+    for k, item in enumerate(jumps):
+        if not (isinstance(item, list) and len(item) == 2 and
+                isinstance(item[1], list) and
+                all(isinstance(vec, list) for vec in item[1])):
+            raise DocError(f"filtered.jumps[{k}]",
+                           "expected [t, [basis vectors]]")
         t = _as_int(item[0], "filtered.jumps")
-        vecs = tuple(tuple(_parse_k_elem(cfg, c, f"filtered.jumps[{t}]")
-                           for c in vec) for vec in item[1])
-        bases[t] = vecs
-    fil = []
-    cur = None
-    for t in range(r + 2):
-        if t in bases:
-            cur = bases[t]
-        elif t == 0:
-            raise DocError("filtered.jumps", "must describe Fil^0")
-        fil.append(cur if cur is not None else ())
+        bases[t] = tuple(tuple(_parse_k_elem(cfg, c, f"filtered.jumps[{t}]")
+                               for c in vec) for vec in item[1])
+    if 0 not in bases:
+        raise DocError("filtered.jumps", "must describe Fil^0")
+    fil = [bases[0]]
+    for t in range(1, r + 2):
+        fil.append(bases.get(t, fil[-1]))
     D = fontaine.FilteredModule(cfg, dim, phi, nmat, tuple(fil))
     hodge = fontaine.hodge_polygon(D)
     newton = fontaine.newton_polygon_phi(D)
-    tH, tN = fontaine.t_numbers(D)
     verdicts = [("newton_above_hodge",
                  polygons.lies_above(newton, hodge) and
                  polygons.same_endpoint(newton, hodge),
                  f"Newton {newton.slopes} vs Hodge {hodge.slopes}")]
     warnings = []
-    elements = {"t_H": str(tH), "t_N": _frac_str(tN)}
+    elements = {"t_H": str(int(hodge.endpoint[1])),
+                "t_N": _frac_str(newton.endpoint[1])}
     try:
-        wa = fontaine.weakly_admissible_dim2(D)
-        elements["weakly_admissible"] = wa
+        elements["weakly_admissible"] = fontaine.weakly_admissible_dim2(D)
     except ValueError as exc:
         warnings.append(f"admissibility not decided: {exc}")
-    return {
-        "mode": "filtered",
-        "ring": _ring_json(cfg),
-        "elements": elements,
-        "polygons": {"hodge": poly_to_json(hodge),
-                     "newton": poly_to_json(newton)},
-        "verdicts": _verdicts_json(verdicts),
-        "warnings": warnings,
-    }
+    return _report("filtered", cfg, elements,
+                   {"hodge": hodge, "newton": newton}, verdicts, warnings)
 
 
 def cmd_sweep(doc, prec_override=None):
     """One analyze row per grid point; per-row errors are recorded and the
     sweep continues.  Row order follows the document."""
-    fam = doc.get("family", {})
-    n1 = _as_int(fam.get("n1", 1), "family.n1")
-    n2 = _as_int(fam.get("n2", 1), "family.n2")
+    n1, n2 = _family_ns(_section(doc, "family") if "family" in doc else {})
     grid = doc.get("L", [])
     if not isinstance(grid, list):
         raise DocError("L", "expected a list of L expressions")
@@ -474,19 +444,17 @@ def cmd_sweep(doc, prec_override=None):
     n_failed = n_errors = 0
     for i, spec in enumerate(grid):
         try:
-            cfg = parse_ring(doc, prec_override=prec_override, r=n1 + n2)
-            L = _parse_k_elem(cfg, spec, f"L[{i}]")
-            params = fontaine.FamilyParams(cfg, n1, n2, L)
-            report = family_report(breuil.analyze_family(params))
-            report["L_spec"] = spec if isinstance(spec, str) else list(spec)
-            ok = all(v["passed"] for v in report["verdicts"])
-            n_failed += 0 if ok else 1
-            rows.append({"status": "ok" if ok else "failed", "report": report})
-        except (DocError, ValueError, ArithmeticError) as exc:
+            report = _family_report(doc, n1, n2, spec, f"L[{i}]",
+                                    prec_override)
+        except (ValueError, ArithmeticError) as exc:
             n_errors += 1
-            rows.append({"status": "error",
-                         "L_spec": spec if isinstance(spec, str) else list(spec),
+            rows.append({"status": "error", "L_spec": spec,
                          "error": str(exc)})
+            continue
+        report["L_spec"] = spec
+        ok = all(v["passed"] for v in report["verdicts"])
+        n_failed += 0 if ok else 1
+        rows.append({"status": "ok" if ok else "failed", "report": report})
     return {
         "mode": "sweep",
         "rows": rows,
@@ -499,11 +467,6 @@ def cmd_sweep(doc, prec_override=None):
 # rendering
 
 
-def _poly_points(vertices):
-    return [(Fraction(_parse_frac(a)), Fraction(_parse_frac(b)))
-            for a, b in vertices]
-
-
 def _parse_frac(s):
     if s == "inf":
         return math.inf
@@ -513,46 +476,45 @@ def _parse_frac(s):
     return Fraction(int(s))
 
 
+def _plot(report):
+    """Sorted polygon names, their vertices, and the plot extent (at least 1
+    on each axis)."""
+    polys = report.get("polygons") or {}
+    names = sorted(polys)
+    pts = {n: [(Fraction(_parse_frac(a)), Fraction(_parse_frac(b)))
+               for a, b in polys[n]] for n in names}
+    xmax = max([Fraction(1)] + [x for n in names for x, _ in pts[n]])
+    ymax = max([Fraction(1)] + [y for n in names for _, y in pts[n]])
+    return names, pts, xmax, ymax
+
+
 def render_ascii(report):
-    polys = report.get("polygons", {})
-    if not polys:
+    names, pts, xmax, ymax = _plot(report)
+    if not names:
         return "(no polygons)\n"
     marks = "*o#+%"
-    names = sorted(polys)
-    pts = {n: _poly_points(polys[n]) for n in names}
-    xmax = max((v[0] for n in names for v in pts[n]), default=Fraction(0))
-    ymax = max((v[1] for n in names for v in pts[n]), default=Fraction(0))
-    xmax = max(xmax, 1)
-    ymax = max(ymax, 1)
     W, H = 49, 17
     grid = [[" "] * (W + 1) for _ in range(H + 1)]
 
     def place(x, y, ch):
         col = round(float(Fraction(x) / xmax) * W)
         row = H - round(float(Fraction(y) / ymax) * H)
-        if grid[row][col] == " " or grid[row][col] == ch:
-            grid[row][col] = ch
-        else:
-            grid[row][col] = "@"
+        grid[row][col] = ch if grid[row][col] in (" ", ch) else "@"
 
     for ni, name in enumerate(names):
         ch = marks[ni % len(marks)]
         vs = pts[name]
         for (x1, y1), (x2, y2) in zip(vs, vs[1:]):
-            steps = 2 * W
-            for s in range(steps + 1):
-                t = Fraction(s, steps)
+            for s in range(2 * W + 1):
+                t = Fraction(s, 2 * W)
                 place(x1 + (x2 - x1) * t, y1 + (y2 - y1) * t, ch)
-    lines = ["".join(row).rstrip() for row in grid]
-    legend = []
+    out = ["polygons (x: 0..%s, y: 0..%s)" % (xmax, ymax)]
+    out.extend("".join(row).rstrip() for row in grid)
+    out.append("vertices:")
     for ni, name in enumerate(names):
         vstr = " ".join(f"({_frac_str(a)},{_frac_str(b)})"
                         for a, b in pts[name])
-        legend.append(f"  {marks[ni % len(marks)]} {name}: {vstr}")
-    out = ["polygons (x: 0..%s, y: 0..%s)" % (xmax, ymax)]
-    out.extend(lines)
-    out.append("vertices:")
-    out.extend(legend)
+        out.append(f"  {marks[ni % len(marks)]} {name}: {vstr}")
     for v in report.get("verdicts", []):
         out.append(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}: "
                    f"{v['evidence']}")
@@ -560,14 +522,8 @@ def render_ascii(report):
 
 
 def render_svg(report):
-    polys = report.get("polygons", {})
-    names = sorted(polys)
+    names, pts, xmax, ymax = _plot(report)
     colors = ["#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910"]
-    xmax = ymax = Fraction(1)
-    pts = {n: _poly_points(polys[n]) for n in names}
-    for n in names:
-        for x, y in pts[n]:
-            xmax, ymax = max(xmax, x), max(ymax, y)
     W, H, pad = 360, 240, 24
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {W + 2 * pad} {H + 2 * pad}">']
@@ -593,13 +549,10 @@ def cmd_render(report, fmt):
         return render_json(report)
     if fmt == "ascii":
         if report.get("mode") == "sweep":
-            parts = []
-            for row in report["rows"]:
-                if row["status"] == "error":
-                    parts.append(f"row {row.get('L_spec')}: ERROR {row['error']}\n")
-                else:
-                    parts.append(render_ascii(row["report"]))
-            return "".join(parts)
+            return "".join(
+                f"row {row.get('L_spec')}: ERROR {row['error']}\n"
+                if row["status"] == "error" else render_ascii(row["report"])
+                for row in _section(report, "rows", list))
         return render_ascii(report)
     if fmt == "svg":
         return render_svg(report)
@@ -610,115 +563,23 @@ def cmd_render(report, fmt):
 # the oracle battery
 
 
-def cmd_oracle(seed=0, trials=25, out=None):
-    """Randomized cross-checks of every derived-value path; prints one
-    PASS/FAIL line per oracle (to ``out``, default the current stdout) and
-    returns the worst exit code."""
-    import itertools
-    import random
-
-    out = sys.stdout if out is None else out
-
+def cmd_oracle(seed=0, trials=25):
+    """Run the randomized cross-checks of ``oracle.BATTERY``; prints one
+    PASS/FAIL line per check, a FAIL line naming its first failing case,
+    and returns the worst exit code."""
+    if trials < 1:
+        raise DocError("--trials", f"need at least 1 trial, got {trials}")
     rng = random.Random(seed)
-    results = []
-
-    cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=2)
-
-    def random_strunc():
-        return cfg.s([cfg.w((rng.randrange(7 ** 7), rng.randrange(7 ** 7)))
-                      for _ in range(rng.randrange(1, 5))])
-
-    ok = True
-    for _ in range(trials):
-        x = random_strunc()
-        s = rng.choice([1, 2])
-        if (x - x.tronc(s)).val_E() < s:
-            ok = False
-    results.append(("tronc_remainder_divisible", ok))
-
-    ok = True
-    for carrier in (adapted.ECarrier(cfg), adapted.UCarrier(cfg),
-                    adapted.PCarrier(cfg)):
-        for _ in range(trials):
-            rows = _random_matrix(cfg, carrier, rng, 3, 4)
-            if adapted.divisor_exponents(rows, carrier) != \
-                    adapted.minor_exponents(rows, carrier):
-                ok = False
-    results.append(("divisor_exponents_paths_agree", ok))
-
-    ok = True
-    for _ in range(trials):
-        slopes = sorted(Fraction(rng.randrange(0, 8), rng.choice([1, 2, 4]))
-                        for _ in range(rng.randrange(1, 5)))
-        # random split polynomial: valuations of prod (X - p^{a_i})
-        avals = [rng.randrange(0, 5) for _ in range(rng.randrange(1, 5))]
-        d = len(avals)
-        vals = []
-        for k in range(d + 1):
-            best = math.inf
-            for sub in itertools.combinations(avals, d - k):
-                best = min(best, sum(sub))
-            vals.append(best)
-        P = polygons.newton_polygon(vals)
-        if list(P.slopes) != sorted(Fraction(a) for a in avals):
-            ok = False
-        merged = polygons.merge(P, polygons.from_slopes(slopes))
-        for k in range(merged.width + 1):
-            want = min(P.ordinate(mn) +
-                       polygons.from_slopes(slopes).ordinate(k - mn)
-                       for mn in range(max(0, k - len(slopes)),
-                                       min(k, P.width) + 1))
-            if merged.ordinate(k) != want:
-                ok = False
-    results.append(("newton_and_merge_formulas", ok))
-
-    cfg13 = RingConfig(13, 1, 5, [-13, 0, 0, 0, 0, 1], prec=8, r=2)
-    ok = True
-    for _ in range(trials):
-        units = []
-        for _ in range(3):
-            coeffs = [rng.randrange(1, 13)] + \
-                [rng.randrange(13) for _ in range(rng.randrange(0, 8))]
-            units.append(cfg13.tilde(coeffs))
-        rho, alpha, mu = units
-        try:
-            X = breuil.solve_eqX(rho, alpha, mu, 5, 4)
-            q = 13 * ((13 + 1) * 1 - 10)
-            lhs = rho * X * (-alpha.phi() + X.phi() * cfg13.tilde_u(q))
-            if not (lhs - mu).is_zero():
-                ok = False
-        except (ValueError, ArithmeticError):
-            ok = False
-    results.append(("eqX_substitution", ok))
-
     worst = 0
-    for name, passed in results:
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}", file=out)
-        if not passed:
-            worst = 1
+    for name, check in oracle.BATTERY:
+        failures = check(rng, trials)
+        if not failures:
+            print(f"[PASS] {name}")
+            continue
+        worst = 1
+        more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
+        print(f"[FAIL] {name}: {failures[0]}{more}")
     return worst
-
-
-def _random_matrix(cfg, carrier, rng, d, D):
-    rows = []
-    for _ in range(d):
-        row = []
-        for _ in range(D):
-            v = rng.randrange(0, 5)
-            if carrier.name == "E":
-                x = cfg.s([cfg.w((rng.randrange(7 ** 7), rng.randrange(7 ** 7)))
-                           for _ in range(rng.randrange(1, 4))])
-                row.append(x * carrier.pi_power(v))
-            elif carrier.name == "u":
-                x = cfg.tilde([(rng.randrange(7), rng.randrange(7))
-                               for _ in range(rng.randrange(1, 6))])
-                row.append(x * carrier.pi_power(v))
-            else:
-                row.append(cfg.w((rng.randrange(7 ** 7),
-                                  rng.randrange(7 ** 7))) *
-                           carrier.pi_power(v))
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +589,14 @@ def _random_matrix(cfg, carrier, rng, d, D):
 def _load_doc(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DocError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     except OSError as exc:
         raise DocError(path, str(exc)) from None
+    if not isinstance(doc, dict):
+        raise DocError(path, "expected a JSON object")
+    return doc
 
 
 def main(argv=None):
@@ -741,18 +605,15 @@ def main(argv=None):
         description="polygon invariants of filtered modules and strongly "
                     "divisible lattices, in exact p-adic arithmetic")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "sweep"):
+    for name, fmt in (("analyze", "json"), ("sweep", "json"),
+                      ("render", "ascii")):
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True)
-        sp.add_argument("--prec", type=int, default=None)
-        sp.add_argument("--format", default="json",
+        if name != "render":
+            sp.add_argument("--prec", type=int, default=None)
+        sp.add_argument("--format", default=fmt,
                         choices=["json", "ascii", "svg"])
         sp.add_argument("--out", default=None)
-    sp = sub.add_parser("render")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--format", default="ascii",
-                    choices=["json", "ascii", "svg"])
-    sp.add_argument("--out", default=None)
     sp = sub.add_parser("oracle")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=25)
@@ -761,40 +622,30 @@ def main(argv=None):
     try:
         if args.command == "oracle":
             return cmd_oracle(seed=args.seed, trials=args.trials)
-        if args.command == "render":
-            report = _load_doc(args.input)
-            text = cmd_render(report, args.format)
-            _emit(text, args.out)
-            return 0
-        doc = _load_doc(args.input)
+        report = _load_doc(args.input)
         if args.command == "analyze":
-            report = cmd_analyze(doc, prec_override=args.prec)
-        else:
-            report = cmd_sweep(doc, prec_override=args.prec)
+            report = cmd_analyze(report, prec_override=args.prec)
+        elif args.command == "sweep":
+            report = cmd_sweep(report, prec_override=args.prec)
         text = cmd_render(report, args.format)
-        _emit(text, args.out)
-        if report.get("mode") == "sweep":
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.command == "render":
+            return 0
+        if args.command == "sweep":
             if report["summary"]["errors"]:
                 return 2
             return 1 if report["summary"]["failed"] else 0
         return 0 if all(v["passed"] for v in report["verdicts"]) else 1
-    except DocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PrecisionError, DivisibilityError) as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # DocError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polygons
-from .arith import K0Elem, KElem, PrecisionError, SK0Elem
+from .arith import K0Elem, KElem, SK0Elem
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,6 @@ def _is_qp_at_precision(L):
     try:
         normalize_L(L)
         return False
-    except PrecisionError:
-        raise
     except ValueError:
         return True
 

@@ -13,7 +13,7 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            pseudo_counterexample, rank1_inertia_weight,
                            reduce_mod_p, sabotaged_lattice, solve_eqX,
                            strong_lattice, verify_strong_divisibility)
-from elements import random_tilde_unit
+from padicpolygons.oracle import eqX_substitution, random_tilde_unit
 
 
 def _x(cfg):
@@ -315,18 +315,9 @@ def test_solve_eqX_truncating(cfg7m1):
 
 
 def test_solve_eqX_nontrivial(cfg13, rng):
-    q = 13 * ((13 + 1) * 1 - 2 * 5)
-    assert q == 52 and q < 65
-    for _ in range(10):
-        rho = random_tilde_unit(cfg13, rng)
-        alpha = random_tilde_unit(cfg13, rng)
-        mu = random_tilde_unit(cfg13, rng)
-        X = solve_eqX(rho, alpha, mu, 5, 4)
-        lhs = rho * X * (-alpha.phi() + X.phi() * cfg13.tilde_u(q))
-        assert (lhs - mu).is_zero()
-        # constant coefficient pinned to -mu/(rho phi(alpha))
-        want = -(mu * (rho * alpha.phi()).unit_inverse())
-        assert X.coeffs[0] == want.coeffs[0]
+    # units of every length up to ep = 65; the constant coefficient of X
+    # is pinned to -mu/(rho phi(alpha))
+    assert eqX_substitution(rng, 10, max_deg=cfg13.e * cfg13.p) == []
 
 
 def test_solve_eqX_mu_matching(cfg7m1):

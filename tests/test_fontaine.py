@@ -14,7 +14,7 @@ from padicpolygons.arith import SK0Elem
 from padicpolygons.fontaine import (FilteredModule, family_module,
                                     fil2_decompose, fil_contains,
                                     rank1_module)
-from elements import random_k_elem, random_witt
+from padicpolygons.oracle import random_k_elem, random_witt
 
 
 def _k0(cfg, n, pexp=0):
