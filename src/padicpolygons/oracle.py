@@ -18,9 +18,9 @@ from .arith import RingConfig
 # random elements
 
 
-def random_witt(cfg, rng, prec=None):
+def random_witt(cfg, rng):
     q = cfg.p ** cfg.prec
-    return cfg.w(tuple(rng.randrange(q) for _ in range(cfg.m)), prec)
+    return cfg.w(tuple(rng.randrange(q) for _ in range(cfg.m)))
 
 
 def _length(cfg, rng, max_deg):
@@ -52,7 +52,7 @@ def random_k_elem(cfg, rng, pexp_max=1):
 
 
 def random_matrix(cfg, carrier, rng, d, D, vmax):
-    """A d x D matrix over the carrier: random elements times pi^v, v <= vmax."""
+    """A d x D carrier matrix: random elements times pi^v, v <= vmax."""
     draw = {"E": lambda: random_strunc(cfg, rng, 4),
             "u": lambda: random_tilde(cfg, rng, 6),
             "p": lambda: random_witt(cfg, rng)}[carrier.name]
@@ -86,14 +86,17 @@ def longdiv_remainder(x, divisor):
 
 
 def tronc_difference_divisible(rng, trials):
-    """x - tronc_2(x) is an exact E^2-multiple, by synthetic division."""
+    """x - tronc_s(x) is an exact E^s-multiple for s = 1, 2, by synthetic
+    division and by val_E."""
     cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=2)
-    E2 = list(cfg._E_power(2))
     failures = []
     for _ in range(trials):
         x = random_strunc(cfg, rng)
-        if not all(c.is_zero() for c in longdiv_remainder(x - x.tronc(2), E2)):
-            failures.append(f"x = {x!r}")
+        for s in (1, 2):
+            diff = x - x.tronc(s)
+            rem = longdiv_remainder(diff, cfg._E_power(s))
+            if not all(c.is_zero() for c in rem) or diff.val_E() < s:
+                failures.append(f"s = {s}, x = {x!r}")
     return failures
 
 
@@ -120,9 +123,8 @@ def newton_split(rng, trials):
     failures = []
     for _ in range(trials):
         avals = [rng.randrange(0, 6) for _ in range(rng.randrange(1, 6))]
-        d = len(avals)
-        vals = [min(sum(sub) for sub in combinations(avals, d - k))
-                for k in range(d + 1)]
+        vals = [min(sum(sub) for sub in combinations(avals, len(avals) - k))
+                for k in range(len(avals) + 1)]
         slopes = list(polygons.newton_polygon(vals).slopes)
         if slopes != sorted(avals):
             failures.append(f"roots {sorted(avals)}: slopes {slopes}")
@@ -151,7 +153,8 @@ def eqX_substitution(rng, trials, max_deg):
     """solve_eqX at (13,1,5), j = 4, on units of length up to max_deg: X
     satisfies the equation and its constant term is -mu/(rho phi(alpha))."""
     cfg = RingConfig(13, 1, 5, [-13, 0, 0, 0, 0, 1], prec=8, r=2)
-    uq = cfg.tilde_u(13 * ((13 + 1) * 1 - 2 * 5))
+    q = 13 * ((13 + 1) * 1 - 2 * 5)
+    assert q < cfg.e * cfg.p, "u^q must not be truncated"
     failures = []
     for _ in range(trials):
         rho, alpha, mu = (random_tilde_unit(cfg, rng, max_deg)
@@ -162,7 +165,7 @@ def eqX_substitution(rng, trials, max_deg):
             failures.append(f"rho {rho!r}, alpha {alpha!r}, mu {mu!r}: {exc}")
             continue
         phialpha = alpha.phi()
-        lhs = rho * X * (-phialpha + X.phi() * uq)
+        lhs = rho * X * (-phialpha + X.phi() * cfg.tilde_u(q))
         want = -(mu.coeffs[0] * (rho.coeffs[0] * phialpha.coeffs[0]).inverse())
         if not (lhs - mu).is_zero() or X.coeffs[0] != want:
             failures.append(f"rho {rho!r}, alpha {alpha!r}, mu {mu!r}: "
@@ -170,9 +173,8 @@ def eqX_substitution(rng, trials, max_deg):
     return failures
 
 
-# (line name, check) of ``padic-polygons oracle``.  Its matrices reach
-# pi^4 (the tests stop at pi^2) and its eqX units stay below degree 8:
-# full-degree units would double its run time.
+# (line name, check) of ``padic-polygons oracle``: matrices up to pi^4 (the
+# tests stop at pi^2), eqX units below degree 8 (full degree doubles its time)
 BATTERY = (
     ("tronc_remainder_divisible", tronc_difference_divisible),
     ("divisor_exponents_paths_agree",

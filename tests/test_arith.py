@@ -145,8 +145,8 @@ def test_tronc_fixes_low_degree(cfg7, rng):
 
 
 def test_tronc_difference_divisible(rng):
-    # oracle: subtracting the troncation leaves an exact E^2-multiple,
-    # checked by an independent synthetic division
+    # oracle: subtracting tronc_s leaves an exact E^s-multiple (s = 1, 2),
+    # checked by an independent synthetic division and by val_E
     assert tronc_difference_divisible(rng, 25) == []
 
 

@@ -316,7 +316,8 @@ def test_solve_eqX_truncating(cfg7m1):
 
 def test_solve_eqX_nontrivial(cfg13, rng):
     # units of every length up to ep = 65; the constant coefficient of X
-    # is pinned to -mu/(rho phi(alpha))
+    # is pinned to -mu/(rho phi(alpha)); the check asserts q = 52 < ep, so
+    # u^q is not truncated
     assert eqX_substitution(rng, 10, max_deg=cfg13.e * cfg13.p) == []
 
 

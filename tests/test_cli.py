@@ -1,7 +1,6 @@
 """The command-line entry point."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -149,8 +148,6 @@ def test_L_division_by_zero_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # golden runs of the command line: exit code, stdout, stderr and any --out
 # file of each case, compared byte for byte with tests/golden/cli/<case>.txt.
-# To re-record after an intended output change:
-#     PADIC_UPDATE_GOLDEN=1 python -m pytest tests/test_cli.py -q
 
 GOLDEN_CLI = GOLDEN / "cli"
 
@@ -275,11 +272,7 @@ def test_cli_golden(case, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.txt"
     if out.exists():
         got += "--- out.txt\n" + out.read_text(encoding="utf-8")
-    golden = GOLDEN_CLI / f"{case}.txt"
-    if os.environ.get("PADIC_UPDATE_GOLDEN"):
-        golden.parent.mkdir(exist_ok=True)
-        golden.write_text(got, encoding="utf-8")
-    assert got == golden.read_text(encoding="utf-8")
+    assert got == (GOLDEN_CLI / f"{case}.txt").read_text(encoding="utf-8")
 
 
 def test_cli_golden_exit_codes():
