@@ -7,24 +7,24 @@ multiply coordinate tuples with one product mod (modulus, q).
 
 Every other ring is built on one of two bases:
 
-* ``_Poly``, a fixed-length coefficient tuple over W or k.  It owns the
-  coercion of constants, +, -, negation, ==, ``is_zero`` and the monodromy
-  ``N(u^n) = -n u^n``.
+* ``_Poly``, a fixed-length polynomial over W or k.  It owns the coercion
+  of constants, the reflected operators and ==.
 
-  - ``TildePoly``: ``k[u]/u^{ep}``, the mod-p residue of ``STrunc``.  Its
-    product truncates at u^{ep}; it adds phi, the u-valuation and
-    division, and unit inversion.
-  - ``_WPoly``, the W-coefficient case, adds ``min_prec``, ``scale_p``,
-    ``div_exact_p``, ``mul_w`` and the product reduced by a monic modulus,
-    which runs on ``_Kernel``: flat int coordinate lists, one
-    Kronecker-packed bigint product over (u, w), and a reduction that loops
-    over the nonzero coefficients of the modulus.  Two rings are built on
-    it:
+  - ``TildePoly``: ``k[u]/u^{ep}``, a tuple of ``GFElem`` coefficients, the
+    mod-p residue of ``STrunc``.  Its product truncates at u^{ep}; it adds
+    phi, the u-valuation and division, and unit inversion.
+  - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
+    coordinates, each coefficient reduced mod p^prec, and a list of
+    precisions.  Every operation runs on that form; ``.coeffs`` is a view
+    that builds ``WittElem``s on each read.  A product is one
+    Kronecker-packed bigint product over (u, w), whose packed operands are
+    kept on the elements, and a reduction that loops over the nonzero
+    coefficients of the monic modulus.  Two rings are built on it:
 
     - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
       divided-power ring S in which every formula of the package is
-      stated.  It reduces products by E(u)^p and adds phi, troncation, the
-      E-adic valuation and division, and unit inversion.
+      stated.  It adds phi, troncation, the E-adic valuation and
+      division, and unit inversion.
     - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
       numerator of a K element.
 
@@ -39,29 +39,15 @@ Every other ring is built on one of two bases:
   - ``SK0Elem``: numerator an ``STrunc``; enough of S_{K0} for troncation
     and for the filtration computations.
 
-Precision model: every Witt element carries an absolute precision ``prec``
+Precision model: every Witt coefficient carries an absolute precision
 (number of significant p-digits) capped by the ring precision N.
 Coefficient-wise operations report ``min`` of the input precisions,
 multiplication by p gains one digit, and exact division by p costs one.
-The kernel's operations follow three rules:
-
-* Product a * b: raw coefficient k knows min(prec a_i, prec b_j) minimized
-  over the pairs i + j = k whose a_i is not zero as known.  A zero a_i
-  known to fewer than N digits caps the product at prec a_i plus the least
-  valuation of b.
-* Division by a monic M of degree d (the reduction of a product, and
-  ``divrem_E``): from the top down, each quotient coefficient is
-  zero-tested at its running precision.  A nonzero one passes that
-  precision to the d coefficients below it; a zero one is skipped, keeps
-  its own precision, and caps all below it at that precision plus the
-  least valuation of the lower coefficients of M.
-* phi knows what Horner's rule over the product knows: for e >= 2,
-  min_{i >= 1} prec a_i at every coefficient and also prec a_0 at the
-  constant term; for e = 1, Horner's rule runs on the kernel.
-
-Predicates (zero tests, unit tests, valuations) answer for the element *as
-known*; an element with no significant digits left raises
-``PrecisionError`` instead of guessing.
+The product, the division by a monic modulus (the reduction of a product,
+and ``divrem_E``) and phi follow the rules stated in ``_Kernel.mul``,
+``_Kernel.reduce`` and ``STrunc.phi``.  Predicates (zero tests, unit
+tests, valuations) answer for the element *as known*; an element with no
+significant digits left raises ``PrecisionError`` instead of guessing.
 """
 
 from __future__ import annotations
@@ -86,14 +72,7 @@ class ConfigError(ValueError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _power(x, n, one, mul=operator.mul):
@@ -199,16 +178,7 @@ def _gfp_is_irreducible(modulus, p):
     if xqm != xpoly:
         return False
     # gcd(x^{p^{m/q}} - x, f) == 1 for every prime divisor q of m
-    mm, q = m, 2
-    primes = set()
-    while q * q <= mm:
-        while mm % q == 0:
-            primes.add(q)
-            mm //= q
-        q += 1
-    if mm > 1:
-        primes.add(mm)
-    for q in primes:
+    for q in (q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)):
         xq = list(_gfp_poly_powmod_x(p ** (m // q), modulus, p))
         sub = list(xpoly)
         diff = [(a - b) % p for a, b in zip(xq + [0] * m, sub + [0] * m)]
@@ -227,12 +197,7 @@ def default_modulus(p, m):
         return (0, 1)
     # enumerate lower coefficient tuples in counting order
     for code in range(p ** m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        mod = tuple(coeffs) + (1,)
+        mod = tuple(code // p ** i % p for i in range(m)) + (1,)
         if _gfp_is_irreducible(mod, p):
             return mod
     raise ConfigError(f"no irreducible degree-{m} polynomial found mod {p}")
@@ -242,9 +207,7 @@ class GF:
     """The residue field F_{p^m} with a fixed generator wbar."""
 
     def __init__(self, p, m, modulus):
-        self.p = p
-        self.m = m
-        self.modulus = tuple(c % p for c in modulus)
+        self.p, self.m, self.modulus = p, m, tuple(c % p for c in modulus)
         if len(self.modulus) != m + 1 or self.modulus[m] != 1:
             raise ConfigError("residue modulus must be monic of degree m")
         if not _gfp_is_irreducible(self.modulus, p):
@@ -277,8 +240,7 @@ class GFElem:
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
-        self.field = field
-        self.coords = coords
+        self.field, self.coords = field, coords
 
     def __add__(self, other):
         p = self.field.p
@@ -291,8 +253,7 @@ class GFElem:
                                         zip(self.coords, other.coords)))
 
     def __neg__(self):
-        p = self.field.p
-        return GFElem(self.field, tuple((-a) % p for a in self.coords))
+        return GFElem(self.field, tuple(-a % self.field.p for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -347,10 +308,8 @@ class WittRing:
             raise ConfigError("p = 2 is out of scope")
         if cap < 1:
             raise ConfigError("precision cap must be >= 1")
-        self.p = p
-        self.m = m
-        self.cap = cap
-        self.pc = p ** cap
+        self.p, self.m, self.cap, self.pc = p, m, cap, p ** cap
+        self.ppow = [p ** k for k in range(cap + 1)]
         if modulus is None:
             modulus = default_modulus(p, m)
         self.modulus = tuple(int(c) for c in modulus)
@@ -382,8 +341,7 @@ class WittRing:
         """Evaluate an integer-coefficient polynomial at a coordinate tuple."""
         acc = (0,) * self.m
         for c in reversed(coeffs):
-            acc = self._mul(acc, x)
-            acc = self._add(acc, (c % self.pc,) + (0,) * (self.m - 1))
+            acc = self._add(self._mul(acc, x), (c % self.pc,) + (0,) * (self.m - 1))
         return acc
 
     def _hensel_frobenius(self):
@@ -435,6 +393,28 @@ class WittRing:
                     acc[s] += a * c
         return tuple(c % self.pc for c in acc)
 
+    def _zero(self, flat, k, P):
+        """Whether coefficient k of flat coordinates, known to P digits, is
+        zero as known."""
+        if P < 1:
+            raise PrecisionError("element has no significant digits")
+        q, m = self.ppow[P], self.m
+        return not any(c % q for c in flat[k * m:k * m + m])
+
+    def canon(self, flat, precs):
+        """Flat coordinates (coefficient k at flat[k*m:(k+1)*m]), each
+        reduced mod p^prec of its coefficient."""
+        qs = [self.ppow[P] if P > 0 else 1 for P in precs]
+        if self.m == 1:
+            return [c % q for c, q in zip(flat, qs)]
+        return [c % qs[k // self.m] for k, c in enumerate(flat)]
+
+    def elems(self, flat, precs):
+        """WittElems of canonical flat coordinates."""
+        m = self.m
+        return tuple(WittElem(self, tuple(flat[k * m:k * m + m]), P)
+                     for k, P in enumerate(precs))
+
     def elem(self, value, prec=None):
         prec = self.cap if prec is None else min(prec, self.cap)
         if isinstance(value, int):
@@ -442,11 +422,15 @@ class WittRing:
         elif isinstance(value, GFElem):
             coords = value.coords
         else:
-            coords = tuple(value)
+            coords = tuple(int(c) for c in value)
         if len(coords) != self.m:
             raise ValueError("wrong number of Witt coordinates")
-        q = self.p ** prec if prec > 0 else 1
-        return WittElem(self, tuple(int(c) % q for c in coords), prec)
+        return self._reduced(coords, prec)
+
+    def _reduced(self, coords, prec):
+        """The WittElem of int coordinates reduced mod p^prec."""
+        q = self.ppow[prec] if prec > 0 else 1
+        return WittElem(self, tuple(c % q for c in coords), prec)
 
     def zero(self, prec=None):
         return self.elem(0, prec)
@@ -476,9 +460,7 @@ class WittElem:
     __slots__ = ("ring", "coords", "prec")
 
     def __init__(self, ring, coords, prec):
-        self.ring = ring
-        self.coords = coords
-        self.prec = prec
+        self.ring, self.coords, self.prec = ring, coords, prec
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -487,34 +469,26 @@ class WittElem:
 
     def __add__(self, other):
         other = self._coerce(other)
-        prec = min(self.prec, other.prec)
-        q = self.ring.p ** prec if prec > 0 else 1
-        return WittElem(self.ring, tuple((a + b) % q for a, b in
-                                         zip(self.coords, other.coords)), prec)
+        return self.ring._reduced(map(operator.add, self.coords, other.coords),
+                                  min(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        prec = min(self.prec, other.prec)
-        q = self.ring.p ** prec if prec > 0 else 1
-        return WittElem(self.ring, tuple((a - b) % q for a, b in
-                                         zip(self.coords, other.coords)), prec)
+        return self.ring._reduced(map(operator.sub, self.coords, other.coords),
+                                  min(self.prec, other.prec))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        q = self.ring.p ** self.prec if self.prec > 0 else 1
-        return WittElem(self.ring, tuple((-a) % q for a in self.coords), self.prec)
+        return self.ring._reduced([-a for a in self.coords], self.prec)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prec = min(self.prec, other.prec)
-        q = self.ring.p ** prec if prec > 0 else 1
-        coords = _coord_mul(self.coords, other.coords, self.ring.modulus,
-                            self.ring.pc)
-        return WittElem(self.ring, tuple(c % q for c in coords), prec)
+        return self.ring._reduced(self.ring._mul(self.coords, other.coords),
+                                  min(self.prec, other.prec))
 
     __rmul__ = __mul__
 
@@ -547,9 +521,8 @@ class WittElem:
     def unit_inverse(self):
         if not self.is_unit():
             raise DivisibilityError("not a unit in W")
-        inv = self.ring._unit_inverse(self.coords)
-        q = self.ring.p ** self.prec
-        return WittElem(self.ring, tuple(c % q for c in inv), self.prec)
+        return self.ring._reduced(self.ring._unit_inverse(self.coords),
+                                  self.prec)
 
     def div_exact_p(self, k=1):
         """Exact division by p^k; costs k digits of precision."""
@@ -569,17 +542,13 @@ class WittElem:
 
     def scale_p(self, k):
         """Multiply by p^k (k >= 0); gains k digits up to the ring cap."""
-        prec = min(self.prec + k, self.ring.cap)
-        q = self.ring.p ** prec
         pk = self.ring.p ** k
-        return WittElem(self.ring, tuple((c * pk) % q for c in self.coords), prec)
+        return self.ring._reduced([c * pk for c in self.coords],
+                                  min(self.prec + k, self.ring.cap))
 
     def frobenius(self):
         """sigma(x): the unique lift of x -> x^p on the residue field."""
-        q = self.ring.p ** self.prec if self.prec > 0 else 1
-        return WittElem(self.ring, tuple(c % q for c in
-                                         self.ring._frobenius(self.coords)),
-                        self.prec)
+        return self.ring._reduced(self.ring._frobenius(self.coords), self.prec)
 
     def residue(self):
         if self.prec < 1:
@@ -609,11 +578,7 @@ class RingConfig:
                               "(the truncated model is only faithful there)")
         if prec < 2:
             raise ConfigError("precision must be at least 2")
-        self.p = p
-        self.m = m
-        self.e = e
-        self.r = r
-        self.prec = prec
+        self.p, self.m, self.e, self.r, self.prec = p, m, e, r, prec
         self.witt = WittRing(p, m, prec, modulus)
         self.gf = self.witt.gf
         if len(E_coeffs) != e + 1:
@@ -629,7 +594,7 @@ class RingConfig:
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
         self._E_powers = {1: self.E}
         self._kernels = {}
-        self._c = None
+        self._c = self._s_E = None
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
@@ -644,10 +609,6 @@ class RingConfig:
             prod = [self.witt.zero() for _ in range(len(half) + self.e)]
             for i, a in enumerate(half):
                 for j, b in enumerate(self.E):
-                    # exact zeros at full precision add nothing
-                    if a.prec == b.prec == self.prec and not (
-                            any(a.coords) and any(b.coords)):
-                        continue
                     prod[i + j] = prod[i + j] + a * b
             self._E_powers[s] = tuple(prod)
         return self._E_powers[s]
@@ -663,14 +624,26 @@ class RingConfig:
     def w(self, value, prec=None):
         return self.witt.elem(value, prec)
 
+    def _flat(self, coeffs, n, what):
+        """Flat coordinates and precisions of Witt/int coefficients (low
+        degree first), padded with exact zeros to n coefficients."""
+        flat, precs = [], []
+        for c in coeffs:
+            c = self._as_witt(c)
+            flat += c.coords
+            precs.append(c.prec)
+        return self._pad(flat, precs, n, what)
+
+    def _pad(self, flat, precs, n, what="degree must be < ep"):
+        pad = n - len(precs)
+        if pad < 0:
+            raise ValueError(what)
+        return flat + [0] * (pad * self.m), precs + [self.prec] * pad
+
     def s(self, coeffs):
         """STrunc from a list of Witt/int coefficients (low degree first)."""
-        ep = self.e * self.p
-        cs = [self._as_witt(c) for c in coeffs]
-        if len(cs) > ep:
-            raise ValueError("degree must be < ep")
-        cs += [self.witt.zero() for _ in range(ep - len(cs))]
-        return STrunc(self, tuple(cs))
+        return STrunc(self, *self._flat(coeffs, self.e * self.p,
+                                        "degree must be < ep"))
 
     def s_zero(self):
         return self.s([])
@@ -679,16 +652,16 @@ class RingConfig:
         return self.s([1])
 
     def s_u(self, k=1):
-        if k >= self.e * self.p:
-            # reduce the monomial through E(u)^p
-            t = self.s_u(self.e * self.p - 1)
-            for _ in range(k - self.e * self.p + 1):
-                t = t.mul_u()
-            return t
+        ep = self.e * self.p
+        if k >= ep:  # reduce the monomial through E(u)^p
+            return self.s_u(ep - 1).shift_u(k - ep + 1)
         return self.s([0] * k + [1])
 
     def s_E(self):
-        return self.s(list(self.E))
+        """E(u) in S, built once so that its packed form is reused."""
+        if self._s_E is None:
+            self._s_E = self.s(self.E)
+        return self._s_E
 
     @property
     def c(self):
@@ -699,18 +672,10 @@ class RingConfig:
 
     def tilde(self, coeffs):
         ep = self.e * self.p
-        out = []
-        for c in coeffs:
-            if isinstance(c, GFElem):
-                out.append(c)
-            elif isinstance(c, int):
-                out.append(self.gf.elem(c))
-            else:
-                out.append(self.gf.elem(tuple(c)))
+        out = [c if isinstance(c, GFElem) else self.gf.elem(c) for c in coeffs]
         if len(out) > ep:
             raise ValueError("degree must be < ep")
-        out += [self.gf.zero] * (ep - len(out))
-        return TildePoly(self, tuple(out))
+        return TildePoly(self, tuple(out + [self.gf.zero] * (ep - len(out))))
 
     def tilde_zero(self):
         return self.tilde([])
@@ -724,11 +689,8 @@ class RingConfig:
         return self.tilde([0] * k + [1])
 
     def k_elem(self, coeffs, pexp=0):
-        cs = [self._as_witt(c) for c in coeffs]
-        if len(cs) > self.e:
-            raise ValueError("K elements have degree < e")
-        cs += [self.witt.zero() for _ in range(self.e - len(cs))]
-        return KElem(self, tuple(cs), pexp)
+        return KElem(self, _KNum(self, *self._flat(
+            coeffs, self.e, "K elements have degree < e")), pexp)
 
     def k_zero(self):
         return self.k_elem([])
@@ -766,56 +728,35 @@ class RingConfig:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial base: fixed-length coefficient tuples over W or k
+# Polynomial base: fixed-length coefficient lists over W or k
 
 
 class _Poly:
-    """A dense coefficient tuple of fixed length over W or k.
+    """A fixed-length polynomial over W or k.
 
-    Subclasses give the ring: ``_constant`` (a scalar as an element) and the
-    product."""
+    Subclasses give the storage, ``_zip`` (a coefficient-wise operation),
+    the other ring operations and ``_constant`` (a scalar as an element)."""
 
-    __slots__ = ("cfg", "coeffs")
-
-    def __init__(self, cfg, coeffs):
-        self.cfg = cfg
-        self.coeffs = coeffs
-
-    def _new(self, coeffs):
-        return type(self)(self.cfg, coeffs)
+    __slots__ = ("cfg",)
 
     def _coerce(self, other):
         return other if isinstance(other, _Poly) else self._constant(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return self._new(tuple(a + b for a, b in
-                               zip(self.coeffs, other.coeffs)))
+        return self._zip(self._coerce(other), operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self._new(tuple(a - b for a, b in
-                               zip(self.coeffs, other.coeffs)))
+        return self._zip(self._coerce(other), operator.sub)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
-
-    def __neg__(self):
-        return self._new(tuple(-a for a in self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self - other).is_zero()
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
-
-    def monodromy(self):
-        """N(u^n) = -n u^n, extended coefficient-linearly."""
-        return self._new(tuple(a * (-i) for i, a in enumerate(self.coeffs)))
 
     def __repr__(self):
         return f"{type(self).__name__}({[c.coords for c in self.coeffs]})"
@@ -826,15 +767,15 @@ class _Kernel:
     E^p for ``STrunc``, E for ``_KNum``.
 
     Coefficient lists are flat, coefficient k being the coordinates
-    ``flat[k*m:(k+1)*m]`` (not necessarily reduced), with a separate list
-    of precisions.  A product is one Kronecker-packed bigint product over
+    ``flat[k*m:(k+1)*m]``, with a separate list of precisions.  Operands of
+    a product are canonical (``WittRing.canon``); the lists ``reduce`` works
+    on need not be.  A product is one Kronecker-packed bigint product over
     (u, w); the reduction by M loops over the nonzero coefficients of M."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
         self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
         self.d = len(coeffs) - 1
-        self.ppow = [witt.p ** k for k in range(self.N + 1)]
         self.mv = min(c.val() for c in coeffs[:-1])
         # terms[t]: (offset, v) pairs; coordinate t of a quotient coefficient
         # c at u^j adds c_t * v to flat[j*m + offset]
@@ -866,31 +807,18 @@ class _Kernel:
                     s[k - m + r] -= s[k] * h[r]
         return [c for k in range(0, len(s), 2 * m - 1) for c in s[k:k + m]]
 
-    def _zero(self, flat, k, P):
-        """Whether coefficient k, known to P digits, is zero as known."""
-        if P < 1:
-            raise PrecisionError("element has no significant digits")
-        q, m = self.ppow[P], self.m
-        return not any(c % q for c in flat[k * m:k * m + m])
-
-    def elems(self, flat, precs):
-        """WittElems of the coefficients, reduced mod p^prec."""
-        m, ppow = self.m, self.ppow
-        return tuple(WittElem(self.witt, tuple(
-            c % ppow[max(P, 0)] for c in flat[k * m:k * m + m]), P)
-            for k, P in enumerate(precs))
-
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
         returns (flat, precs) whose first d coefficients are the remainder
-        and whose coefficient d + j is the quotient's u^j.
+        and whose coefficient d + j is the quotient's u^j.  ``flat`` is
+        changed in place.
 
         From the top down, each quotient coefficient is zero-tested at its
         running precision.  A nonzero one is taken off with M and passes its
         precision to the d coefficients below it; a zero one is skipped and
         caps all below it at its precision plus the least valuation among
         the lower coefficients of M."""
-        m, d, pc = self.m, self.d, self.pc
+        m, d, pc, zero = self.m, self.d, self.pc, self.witt._zero
         passed = []         # (degree, precision) passed down, increasing
         out = list(precs)
         for k in range(len(precs) - 1, -1, -1):
@@ -900,7 +828,7 @@ class _Kernel:
             out[k] = min(P, cap)
             if k < d:
                 continue
-            if self._zero(flat, k, P):
+            if zero(flat, k, P):
                 cap = min(cap, P + self.mv)
                 continue
             for t in range(m):
@@ -912,21 +840,23 @@ class _Kernel:
             passed.append((k, P))
         return flat, out
 
-    def mul(self, fa, pa, fb, pb):
-        """The reduced product of two lists of d coefficients.
+    def mul(self, a, b):
+        """The reduced product of two ``_WPoly`` operands of d coefficients,
+        as canonical (flat, precs).
 
         Raw coefficient k knows the least precision among the pairs i + j = k
         whose a_i is not zero as known; a zero a_i known to fewer than N
         digits caps the product at its precision plus the least valuation of
         b."""
-        N, m, d, pc = self.N, self.m, self.d, self.pc
-        zero = [self._zero(fa, i, P) for i, P in enumerate(pa)]
+        N, m, d = self.N, self.m, self.d
+        fa, pa, fb, pb = a.flat, a.precs, b.flat, b.precs
+        if min(pa) < 1:
+            raise PrecisionError("element has no significant digits")
+        zero = [not any(fa[k:k + m]) for k in range(0, d * m, m)]
         low = min([P for P, z in zip(pa, zero) if z], default=N)
         cap = N if low >= N else min(N, low + min(
             self.witt._val(fb[j * m:j * m + m], Q) for j, Q in enumerate(pb)))
-        a = [0 if zero[k // m] else c % pc for k, c in enumerate(fa)]
-        flat = self._unpack(self._pack(a) * self._pack([c % pc for c in fb]),
-                            2 * d - 1)
+        flat = self._unpack(a._packed_by(self) * b._packed_by(self), 2 * d - 1)
         # each precision below N marks the raw coefficients it reaches
         reach, nz = {}, [i for i, z in enumerate(zero) if not z]
         for i in nz:
@@ -940,7 +870,7 @@ class _Kernel:
                 if reach[P] >> k & 1:
                     precs[k] = P
         flat, precs = self.reduce(flat, precs, cap)
-        return flat[:d * m], precs[:d]
+        return self.witt.canon(flat[:d * m], precs[:d]), precs[:d]
 
     def powers(self):
         """Packed u^(p*i) mod M at full precision, i < d (built once)."""
@@ -955,44 +885,101 @@ class _Kernel:
 
 
 class _WPoly(_Poly):
-    """A ``_Poly`` over W: adds the p-adic precision and scalings and the
-    product reduced by a monic modulus."""
+    """A ``_Poly`` over W in the kernel's layout: flat int coordinates, each
+    coefficient reduced mod p^prec, and the list of precisions; ``coeffs``
+    is a view.  The packed coordinates are kept after a first product."""
 
-    __slots__ = ()
+    __slots__ = ("flat", "precs", "_packed")
+
+    def __init__(self, cfg, flat, precs=None):
+        if precs is None:       # a sequence of Witt/int coefficients
+            flat, precs = cfg._flat(flat, len(flat), None)
+        self.cfg, self.flat, self.precs, self._packed = cfg, flat, precs, None
+
+    def _new(self, flat, precs):
+        return type(self)(self.cfg, flat, precs)
+
+    def _map(self, flat, precs):
+        """A new element from coordinates not yet reduced mod p^prec."""
+        return self._new(self.cfg.witt.canon(flat, precs), precs)
+
+    def _packed_by(self, kernel):
+        if self._packed is None:
+            self._packed = kernel._pack(self.flat)
+        return self._packed
+
+    @property
+    def coeffs(self):
+        return self.cfg.witt.elems(self.flat, self.precs)
+
+    def _zip(self, other, op):
+        return self._map(list(map(op, self.flat, other.flat)),
+                         list(map(min, self.precs, other.precs)))
+
+    def __neg__(self):
+        return self._map([-c for c in self.flat], self.precs)
+
+    def is_zero(self):
+        if min(self.precs) >= 1:
+            return not any(self.flat)
+        zero = self.cfg.witt._zero
+        return all(zero(self.flat, k, P) for k, P in enumerate(self.precs))
+
+    def monodromy(self):
+        """N(u^n) = -n u^n, extended coefficient-linearly."""
+        m = self.cfg.m
+        return self._map([-(k // m) * c for k, c in enumerate(self.flat)],
+                         self.precs)
 
     def min_prec(self):
-        return min(a.prec for a in self.coeffs)
+        return min(self.precs)
+
+    def constant_term(self):
+        """f_0(x): the image under u -> 0."""
+        return self.cfg.witt.elems(self.flat[:self.cfg.m], self.precs[:1])[0]
 
     def scale_p(self, k):
-        return self._new(tuple(a.scale_p(k) for a in self.coeffs))
+        """Multiply by p^k (k >= 0); gains k digits up to the ring cap."""
+        if k == 0:
+            return self
+        N, pk = self.cfg.prec, self.cfg.p ** k
+        return self._map([c * pk for c in self.flat],
+                         [min(P + k, N) for P in self.precs])
 
     def div_exact_p(self, k=1):
-        return self._new(tuple(a.div_exact_p(k) for a in self.coeffs))
+        """Exact division by p^k; costs k digits of precision."""
+        if k == 0:
+            return self
+        flat, precs, pk, m = self.flat, self.precs, self.cfg.p ** k, self.cfg.m
+        if min(precs) - k < 1 or any(c % pk for c in flat):
+            for i, P in enumerate(precs):
+                if P - k < 1:
+                    raise PrecisionError("division by p exhausts the precision")
+                if any(c % pk for c in flat[i * m:i * m + m]):
+                    raise DivisibilityError("coordinate not divisible by p^k")
+        return self._new([c // pk for c in flat], [P - k for P in precs])
 
     def mul_w(self, w):
         """Multiply every coefficient by an element (or integer) of W."""
+        witt, m = self.cfg.witt, self.cfg.m
         if isinstance(w, int):
-            w = self.cfg.witt.elem(w)
-        return self._new(tuple(a * w for a in self.coeffs))
-
-    def _ints(self):
-        return ([c for a in self.coeffs for c in a.coords],
-                [a.prec for a in self.coeffs])
+            w = witt.elem(w)
+        flat = [c for k in range(0, len(self.flat), m) for c in _coord_mul(
+            self.flat[k:k + m], w.coords, witt.modulus, witt.pc)]
+        return self._map(flat, [min(P, w.prec) for P in self.precs])
 
     def _mul_mod(self, other, kernel):
         """self * other reduced by the kernel's modulus; a scalar of W
         multiplies every coefficient."""
         if not isinstance(other, _Poly):
             return self.mul_w(other)
-        return self._new(kernel.elems(*kernel.mul(*self._ints(),
-                                                  *other._ints())))
+        return self._new(*kernel.mul(self, other))
 
     def _mul_u_mod(self, kernel):
         """self * u reduced by the kernel's modulus."""
-        flat, precs = self._ints()
-        flat, precs = kernel.reduce([0] * kernel.m + flat, [kernel.N] + precs,
-                                    kernel.N)
-        return self._new(kernel.elems(flat, precs[:kernel.d]))
+        m, N, d = kernel.m, kernel.N, kernel.d
+        flat, precs = kernel.reduce([0] * m + self.flat, [N] + self.precs, N)
+        return self._map(flat[:d * m], precs[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -1034,50 +1021,57 @@ class STrunc(_WPoly):
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
         m, n, N = kernel.m, kernel.d, kernel.N
-        flat, precs = self._ints()
+        flat, precs = self.flat, self.precs
         sig = [c for k in range(0, n * m, m)
                for c in cfg.witt._frobenius(flat[k:k + m])]
         powers = kernel.powers()
         if cfg.e == 1:
-            up = kernel._unpack(powers[1], n)
-            acc, acc_precs = [0] * (n * m), [N] * n
+            up = self._map(kernel._unpack(powers[1], n), [N] * n)
+            acc = cfg.s_zero()
             for k in range(n - 1, -1, -1):
-                acc, acc_precs = kernel.mul(acc, acc_precs, up, [N] * n)
-                acc[:m] = [a + b for a, b in zip(acc, sig[k * m:k * m + m])]
-                acc_precs[0] = min(acc_precs[0], precs[k])
-            return STrunc(cfg, kernel.elems(acc, acc_precs))
+                acc = acc._mul_mod(up, kernel) + self._map(
+                    *cfg._pad(sig[k * m:k * m + m], precs[k:k + 1], n))
+            return acc
         low = min(precs[1:])
         if low < 1:
             raise PrecisionError("element has no significant digits")
         total = 0
         for k, (P, power) in enumerate(zip(precs, powers)):
-            if P > 0 and not kernel._zero(flat, k, P):
+            if P > 0 and any(flat[k * m:k * m + m]):
                 total += kernel._pack(sig[k * m:k * m + m]) * power
-        precs = [min(low, precs[0])] + [low] * (n - 1)
-        return STrunc(cfg, kernel.elems(kernel._unpack(total, n), precs))
+        return self._map(kernel._unpack(total, n),
+                         [min(low, precs[0])] + [low] * (n - 1))
 
     def derivative(self):
         """u-derivative of the canonical degree-< ep representative."""
-        cfg = self.cfg
-        coeffs = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        coeffs.append(cfg.witt.zero())
-        return STrunc(cfg, tuple(coeffs))
+        m = self.cfg.m
+        return self._map([(k // m) * c for k, c in enumerate(self.flat)][m:] +
+                         [0] * m, self.precs[1:] + [self.cfg.prec])
+
+    def _divrem(self, s):
+        """Division by E(u)^s: canonical (flat, precs, d), coefficients < d
+        the remainder and coefficient d + j the quotient's u^j."""
+        kernel = self.cfg._kernel(s)
+        flat, precs = kernel.reduce(list(self.flat), self.precs, self.cfg.prec)
+        return self.cfg.witt.canon(flat, precs), precs, kernel.d
 
     def divrem_E(self, s):
-        """Quotient and remainder by E(u)^s (monic of degree es)."""
-        kernel = self.cfg._kernel(s)
-        out = kernel.elems(*kernel.reduce(*self._ints(), self.cfg.prec))
-        zeros = [self.cfg.witt.zero()] * min(kernel.d, len(out))
-        return list(out[kernel.d:]) + zeros, list(out[:kernel.d])
+        """Quotient and remainder by E(u)^s (monic of degree es), as lists
+        of WittElems."""
+        flat, precs, d = self._divrem(s)
+        cfg, m = self.cfg, self.cfg.m
+        quot = cfg._pad(flat[d * m:], precs[d:], len(precs))
+        return (list(cfg.witt.elems(*quot)),
+                list(cfg.witt.elems(flat[:d * m], precs[:d])))
 
     def tronc(self, s):
         """The degree-< es representative modulo E(u)^s."""
-        if not 1 <= s < self.cfg.p:
+        cfg = self.cfg
+        if not 1 <= s < cfg.p:
             raise ValueError("troncation level must be in [1, p)")
-        _, rem = self.divrem_E(s)
-        ep = self.cfg.e * self.cfg.p
-        rem = list(rem) + [self.cfg.witt.zero()] * (ep - len(rem))
-        return STrunc(self.cfg, tuple(rem))
+        flat, precs, d = self._divrem(s)
+        return STrunc(cfg, *cfg._pad(flat[:d * cfg.m], precs[:d],
+                                     len(self.precs)))
 
     def val_E(self):
         """Largest i <= p with E(u)^i dividing the representative (p if zero):
@@ -1085,16 +1079,15 @@ class STrunc(_WPoly):
         cfg = self.cfg
         if self.is_zero():
             return cfg.p
-        kernel, e = cfg._kernel(1), cfg.e
-        flat, precs = self._ints()
+        kernel, e, zero = cfg._kernel(1), cfg.e, cfg.witt._zero
+        flat, precs = list(self.flat), self.precs
         for v in range(cfg.p):
             flat, precs = kernel.reduce(flat, precs, cfg.prec)
-            if not all(kernel._zero(flat, k, P)
-                       for k, P in enumerate(precs[:e])):
+            if not all(zero(flat, k, P) for k, P in enumerate(precs[:e])):
                 return v
             flat = flat[e * kernel.m:] + [0] * (e * kernel.m)
             precs = precs[e:] + [cfg.prec] * e
-            if all(kernel._zero(flat, k, P) for k, P in enumerate(precs)):
+            if all(zero(flat, k, P) for k, P in enumerate(precs)):
                 break
         return cfg.p
 
@@ -1104,48 +1097,51 @@ class STrunc(_WPoly):
         quot, rem = self.divrem_E(s)
         if any(not c.is_zero() for c in rem):
             raise DivisibilityError(f"not divisible by E(u)^{s}")
-        return STrunc(self.cfg, tuple(quot))
+        return self.cfg.s(quot)
 
     def val_p(self):
-        return min(a.val() for a in self.coeffs)
+        witt, m, flat = self.cfg.witt, self.cfg.m, self.flat
+        return min(witt._val(flat[k * m:k * m + m], P)
+                   for k, P in enumerate(self.precs))
 
     def is_unit(self):
         """Unit in the local ring (W/p^N)[u]/E(u)^p: unit constant term."""
-        return self.coeffs[0].is_unit()
+        return self.cfg.witt._val(self.flat[:self.cfg.m], self.precs[0]) == 0
 
     def unit_inverse(self):
         if not self.is_unit():
             raise DivisibilityError("not a unit of S/Fil^p S")
         cfg = self.cfg
-        y = cfg.s([self.coeffs[0].unit_inverse()])
+        y = cfg.s([self.constant_term().unit_inverse()])
         two = cfg.s([2])
         steps = max(1, (cfg.prec + cfg.e * cfg.p).bit_length() + 1)
         for _ in range(steps):
             nxt = y * (two - self * y)
             # the step depends on y alone: once it returns y, no later
             # step changes it
-            if all(a.coords == b.coords and a.prec == b.prec
-                   for a, b in zip(nxt.coeffs, y.coeffs)):
+            if nxt.flat == y.flat and nxt.precs == y.precs:
                 return nxt
             y = nxt
         return y
 
-    def constant_term(self):
-        """f_0(x): the image under u -> 0."""
-        return self.coeffs[0]
-
     def mod_E(self):
         """Reduction modulo E(u), as an element of K (integral, pexp 0)."""
-        _, rem = self.divrem_E(1)
-        return KElem(self.cfg, tuple(rem), 0)
+        flat, precs, d = self._divrem(1)
+        return KElem(self.cfg, _KNum(self.cfg, flat[:d * self.cfg.m],
+                                     precs[:d]), 0)
 
     def reduce_mod_p(self):
         """Image in k[u]/u^{ep}."""
-        return TildePoly(self.cfg, tuple(a.residue() for a in self.coeffs))
+        if min(self.precs) < 1:
+            raise PrecisionError("no digits to read a residue from")
+        gf, m, p, flat = self.cfg.gf, self.cfg.m, self.cfg.p, self.flat
+        return TildePoly(self.cfg, tuple(
+            GFElem(gf, tuple(c % p for c in flat[k:k + m]))
+            for k in range(0, len(flat), m)))
 
     def degree(self):
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
+        for i in range(len(self.precs) - 1, -1, -1):
+            if not self.cfg.witt._zero(self.flat, i, self.precs[i]):
                 return i
         return -1
 
@@ -1155,12 +1151,29 @@ class STrunc(_WPoly):
 
 
 class TildePoly(_Poly):
-    """Element of k[u]/u^{ep}."""
+    """Element of k[u]/u^{ep}: a tuple of ep ``GFElem`` coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, cfg, coeffs):
+        self.cfg, self.coeffs = cfg, coeffs
 
     def _constant(self, c):
         return self.cfg.tilde([c])
+
+    def _zip(self, other, op):
+        return TildePoly(self.cfg, tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return TildePoly(self.cfg, tuple(-a for a in self.coeffs))
+
+    def is_zero(self):
+        return all(a.is_zero() for a in self.coeffs)
+
+    def monodromy(self):
+        """N(u^n) = -n u^n, extended coefficient-linearly."""
+        return TildePoly(self.cfg, tuple(a * (-i) for i, a in
+                                         enumerate(self.coeffs)))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -1253,9 +1266,8 @@ class _PExp:
 
     def _align(self, other):
         k = max(self.pexp, other.pexp)
-        a = self.num.scale_p(k - self.pexp)
-        b = other.num.scale_p(k - other.pexp)
-        return a, b, k
+        return self.num.scale_p(k - self.pexp), other.num.scale_p(
+            k - other.pexp), k
 
     def __add__(self, other):
         a, b, k = self._align(self._lift(other))
@@ -1307,9 +1319,7 @@ class K0Elem(_PExp):
     __slots__ = ("ring",)
 
     def __init__(self, ring, w, pexp=0):
-        self.ring = ring
-        self.num = w
-        self.pexp = pexp
+        self.ring, self.num, self.pexp = ring, w, pexp
 
     def _new(self, num, pexp):
         return K0Elem(self.ring, num, pexp)
@@ -1357,15 +1367,11 @@ class KElem(_PExp):
 
     __slots__ = ("cfg",)
 
-    def __init__(self, cfg, coeffs, pexp=0):
-        self.cfg = cfg
-        self.num = _KNum(cfg, coeffs)
-        self.pexp = pexp
+    def __init__(self, cfg, num, pexp=0):
+        self.cfg, self.num, self.pexp = cfg, num, pexp
 
     def _new(self, num, pexp):
-        out = KElem.__new__(KElem)
-        out.cfg, out.num, out.pexp = self.cfg, num, pexp
-        return out
+        return KElem(self.cfg, num, pexp)
 
     @property
     def coeffs(self):
@@ -1380,8 +1386,8 @@ class KElem(_PExp):
         cols = [self.num]
         for _ in range(cfg.e - 1):
             cols.append(cols[-1]._mul_u_mod(cfg._kernel(1)))
-        return [[cols[j].coeffs[i] for j in range(cfg.e)]
-                for i in range(cfg.e)]
+        cols = [c.coeffs for c in cols]
+        return [[cols[j][i] for j in range(cfg.e)] for i in range(cfg.e)]
 
     def norm(self):
         """Norm of the numerator down to W (determinant of multiplication)."""
@@ -1414,23 +1420,17 @@ class KElem(_PExp):
                      for rr in range(1, cfg.e)]
             mdet = det(minor) if minor else cfg.witt.one()
             adj.append(mdet if i % 2 == 0 else -mdet)
-        coeffs = tuple(a * unit_inv for a in adj)
-        pexp = d - self.pexp
-        if pexp < 0:
-            coeffs = tuple(c.scale_p(-pexp) for c in coeffs)
-            pexp = 0
-        return KElem(cfg, coeffs, pexp)
-
-    def to_integral(self):
-        """The canonical Witt-coefficient representative (errors if not in O_K)."""
-        return self.num.div_exact_p(self.pexp).coeffs
+        num, pexp = cfg.k_elem([a * unit_inv for a in adj]).num, d - self.pexp
+        return KElem(cfg, num.scale_p(-pexp), 0) if pexp < 0 else \
+            KElem(cfg, num, pexp)
 
     def residue(self):
         """Image in the residue field k (requires valuation >= 0)."""
-        return self.to_integral()[0].residue()
+        return self.num.div_exact_p(self.pexp).constant_term().residue()
 
     def to_strunc(self):
-        return self.cfg.s(list(self.to_integral()))
+        num, cfg = self.num.div_exact_p(self.pexp), self.cfg
+        return STrunc(cfg, *cfg._pad(num.flat, num.precs, cfg.e * cfg.p))
 
     def __repr__(self):
         return f"K({[c.coords for c in self.coeffs]}/p^{self.pexp})"
@@ -1447,9 +1447,7 @@ class SK0Elem(_PExp):
     __slots__ = ("cfg",)
 
     def __init__(self, cfg, num, pexp=0):
-        self.cfg = cfg
-        self.num = num
-        self.pexp = pexp
+        self.cfg, self.num, self.pexp = cfg, num, pexp
 
     def _new(self, num, pexp):
         return SK0Elem(self.cfg, num, pexp)
@@ -1468,7 +1466,7 @@ class SK0Elem(_PExp):
         return SK0Elem(self.cfg, self.num.derivative(), self.pexp)
 
     def mod_E(self):
-        return KElem(self.cfg, self.num.mod_E().coeffs, self.pexp)
+        return KElem(self.cfg, self.num.mod_E().num, self.pexp)
 
     def val_E(self):
         return self.num.val_E()

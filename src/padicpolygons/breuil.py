@@ -132,7 +132,7 @@ def build_elements(params, norm):
     L = norm.L
     case = norm.case_tag
     L0 = L.to_strunc()
-    lam = L0.coeffs[0]
+    lam = L0.constant_term()
     slam = lam.frobenius()
     mu = slam - lam
 
@@ -156,12 +156,12 @@ def build_elements(params, norm):
     one_plus_cphit = cfg.s_one() + cfg.c * t.phi()
     if not one_plus_cphit.is_unit():
         raise VerificationError("1 + c phi(t) is not a unit")
-    if case == "i" and t.coeffs[0].val() < 1:
+    if case == "i" and t.constant_term().val() < 1:
         raise VerificationError("case (i) needs t in uS + pS")
     if case == "ii":
         expect = -(cfg.gf.elem(norm.j) *
                    (cfg.gf.elem(cfg.e) * cfg.c0.residue()).inverse())
-        if t.coeffs[0].residue() != expect:
+        if t.constant_term().residue() != expect:
             raise VerificationError("constant term of t is not -j/(e c_0) mod p")
 
     # v = v_p(t(pi)); exact when L_0 is constant (then L_1 = 0 identically)
@@ -190,7 +190,7 @@ def build_elements(params, norm):
         raise VerificationError("U, V do not satisfy U(L_0 - sigma(lambda)) "
                                 "= p + V E(u)")
     if case == "ii":
-        if V.coeffs[0].residue() != -cfg.c0.residue().inverse():
+        if V.constant_term().residue() != -cfg.c0.residue().inverse():
             raise VerificationError("constant term of V is not -1/c_0 mod p")
 
     slam_minus_Z = cfg.s([slam]) - Z
@@ -310,14 +310,17 @@ def verify_strong_divisibility(lat, r=2):
             entries.append((name, False,
                             f"phi(g) f-coordinate valuations ({vA}, {vB}) < {r}"))
     # the divided images must generate mod (p, u): some 2x2 minor is a unit
-    gen_ok = False
     cols = [img for _, img in images]
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            det = cols[i][0] * cols[j][1] - cols[i][1] * cols[j][0]
-            if det.is_unit():
-                gen_ok = True
+    gen_ok = any(_minor_is_unit(cols[i], cols[j])
+                 for i in range(len(cols)) for j in range(i + 1, len(cols)))
     return DivisibilityReport(entries, gen_ok, images)
+
+
+def _minor_is_unit(x, y):
+    """Whether the minor x[0] y[1] - x[1] y[0] of two columns over
+    k[u]/u^{ep} is a unit, read off its constant term."""
+    (x0, x1), (y0, y1) = [[t.coeffs[0] for t in col] for col in (x, y)]
+    return not (x0 * y1 - x1 * y0).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +537,7 @@ def _normalize_generators(obj):
             continue
         alpha, beta = pa0[1], pa1[1]
         gamma, delta = pb0[1], pb1[1]
-        if not (alpha * delta - beta * gamma).is_unit():
+        if not _minor_is_unit((alpha, gamma), (beta, delta)):
             continue
         if not (ia[0].is_unit() and ia[1].is_zero()):
             continue

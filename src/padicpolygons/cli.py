@@ -392,11 +392,17 @@ def _analyze_filtered(doc, prec_override):
     cfg = parse_ring(doc, prec_override=prec_override, r=r)
     phi = _parse_k0_matrix(cfg, flt.get("phi"), "filtered.phi")
     dim = len(phi)
+    if len(phi[0]) != dim:
+        raise DocError("filtered.phi", f"expected a square matrix, got "
+                       f"{dim} x {len(phi[0])}")
     if flt.get("N") is None:
         zero = K0Elem(cfg.witt, cfg.witt.zero(), 0)
         nmat = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))
     else:
         nmat = _parse_k0_matrix(cfg, flt["N"], "filtered.N")
+        if (len(nmat), len(nmat[0])) != (dim, dim):
+            raise DocError("filtered.N", f"expected a {dim} x {dim} matrix, "
+                           f"got {len(nmat)} x {len(nmat[0])}")
     jumps = flt.get("jumps")
     if not isinstance(jumps, list):
         raise DocError("filtered.jumps", "expected [[t, [basis vectors]], ...]")
@@ -408,6 +414,10 @@ def _analyze_filtered(doc, prec_override):
             raise DocError(f"filtered.jumps[{k}]",
                            "expected [t, [basis vectors]]")
         t = _as_int(item[0], "filtered.jumps")
+        for i, vec in enumerate(item[1]):
+            if len(vec) != dim:
+                raise DocError(f"filtered.jumps[{k}][1][{i}]",
+                               f"expected {dim} coordinates, got {len(vec)}")
         bases[t] = tuple(tuple(_parse_k_elem(cfg, c, f"filtered.jumps[{t}]")
                                for c in vec) for vec in item[1])
     if 0 not in bases:
@@ -476,20 +486,48 @@ def _parse_frac(s):
     return Fraction(int(s))
 
 
-def _plot(report):
+def _list_of(value, path, kind=dict):
+    """A list whose items are all of ``kind`` (objects by default)."""
+    if not isinstance(value, list):
+        raise DocError(path, "expected a list")
+    for k, item in enumerate(value):
+        if not isinstance(item, kind):
+            raise DocError(f"{path}[{k}]", "expected an object"
+                           if kind is dict else "expected a list")
+    return value
+
+
+def _vertex(v, path):
+    """A polygon vertex: a pair of rationals written as strings."""
+    if not (len(v) == 2 and all(isinstance(c, str) for c in v)):
+        raise DocError(path, "expected a pair of strings")
+    try:
+        return tuple(Fraction(_parse_frac(c)) for c in v)
+    except (ValueError, ArithmeticError):
+        raise DocError(path, f"not a pair of rationals: {v!r}") from None
+
+
+def _plot(report, path=""):
     """Sorted polygon names, their vertices, and the plot extent (at least 1
-    on each axis)."""
+    on each axis).  ``path`` is the report's place in the document."""
     polys = report.get("polygons") or {}
+    if not isinstance(polys, dict):
+        raise DocError(f"{path}polygons", "expected an object")
     names = sorted(polys)
-    pts = {n: [(Fraction(_parse_frac(a)), Fraction(_parse_frac(b)))
-               for a, b in polys[n]] for n in names}
+    pts = {n: [_vertex(v, f"{path}polygons.{n}[{k}]") for k, v in enumerate(
+        _list_of(polys[n], f"{path}polygons.{n}", list))] for n in names}
     xmax = max([Fraction(1)] + [x for n in names for x, _ in pts[n]])
     ymax = max([Fraction(1)] + [y for n in names for _, y in pts[n]])
     return names, pts, xmax, ymax
 
 
-def render_ascii(report):
-    names, pts, xmax, ymax = _plot(report)
+def render_ascii(report, path=""):
+    names, pts, xmax, ymax = _plot(report, path)
+    verdicts = _list_of(report.get("verdicts", []), f"{path}verdicts")
+    for k, v in enumerate(verdicts):
+        if not {"name", "passed", "evidence"} <= v.keys():
+            raise DocError(f"{path}verdicts[{k}]",
+                           "expected name, passed and evidence")
     if not names:
         return "(no polygons)\n"
     marks = "*o#+%"
@@ -515,7 +553,7 @@ def render_ascii(report):
         vstr = " ".join(f"({_frac_str(a)},{_frac_str(b)})"
                         for a, b in pts[name])
         out.append(f"  {marks[ni % len(marks)]} {name}: {vstr}")
-    for v in report.get("verdicts", []):
+    for v in verdicts:
         out.append(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}: "
                    f"{v['evidence']}")
     return "\n".join(out) + "\n"
@@ -544,15 +582,25 @@ def render_json(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _render_row(row, path):
+    """One sweep row as text: its error line or its ascii rendering."""
+    status = row.get("status")
+    if status == "error" and "error" in row:
+        return f"row {row.get('L_spec')}: ERROR {row['error']}\n"
+    if status in ("ok", "failed") and isinstance(row.get("report"), dict):
+        return render_ascii(row["report"], f"{path}.report.")
+    raise DocError(path, "expected an error row with an error, or an ok or "
+                   "failed row with a report object")
+
+
 def cmd_render(report, fmt):
     if fmt == "json":
         return render_json(report)
     if fmt == "ascii":
         if report.get("mode") == "sweep":
-            return "".join(
-                f"row {row.get('L_spec')}: ERROR {row['error']}\n"
-                if row["status"] == "error" else render_ascii(row["report"])
-                for row in _section(report, "rows", list))
+            rows = _list_of(_section(report, "rows", list), "rows")
+            return "".join(_render_row(row, f"rows[{k}]")
+                           for k, row in enumerate(rows))
         return render_ascii(report)
     if fmt == "svg":
         return render_svg(report)

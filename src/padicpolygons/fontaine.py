@@ -223,7 +223,7 @@ def _sqrt_zp(cfg, x):
 
 def _k0_to_k(cfg, x):
     coeffs = (x.num,) + tuple(cfg.witt.zero() for _ in range(cfg.e - 1))
-    return KElem(cfg, coeffs, x.pexp)
+    return cfg.k_elem(coeffs, x.pexp)
 
 
 def _eigenlines_dim2(D):
@@ -409,7 +409,7 @@ def _hermite_r2_closed_form(L):
     cfg = L.cfg
     L0_num = cfg.s(list(L.coeffs))
     L0 = SK0Elem(cfg, L0_num, L.pexp)
-    L0prime_at_pi = KElem(cfg, L0_num.derivative().mod_E().coeffs, L.pexp)
+    L0prime_at_pi = L0.derivative().mod_E()
     L1_at_pi = -(L0prime_at_pi.mul_p_power(1) * _E_derivative_at_pi(cfg).inverse())
     L1 = SK0Elem(cfg, cfg.s(list(L1_at_pi.coeffs)), L1_at_pi.pexp)
     return L0 + (L1 * SK0Elem.from_strunc(cfg.s_E())).mul_p_power(-1)

@@ -13,7 +13,9 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            pseudo_counterexample, rank1_inertia_weight,
                            reduce_mod_p, sabotaged_lattice, solve_eqX,
                            strong_lattice, verify_strong_divisibility)
-from padicpolygons.oracle import eqX_substitution, random_tilde_unit
+from padicpolygons.breuil import _minor_is_unit
+from padicpolygons.oracle import (eqX_substitution, random_tilde,
+                                  random_tilde_unit)
 
 
 def _x(cfg):
@@ -224,6 +226,19 @@ def test_reduction_generators(cfg7, which):
     else:
         assert (g2[0] - cfg7.tilde_u(e) * el.U.reduce_mod_p()).is_zero()
         assert (g2[1] - el.B2.reduce_mod_p()).is_zero()
+
+
+def test_minor_unit_from_constant_terms(cfg7, rng):
+    # the constant-term test agrees with the full minor, zero constant
+    # terms included
+    seen = set()
+    for _ in range(60):
+        x, y = [[random_tilde(cfg7, rng, 3) if rng.random() < 0.7 else
+                 cfg7.tilde_u(1) for _ in range(2)] for _ in range(2)]
+        want = (x[0] * y[1] - x[1] * y[0]).is_unit()
+        assert _minor_is_unit(x, y) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_case_ii_unit_determinant_identity(cfg7):

@@ -145,6 +145,21 @@ def test_L_division_by_zero_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: L: division by zero\n"
 
 
+def test_cross_precision_exception_is_reported_as_such():
+    # (7,2,2), L = x + 7 pi^3: at prec 6, t(pi) vanishes to all known
+    # digits, so v = inf is returned as inexact with a warning; at prec 7
+    # the digit is there and v = 5/2
+    doc = _family_doc(7, 2, 2, "x+7*pi^3")
+    low = cli.cmd_analyze(doc, prec_override=6)
+    assert (low["elements"]["v"], low["elements"]["v_exact"]) == ("inf", False)
+    assert low["warnings"] == ["t(pi) = 0 at working precision: "
+                               "v = infinity is precision-bounded"]
+    assert all(v["passed"] for v in low["verdicts"])
+    high = cli.cmd_analyze(doc, prec_override=7)
+    assert (high["elements"]["v"], high["elements"]["v_exact"]) == ("5/2", True)
+    assert high["warnings"] == []
+
+
 # ---------------------------------------------------------------------------
 # golden runs of the command line: exit code, stdout, stderr and any --out
 # file of each case, compared byte for byte with tests/golden/cli/<case>.txt.
@@ -309,6 +324,28 @@ MALFORMED = {
                                "family"),
     "render_a_list": ("render", [1], "doc.json"),
     "render_sweep_without_rows": ("render", {"mode": "sweep"}, "rows"),
+    "phi_not_square": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [[1, 0, 0], [0, 1, 0]], "jumps": _FILTERED_JUMPS}),
+        "filtered.phi"),
+    "N_of_another_size": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [[1, 0], [0, 1]], "N": [[0, 0, 0]] * 3,
+        "jumps": _FILTERED_JUMPS}), "filtered.N"),
+    "jump_vector_of_another_length": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [[1, 0], [0, 1]],
+        "jumps": [[0, [[1, 0, 0], [0, 1, 0]]], [2, []]]}),
+        "filtered.jumps[0][1][0]"),
+    "render_polygons_a_list": ("render", {"polygons": [1]}, "polygons"),
+    "render_vertex_not_a_pair": ("render", {"polygons": {
+        "hodge": [["0", "0"], ["1"]]}}, "polygons.hodge[1]"),
+    "render_vertex_not_a_list": ("render", {"polygons": {"hodge": [5]}},
+                                 "polygons.hodge[0]"),
+    "render_sweep_row_not_an_object": ("render", {"mode": "sweep",
+                                                  "rows": [1]}, "rows[0]"),
+    "render_sweep_row_bad_vertex": ("render", {"mode": "sweep", "rows": [
+        {"status": "ok", "report": {"polygons": {"newton": [["1", 0]]}}}]},
+        "rows[0].report.polygons.newton[0]"),
+    "render_verdict_not_an_object": ("render", {"verdicts": [1]},
+                                     "verdicts[0]"),
 }
 
 

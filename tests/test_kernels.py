@@ -6,6 +6,7 @@ zero as known, so every precision rule of the kernels is exercised: the
 raw product, the zero skips and their caps, the reduction by a monic
 modulus, and Horner's rule for phi."""
 
+import operator
 import random
 
 import pytest
@@ -304,3 +305,107 @@ def test_claimed_digits_hold_for_lifts(cfg):
         claims_hold(lambda a: a.phi().coeffs, x)
         for s in (1, 2):
             claims_hold(lambda a: sum(a.divrem_E(s), []), x)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-wise operations of the flat form against per-coefficient
+# WittElem loops
+
+
+def ref_zip(op, x, *rest):
+    return type(x)(x.cfg, tuple(op(*cs) for cs in zip(
+        x.coeffs, *(y.coeffs for y in rest))))
+
+
+def ref_tronc(x, s):
+    if not 1 <= s < x.cfg.p:
+        raise ValueError("troncation level must be in [1, p)")
+    rem = ref_divrem_E(x, s)[1]
+    return STrunc(x.cfg, tuple(rem) + (x.cfg.witt.zero(),) * (
+        len(x.coeffs) - len(rem)))
+
+
+def ref_reduce_mod_p(x):
+    return tuple(a.residue().coords for a in x.coeffs)
+
+
+def no_digits(x, rng):
+    """x with one coefficient known to no digits."""
+    coeffs = list(x.coeffs)
+    coeffs[rng.randrange(len(coeffs))] = x.cfg.w(0, prec=0)
+    return type(x)(x.cfg, tuple(coeffs))
+
+
+def agree(new, ref):
+    """Both calls give identical coordinates and precisions, or both raise
+    an exception of the same class."""
+    try:
+        want = ref()
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            new()
+        assert type(raised.value) is type(exc)
+        return
+    got = new()
+    if isinstance(want, tuple):
+        assert tuple(c.coords for c in got.coeffs) == want
+    elif isinstance(want, bool):
+        assert got is want
+    else:
+        assert digits(got) == digits(want)
+
+
+def flat_inputs(cfg, seed):
+    """Pairs of STruncs and of K numerators: rough ones, ones divisible by
+    p or p^2, and ones with a coefficient known to no digits."""
+    rng = random.Random(seed)
+    pairs = []
+    for make in (rough_strunc, lambda c, r: rough_k(c, r).num):
+        for _ in range(trials(cfg, 12, 4)):
+            x, y = make(cfg, rng), make(cfg, rng)
+            k = rng.randrange(1, 3)
+            pairs.append((x, y))
+            pairs.append((ref_zip(lambda a: a.scale_p(k), x), y))
+            pairs.append((no_digits(x, rng), y))
+            pairs.append((x, no_digits(y, rng)))
+    return pairs
+
+
+def test_coefficient_wise_ops_match_reference(cfg):
+    rng = random.Random(11)
+    for x, y in flat_inputs(cfg, 11):
+        agree(lambda: x + y, lambda: ref_zip(operator.add, x, y))
+        agree(lambda: x - y, lambda: ref_zip(operator.sub, x, y))
+        agree(lambda: -x, lambda: ref_zip(operator.neg, x))
+        agree(x.is_zero, lambda: all(a.is_zero() for a in x.coeffs))
+        for k in (0, 1, 2):
+            agree(lambda: x.scale_p(k),
+                  lambda: ref_zip(lambda a: a.scale_p(k), x))
+            agree(lambda: x.div_exact_p(k),
+                  lambda: ref_zip(lambda a: a.div_exact_p(k), x))
+        for w in (rough_witt(cfg, rng), rng.randrange(-50, 50)):
+            agree(lambda: x.mul_w(w), lambda: ref_zip(lambda a: a * w, x))
+
+
+def test_tronc_and_reduce_mod_p_match_reference(cfg):
+    for x, _ in flat_inputs(cfg, 12):
+        if not isinstance(x, STrunc):
+            continue
+        for s in (0, 1, 2, cfg.p):
+            agree(lambda: x.tronc(s), lambda: ref_tronc(x, s))
+        agree(x.reduce_mod_p, lambda: ref_reduce_mod_p(x))
+
+
+def test_flat_ops_claim_only_digits_of_the_lifts(cfg):
+    rng = random.Random(13)
+    for x, y in rough_pairs(cfg, rough_strunc, trials(cfg, 12, 3), 13):
+        w = cfg.s([rough_witt(cfg, rng)])
+        k = rng.randrange(1, 3)
+        claims_hold(lambda a, b: (a + b).coeffs, x, y)
+        claims_hold(lambda a, b: (a - b).coeffs, x, y)
+        claims_hold(lambda a: (-a).coeffs, x)
+        claims_hold(lambda a: a.scale_p(k).coeffs, x)
+        claims_hold(lambda a: a.scale_p(k).div_exact_p(k).coeffs, x)
+        claims_hold(lambda a, b: a.mul_w(b.constant_term()).coeffs, x, w)
+        for s in (1, 2):
+            claims_hold(lambda a: a.tronc(s).coeffs, x)
