@@ -11,8 +11,11 @@ Every other ring is built on one of two bases:
   of constants, the reflected operators and ==.
 
   - ``TildePoly``: ``k[u]/u^{ep}``, a tuple of ``GFElem`` coefficients, the
-    mod-p residue of ``STrunc``.  Its product truncates at u^{ep}; it adds
-    phi, the u-valuation and division, and unit inversion.
+    mod-p residue of ``STrunc``.  It adds phi, the u-valuation and division,
+    and unit inversion.  The inverse runs on packed F_p[w] coordinates
+    (``_pack``/``_unpack``, the one packer, shared with ``_Kernel``); the
+    product, truncated at u^{ep}, is still a loop of ``GFElem`` products
+    until the benchmark's per-operation records are folded (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -122,6 +125,28 @@ def _coord_mul(a, b, modulus, q):
             for i in range(m):
                 prod[k - m + i] = (prod[k - m + i] - c * modulus[i]) % q
     return tuple(prod[:m])
+
+
+def _pack(flat, m, W):
+    """Kronecker packing: nonnegative coordinates, m per coefficient, as one
+    int of W-byte slots, 2m-1 slots per coefficient, so that a product of
+    packed ints is the packed product over (u, w) before reduction by h."""
+    return int.from_bytes(bytes(W * (m - 1)).join(
+        b"".join(c.to_bytes(W, "little") for c in flat[k:k + m])
+        for k in range(0, len(flat), m)), "little")
+
+
+def _unpack(x, count, m, W, h):
+    """The first count coefficients of a packed int (the rest truncated),
+    each reduced by the monic modulus h of degree m."""
+    size = count * (2 * m - 1) * W
+    buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
+    for k in range(len(s) - 1, -1, -1):
+        if k % (2 * m - 1) >= m and s[k]:
+            for r in range(m):
+                s[k - m + r] -= s[k] * h[r]
+    return [c for k in range(0, len(s), 2 * m - 1) for c in s[k:k + m]]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +619,7 @@ class RingConfig:
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
         self._E_powers = {1: self.E}
         self._kernels = {}
-        self._c = self._s_E = None
+        self._c = self._s_E = self._Eprime = None
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
@@ -669,6 +694,13 @@ class RingConfig:
         if self._c is None:
             self._c = self.s_E().phi().div_exact_p(1)
         return self._c
+
+    def Eprime_pi(self):
+        """E'(pi) in K and its inverse, built once."""
+        if self._Eprime is None:
+            d = self.s_E().derivative().mod_E()
+            self._Eprime = (d, d.inverse())
+        return self._Eprime
 
     def tilde(self, coeffs):
         ep = self.e * self.p
@@ -788,25 +820,6 @@ class _Kernel:
         self.W = (self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
         self._powers = None
 
-    def _pack(self, flat):
-        """Coordinates in [0, pc) as one int, 2m-1 slots per coefficient."""
-        W, m = self.W, self.m
-        return int.from_bytes(bytes(W * (m - 1)).join(
-            b"".join(c.to_bytes(W, "little") for c in flat[k:k + m])
-            for k in range(0, len(flat), m)), "little")
-
-    def _unpack(self, x, count):
-        """The first count coefficients of a packed int, reduced by h."""
-        W, m, h = self.W, self.m, self.witt.modulus
-        buf = x.to_bytes(count * (2 * m - 1) * W, "little")
-        s = [int.from_bytes(buf[k:k + W], "little")
-             for k in range(0, len(buf), W)]
-        for k in range(len(s) - 1, -1, -1):
-            if k % (2 * m - 1) >= m and s[k]:
-                for r in range(m):
-                    s[k - m + r] -= s[k] * h[r]
-        return [c for k in range(0, len(s), 2 * m - 1) for c in s[k:k + m]]
-
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
         returns (flat, precs) whose first d coefficients are the remainder
@@ -856,7 +869,8 @@ class _Kernel:
         low = min([P for P, z in zip(pa, zero) if z], default=N)
         cap = N if low >= N else min(N, low + min(
             self.witt._val(fb[j * m:j * m + m], Q) for j, Q in enumerate(pb)))
-        flat = self._unpack(a._packed_by(self) * b._packed_by(self), 2 * d - 1)
+        flat = _unpack(a._packed_by(self) * b._packed_by(self), 2 * d - 1, m,
+                       self.W, self.witt.modulus)
         # each precision below N marks the raw coefficients it reaches
         reach, nz = {}, [i for i, z in enumerate(zero) if not z]
         for i in nz:
@@ -878,7 +892,8 @@ class _Kernel:
             N, d, m, p = self.N, self.d, self.m, self.witt.p
             vec, self._powers = [1] + [0] * (d * m - 1), []
             for _ in range(d):
-                self._powers.append(self._pack([c % self.pc for c in vec]))
+                self._powers.append(_pack([c % self.pc for c in vec], m,
+                                          self.W))
                 vec = self.reduce([0] * (p * m) + vec, [N] * (d + p),
                                   N)[0][:d * m]
         return self._powers
@@ -905,7 +920,7 @@ class _WPoly(_Poly):
 
     def _packed_by(self, kernel):
         if self._packed is None:
-            self._packed = kernel._pack(self.flat)
+            self._packed = _pack(self.flat, kernel.m, kernel.W)
         return self._packed
 
     @property
@@ -1020,13 +1035,13 @@ class STrunc(_WPoly):
         Horner's rule runs on the kernel."""
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
-        m, n, N = kernel.m, kernel.d, kernel.N
-        flat, precs = self.flat, self.precs
+        m, n, N, W = kernel.m, kernel.d, kernel.N, kernel.W
+        flat, precs, h = self.flat, self.precs, cfg.witt.modulus
         sig = [c for k in range(0, n * m, m)
                for c in cfg.witt._frobenius(flat[k:k + m])]
         powers = kernel.powers()
         if cfg.e == 1:
-            up = self._map(kernel._unpack(powers[1], n), [N] * n)
+            up = self._map(_unpack(powers[1], n, m, W, h), [N] * n)
             acc = cfg.s_zero()
             for k in range(n - 1, -1, -1):
                 acc = acc._mul_mod(up, kernel) + self._map(
@@ -1038,8 +1053,8 @@ class STrunc(_WPoly):
         total = 0
         for k, (P, power) in enumerate(zip(precs, powers)):
             if P > 0 and any(flat[k * m:k * m + m]):
-                total += kernel._pack(sig[k * m:k * m + m]) * power
-        return self._map(kernel._unpack(total, n),
+                total += _pack(sig[k * m:k * m + m], m, W) * power
+        return self._map(_unpack(total, n, m, W, h),
                          [min(low, precs[0])] + [low] * (n - 1))
 
     def derivative(self):
@@ -1214,18 +1229,28 @@ class TildePoly(_Poly):
         return not self.coeffs[0].is_zero()
 
     def unit_inverse(self):
+        """Newton iteration y <- y (2 - x y) mod u^n, n doubling up to ep,
+        from the inverse of the constant term.  Each product is one packed
+        bigint product of F_p[w] coordinates, reduced by hbar and mod p."""
         if not self.is_unit():
             raise DivisibilityError("not a unit of k[u]/u^{ep}")
-        ep = self.cfg.e * self.cfg.p
-        inv0 = self.coeffs[0].inverse()
-        out = [self.cfg.gf.zero] * ep
-        out[0] = inv0
-        for n in range(1, ep):
-            acc = self.cfg.gf.zero
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * out[n - i]
-            out[n] = -(inv0 * acc)
-        return TildePoly(self.cfg, tuple(out))
+        cfg, gf, m, p = self.cfg, self.cfg.gf, self.cfg.m, self.cfg.p
+        ep = cfg.e * p
+        W = (ep * m * p * p).bit_length() // 8 + 1
+
+        def mul(a, b, n):
+            return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W),
+                                           n, m, W, gf.modulus)]
+
+        x = [c for a in self.coeffs for c in a.coords]
+        y, n = list(self.coeffs[0].inverse().coords), 1
+        while n < ep:
+            n = min(2 * n, ep)
+            t = [-c % p for c in mul(x[:n * m], y, n)]
+            t[0] = (t[0] + 2) % p
+            y = mul(y, t, n)
+        return TildePoly(cfg, tuple(GFElem(gf, tuple(y[k:k + m]))
+                                    for k in range(0, ep * m, m)))
 
     def phi(self):
         """Frobenius: x -> x^p on k, u -> u^p."""

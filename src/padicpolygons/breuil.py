@@ -506,22 +506,19 @@ def _normalize_generators(obj):
         okb = (not gb[0].is_zero()) and gb[1].is_zero() and \
             gb[0].u_val() == 2 * e
         if okb and ga[1].is_unit():
+            # rescaling by units keeps units, zeros and u-valuations, so the
+            # shape is read off the unscaled images first
+            if not (ia[0].is_unit() and ia[1].is_zero() and
+                    ib[0].is_zero() and ib[1].is_unit()):
+                continue
+            if not ga[0].is_zero() and ga[0].u_val() <= e:
+                continue
             sa = ga[1].unit_inverse()
-            gan = (ga[0] * sa, cfg.tilde_one())
-            ian = (ia[0] * sa.phi(), ia[1] * sa.phi())
-            _, gbu = gb[0].unit_part()
-            sb = gbu.unit_inverse()
-            ibn = (ib[0] * sb.phi(), ib[1] * sb.phi())
-            if not (ian[0].is_unit() and ian[1].is_zero()):
-                continue
-            if not (ibn[0].is_zero() and ibn[1].is_unit()):
-                continue
-            mu_, rho = ian[0], ibn[1]
-            if gan[0].is_zero():
+            mu_ = ia[0] * sa.phi()
+            rho = ib[1] * gb[0].unit_part()[1].unit_inverse().phi()
+            if ga[0].is_zero():
                 return "0", {"mu": mu_, "rho": rho}
-            jv, aunit = gan[0].unit_part()
-            if jv <= e:
-                continue
+            jv, aunit = (ga[0] * sa).unit_part()
             return "1", {"mu": mu_, "rho": rho, "alpha": aunit, "j": jv - e}
         # shape (2): valuation pattern (e, j) and (2e-j, e) with j < e
         pa0 = _unit_part_or_none(ga[0])
@@ -687,13 +684,11 @@ def _family_exponents(cfg, lat):
     ]
     exps_E = adapted.divisor_exponents(
         [[c[i] for c in cols_E] for i in range(2)], ec)
-    uc = adapted.UCarrier(cfg)
-    u2e = cfg.tilde_u(2 * cfg.e)
+    # E = u^e mod p: the reduced E^2 f_i are (u^{2e}, 0) and (0, u^{2e})
     cols_u = [tuple(c.reduce_mod_p() for c in data)
               for _, data in lat.fil_gens if not isinstance(data, Exception)]
-    cols_u += [(u2e, cfg.tilde_zero()), (cfg.tilde_zero(), u2e)]
     exps_u = adapted.divisor_exponents(
-        [[c[i] for c in cols_u] for i in range(2)], uc)
+        [[c[i] for c in cols_u] for i in range(2)], adapted.UCarrier(cfg))
     return exps_E, exps_u
 
 

@@ -366,7 +366,7 @@ def hermite_interpolant(L, r):
         raise ValueError("interpolation level must be >= 1")
     if cfg.e * r >= cfg.e * cfg.p:
         raise ValueError("degree budget exceeded")
-    Eprime_at_pi = _E_derivative_at_pi(cfg)
+    Eprime_at_pi, Eprime_inv = cfg.Eprime_pi()
     P = SK0Elem(cfg, cfg.s(list(L.coeffs)), L.pexp)
     E_s = cfg.s_one()
     fact = 1
@@ -380,7 +380,8 @@ def hermite_interpolant(L, r):
             deriv = deriv.derivative()
         value = deriv.mod_E()
         denom = Epi_pow * cfg.witt.elem(fact)
-        c_s = -(value * denom.inverse())
+        # at s = 1 the denominator is E'(pi), whose inverse the ring keeps
+        c_s = -(value * (Eprime_inv if s == 1 else denom.inverse()))
         P = P + SK0Elem(cfg, cfg.s(list(c_s.coeffs)) * E_s, c_s.pexp)
     # postcondition: T_pi(P) = (L, 0, ..., 0)
     images = t_pi(P, r)
@@ -397,12 +398,6 @@ def hermite_interpolant(L, r):
     return P
 
 
-def _E_derivative_at_pi(cfg):
-    dcoeffs = [cfg.E[i] * i for i in range(1, cfg.e + 1)]
-    strunc = cfg.s(dcoeffs)
-    return strunc.mod_E()
-
-
 def _hermite_r2_closed_form(L):
     """L_0 + (1/p) L_1 E(u), L_1 the degree-< e polynomial over K0 with
     L_1(pi) = -p L_0'(pi) / E'(pi)."""
@@ -410,7 +405,7 @@ def _hermite_r2_closed_form(L):
     L0_num = cfg.s(list(L.coeffs))
     L0 = SK0Elem(cfg, L0_num, L.pexp)
     L0prime_at_pi = L0.derivative().mod_E()
-    L1_at_pi = -(L0prime_at_pi.mul_p_power(1) * _E_derivative_at_pi(cfg).inverse())
+    L1_at_pi = -(L0prime_at_pi.mul_p_power(1) * cfg.Eprime_pi()[1])
     L1 = SK0Elem(cfg, cfg.s(list(L1_at_pi.coeffs)), L1_at_pi.pexp)
     return L0 + (L1 * SK0Elem.from_strunc(cfg.s_E())).mul_p_power(-1)
 

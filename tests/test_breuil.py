@@ -13,6 +13,7 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            pseudo_counterexample, rank1_inertia_weight,
                            reduce_mod_p, sabotaged_lattice, solve_eqX,
                            strong_lattice, verify_strong_divisibility)
+from padicpolygons import adapted
 from padicpolygons.breuil import _minor_is_unit
 from padicpolygons.oracle import (eqX_substitution, random_tilde,
                                   random_tilde_unit)
@@ -404,6 +405,25 @@ def test_analyze_family_exponents_at_pi(cfg7):
     a = _analysis(cfg7, cfg7.pi())
     assert a.exponents_u == [1, 3]
     assert a.exponents_E == [0, 2]
+
+
+def test_u_exponents_need_no_extra_u2e_columns():
+    """E = u^e mod p for every Eisenstein E, so the reduced E^2 f_i already
+    are the columns (u^{2e}, 0) and (0, u^{2e}); here E = u^2 + 7u - 7."""
+    cfg = RingConfig(7, 2, 2, [-7, 7, 1], prec=7, r=2)
+    u2e, zero, uc = cfg.tilde_u(4), cfg.tilde_zero(), adapted.UCarrier(cfg)
+    assert (cfg.s_E() * cfg.s_E()).reduce_mod_p() == u2e
+
+    def exponents(cols):
+        return adapted.divisor_exponents(
+            [[c[i] for c in cols] for i in range(2)], uc)
+
+    for L in (cfg.pi(), _x(cfg) + cfg.pi()):
+        a = _analysis(cfg, L)
+        cols = [tuple(c.reduce_mod_p() for c in g)
+                for _, g in a.lattice.fil_gens]
+        assert a.exponents_u == exponents(cols) == \
+            exponents(cols + [(u2e, zero), (zero, u2e)])
 
 
 def test_pseudo_counterexample_values():

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from padicpolygons import PrecisionError, RingConfig
-from padicpolygons.arith import STrunc
+from padicpolygons import DivisibilityError, PrecisionError, RingConfig
+from padicpolygons.arith import STrunc, TildePoly
 
 RINGS = {
     (7, 2, 2): ([-7, 0, 1], 7),
@@ -95,6 +95,19 @@ def ref_unit_inverse(x):
     for _ in range(max(1, (cfg.prec + cfg.e * cfg.p).bit_length() + 1)):
         y = y * (two - x * y)
     return y
+
+
+def ref_tilde_unit_inverse(x):
+    """The O((ep)^2) recurrence of GFElem products for 1/x in k[u]/u^{ep}."""
+    cfg, ep = x.cfg, x.cfg.e * x.cfg.p
+    inv0 = x.coeffs[0].inverse()
+    out = [inv0] + [cfg.gf.zero] * (ep - 1)
+    for n in range(1, ep):
+        acc = cfg.gf.zero
+        for i in range(1, n + 1):
+            acc = acc + x.coeffs[i] * out[n - i]
+        out[n] = -(inv0 * acc)
+    return TildePoly(cfg, tuple(out))
 
 
 def ref_divrem_E(x, s):
@@ -229,6 +242,55 @@ def test_phi_matches_horner(cfg):
 def test_unit_inverse_matches_fixed_step_newton(cfg):
     for x, _ in rough_pairs(cfg, rough_unit, trials(cfg, 20, 4), 10):
         same(x.unit_inverse, lambda: ref_unit_inverse(x))
+
+
+def tilde_units(cfg, rng):
+    """Dense units, sparse units 1 + c u^k, and units 1 - c u whose inverse
+    sum (c u)^i is nonzero up to u^{ep-1}."""
+    ep = cfg.e * cfg.p
+
+    def elem():
+        return cfg.gf.elem(tuple(rng.randrange(cfg.p) for _ in range(cfg.m)))
+
+    def nonzero():
+        c = elem()
+        return nonzero() if c.is_zero() else c
+
+    out = []
+    for _ in range(trials(cfg, 10, 4)):
+        out.append(cfg.tilde([nonzero()] + [elem() for _ in range(ep - 1)]))
+        k = rng.randrange(1, ep)
+        out.append(cfg.tilde_one() + cfg.tilde_u(k) * nonzero())
+        out.append(cfg.tilde_one() - cfg.tilde_u(1) * nonzero())
+    return out
+
+
+def test_tilde_unit_inverse_matches_recurrence(cfg):
+    for x in tilde_units(cfg, random.Random(14)):
+        y = x.unit_inverse()
+        assert [c.coords for c in y.coeffs] == \
+            [c.coords for c in ref_tilde_unit_inverse(x).coeffs]
+        assert x * y == cfg.tilde_one()
+    full = (cfg.tilde_one() - cfg.tilde_u(1)).unit_inverse()
+    assert all(c == cfg.gf.one for c in full.coeffs)
+    for x in (cfg.tilde_zero(), cfg.tilde_u(1),
+              cfg.tilde_u(1) + cfg.tilde_u(cfg.e * cfg.p - 1)):
+        with pytest.raises(DivisibilityError):
+            x.unit_inverse()
+
+
+def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):
+    """E'(pi) and its inverse, built once per ring, against E'(pi) built
+    from the coefficients i E_i and against the s = 1 Hermite denominator."""
+    Eprime, inv = cfg.Eprime_pi()
+    fresh = cfg.s([cfg.E[i] * i for i in range(1, cfg.e + 1)]).mod_E()
+    denom = cfg.k_one() * fresh * cfg.witt.elem(1)
+    assert (Eprime.num.flat, Eprime.num.precs, Eprime.pexp) == \
+        (fresh.num.flat, fresh.num.precs, fresh.pexp)
+    for y in (fresh.inverse(), denom.inverse()):
+        assert (inv.num.flat, inv.num.precs, inv.pexp) == \
+            (y.num.flat, y.num.precs, y.pexp)
+    assert cfg.Eprime_pi() is cfg.Eprime_pi()
 
 
 def test_k_products_match_reference(cfg):
