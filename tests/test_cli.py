@@ -248,6 +248,13 @@ CLI_CASES = {
                    _family_report()),
     "render_sweep_ascii": (_RENDER, _sweep_report()),
     "analyze_out": (_ANALYZE + ["--prec", "7", "--out", "out.txt"], _FAMILY),
+    # analyze at prec = p on rings with ep = 44, 44 and 119
+    "analyze_family_13_2_4_x+pi": (_ANALYZE + ["--prec", "13"],
+                                   _family_doc(13, 2, 4, "x+pi")),
+    "analyze_family_11_2_4_pi^3+x": (_ANALYZE + ["--prec", "11"],
+                                     _family_doc(11, 2, 4, "pi^3+x")),
+    "analyze_family_17_2_7_x+pi": (_ANALYZE + ["--prec", "17"],
+                                   _family_doc(17, 2, 7, "x+pi")),
     # exit 2
     "error_unreadable_json": (_ANALYZE, '{"mode": "family",\n'),
     "error_missing_file": (["analyze", "--input", "missing.json"], None),
