@@ -22,7 +22,8 @@ Every other ring is built on one of two bases:
     that builds ``WittElem``s on each read.  A product is one
     Kronecker-packed bigint product over (u, w), whose packed operands are
     kept on the elements, and a reduction that loops over the nonzero
-    coefficients of the monic modulus.  Two rings are built on it:
+    coefficients of the monic modulus; both stop at the top nonzero
+    coefficient, so the work follows operand degree.  Two rings use it:
 
     - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
       divided-power ring S in which every formula of the package is
@@ -48,13 +49,17 @@ Coefficient-wise operations report ``min`` of the input precisions,
 multiplication by p gains one digit, and exact division by p costs one.
 The product, the division by a monic modulus (the reduction of a product,
 and ``divrem_E``) and phi follow the rules stated in ``_Kernel.mul``,
-``_Kernel.reduce`` and ``STrunc.phi``.  Predicates (zero tests, unit
-tests, valuations) answer for the element *as known*; an element with no
-significant digits left raises ``PrecisionError`` instead of guessing.
+``_Kernel.reduce`` and ``STrunc.phi``.  A zero coefficient above the values
+of a division is known to its own precision P, and from degree d up caps
+all below it at P plus the least valuation of the modulus' lower
+coefficients.  Predicates (zero tests, unit tests, valuations) answer for
+the element *as known*; an element with no significant digits left raises
+``PrecisionError`` instead of guessing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -92,20 +97,27 @@ def _power(x, n, one, mul=operator.mul):
 
 
 def det(rows):
-    """Cofactor-expansion determinant of a small nonempty square matrix."""
+    """Cofactor-expansion determinant of a small nonempty square matrix,
+    along the first row.  minors[cols], the determinant of the last
+    len(cols) rows on the columns cols, is computed once, bottom rows up."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    a, b = rows[-2], rows[-1]   # the 2 x 2 minors, as the recursion forms them
+    minors = {(i, j): a[i] * b[j] - a[j] * b[i]
+              for i, j in itertools.combinations(range(n), 2)}
+    for r in range(n - 3, -1, -1):
+        nxt = {}
+        for cols in itertools.combinations(range(n), n - r):
+            acc = None
+            for j, c in enumerate(cols):
+                term = rows[r][c] * minors[cols[:j] + cols[j + 1:]]
+                if j % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            nxt[cols] = acc
+        minors = nxt
+    return minors[tuple(range(n))]
 
 
 def _coord_mul(a, b, modulus, q):
@@ -131,22 +143,30 @@ def _pack(flat, m, W):
     """Kronecker packing: nonnegative coordinates, m per coefficient, as one
     int of W-byte slots, 2m-1 slots per coefficient, so that a product of
     packed ints is the packed product over (u, w) before reduction by h."""
-    return int.from_bytes(bytes(W * (m - 1)).join(
-        b"".join(c.to_bytes(W, "little") for c in flat[k:k + m])
-        for k in range(0, len(flat), m)), "little")
+    b = [c.to_bytes(W, "little") for c in flat]
+    if m > 1:
+        z = bytes(W * (m - 1))
+        b = [x for k in range(0, len(b), m) for x in (*b[k:k + m], z)]
+    return int.from_bytes(b"".join(b), "little")
 
 
 def _unpack(x, count, m, W, h):
     """The first count coefficients of a packed int (the rest truncated),
-    each reduced by the monic modulus h of degree m."""
+    each reduced by the monic modulus h of degree m: only the m - 1 high
+    slots of a coefficient are taken off, from the top."""
     size = count * (2 * m - 1) * W
     buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
-    for k in range(len(s) - 1, -1, -1):
-        if k % (2 * m - 1) >= m and s[k]:
-            for r in range(m):
-                s[k - m + r] -= s[k] * h[r]
-    return [c for k in range(0, len(s), 2 * m - 1) for c in s[k:k + m]]
+    if m == 1:
+        return s
+    for top in range(2 * m - 2, len(s), 2 * m - 1):
+        for k in range(top, top - m + 1, -1):
+            if s[k]:
+                for r in range(m):
+                    s[k - m + r] -= s[k] * h[r]
+    for w in range(2 * m - 1, m, -1):   # drop the high slots, top first
+        del s[w - 1::w]
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +448,12 @@ class WittRing:
 
     def canon(self, flat, precs):
         """Flat coordinates (coefficient k at flat[k*m:(k+1)*m]), each
-        reduced mod p^prec of its coefficient."""
+        reduced mod p^prec of its coefficient; zeros where flat is short."""
         qs = [self.ppow[P] if P > 0 else 1 for P in precs]
+        pad = [0] * (len(precs) * self.m - len(flat))
         if self.m == 1:
-            return [c % q for c, q in zip(flat, qs)]
-        return [c % qs[k // self.m] for k, c in enumerate(flat)]
+            return [c % q for c, q in zip(flat, qs)] + pad
+        return [c % qs[k // self.m] for k, c in enumerate(flat)] + pad
 
     def elems(self, flat, precs):
         """WittElems of canonical flat coordinates."""
@@ -555,15 +576,11 @@ class WittElem:
             return self
         if self.prec - k < 1:
             raise PrecisionError("division by p exhausts the precision")
-        pk = self.ring.p ** k
-        q = self.ring.p ** self.prec
-        out = []
-        for c in self.coords:
-            c %= q
-            if c % pk:
-                raise DivisibilityError("coordinate not divisible by p^k")
-            out.append(c // pk)
-        return WittElem(self.ring, tuple(out), self.prec - k)
+        pk, q = self.ring.p ** k, self.ring.p ** self.prec
+        if any(c % q % pk for c in self.coords):
+            raise DivisibilityError("coordinate not divisible by p^k")
+        return WittElem(self.ring, tuple(c % q // pk for c in self.coords),
+                        self.prec - k)
 
     def scale_p(self, k):
         """Multiply by p^k (k >= 0); gains k digits up to the ring cap."""
@@ -802,7 +819,11 @@ class _Kernel:
     ``flat[k*m:(k+1)*m]``, with a separate list of precisions.  Operands of
     a product are canonical (``WittRing.canon``); the lists ``reduce`` works
     on need not be.  A product is one Kronecker-packed bigint product over
-    (u, w); the reduction by M loops over the nonzero coefficients of M."""
+    (u, w); the reduction by M loops over the nonzero coefficients of M.
+    The work follows the degree of the operands: only the coefficients up
+    to the top nonzero one are packed, unpacked and reduced.  A zero above
+    them is known to its own precision P; from degree d up it caps all
+    below it at P + mv."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
@@ -823,18 +844,28 @@ class _Kernel:
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
         returns (flat, precs) whose first d coefficients are the remainder
-        and whose coefficient d + j is the quotient's u^j.  ``flat`` is
-        changed in place.
+        and whose coefficient d + j is the quotient's u^j.  ``flat``, changed
+        in place, may be shorter than ``precs``; it lacks only zeros.
 
         From the top down, each quotient coefficient is zero-tested at its
         running precision.  A nonzero one is taken off with M and passes its
         precision to the d coefficients below it; a zero one is skipped and
-        caps all below it at its precision plus the least valuation among
-        the lower coefficients of M."""
-        m, d, pc, zero = self.m, self.d, self.pc, self.witt._zero
+        caps all below it at its precision plus the least valuation of the
+        lower coefficients of M.  Nothing is passed down to the zeros above
+        the values, so each is known to its own precision P: it reads
+        min(P, cap), and from degree d up it caps the rest at P + mv."""
+        m, d, pc, mv, zero = self.m, self.d, self.pc, self.mv, self.witt._zero
+        out, n = list(precs), len(flat) // m
+        for k in range(len(precs) - 1, n - 1, -1):
+            P = out[k] = precs[k]
+            if P > cap:
+                out[k] = cap
+            if k >= d:
+                if P < 1:
+                    raise PrecisionError("element has no significant digits")
+                cap = min(cap, P + mv)
         passed = []         # (degree, precision) passed down, increasing
-        out = list(precs)
-        for k in range(len(precs) - 1, -1, -1):
+        for k in range(n - 1, -1, -1):
             while passed and passed[0][0] > k + d:
                 passed.pop(0)
             P = min(precs[k], passed[0][1]) if passed else precs[k]
@@ -842,7 +873,7 @@ class _Kernel:
             if k < d:
                 continue
             if zero(flat, k, P):
-                cap = min(cap, P + self.mv)
+                cap = min(cap, P + mv)
                 continue
             for t in range(m):
                 c = flat[k * m + t] % pc
@@ -858,31 +889,36 @@ class _Kernel:
         as canonical (flat, precs).
 
         Raw coefficient k knows the least precision among the pairs i + j = k
-        whose a_i is not zero as known; a zero a_i known to fewer than N
-        digits caps the product at its precision plus the least valuation of
-        b."""
+        whose a_i is not zero as known, over all 2d - 1 raw coefficients
+        (zeros of b included); a zero a_i known to fewer than N digits caps
+        the product at its precision plus the least valuation of b."""
         N, m, d = self.N, self.m, self.d
         fa, pa, fb, pb = a.flat, a.precs, b.flat, b.precs
         if min(pa) < 1:
             raise PrecisionError("element has no significant digits")
-        zero = [not any(fa[k:k + m]) for k in range(0, d * m, m)]
-        low = min([P for P, z in zip(pa, zero) if z], default=N)
-        cap = N if low >= N else min(N, low + min(
-            self.witt._val(fb[j * m:j * m + m], Q) for j, Q in enumerate(pb)))
-        flat = _unpack(a._packed_by(self) * b._packed_by(self), 2 * d - 1, m,
-                       self.W, self.witt.modulus)
-        # each precision below N marks the raw coefficients it reaches
-        reach, nz = {}, [i for i, z in enumerate(zero) if not z]
+        (xa, la), (xb, lb) = a._packed_by(self), b._packed_by(self)
+        nz = [i for i in range(la) if any(fa[i * m:i * m + m])]
+        mask = sum(1 << i for i in nz)
+        low = min([P for i, P in enumerate(pa) if P < N and not mask >> i & 1],
+                  default=N)
+        cap = N if low >= N else min(N, low + min([self.witt._val(
+            fb[j * m:j * m + m], Q) for j, Q in enumerate(pb[:lb])] + [
+            self.witt._val((), min(pb[lb:], default=N))]))  # b's top zeros
+        flat = _unpack(xa * xb, max(la + lb - 1, 0), m, self.W,
+                       self.witt.modulus)
+        # each precision below N marks the raw coefficients it reaches;
+        # the least one marking a coefficient is its precision
+        reach = {}
         for i in nz:
             reach[pa[i]] = reach.get(pa[i], 0) | ((1 << d) - 1) << i
-        nz = sum(1 << i for i in nz)
         for j, Q in enumerate(pb):
-            reach[Q] = reach.get(Q, 0) | nz << j
-        precs = [N] * (2 * d - 1)
-        for P in sorted(p for p in reach if p < N)[::-1]:
-            for k in range(2 * d - 1):
-                if reach[P] >> k & 1:
-                    precs[k] = P
+            reach[Q] = reach.get(Q, 0) | mask << j
+        precs, done = [N] * (2 * d - 1), 0
+        for P in sorted(P for P in reach if P < N):
+            bits, done = reach[P] & ~done, done | reach[P]
+            while bits:
+                k = bits.bit_length() - 1
+                precs[k], bits = P, bits ^ 1 << k
         flat, precs = self.reduce(flat, precs, cap)
         return self.witt.canon(flat[:d * m], precs[:d]), precs[:d]
 
@@ -904,12 +940,13 @@ class _WPoly(_Poly):
     coefficient reduced mod p^prec, and the list of precisions; ``coeffs``
     is a view.  The packed coordinates are kept after a first product."""
 
-    __slots__ = ("flat", "precs", "_packed")
+    __slots__ = ("flat", "precs", "_packed", "_len")
 
     def __init__(self, cfg, flat, precs=None):
         if precs is None:       # a sequence of Witt/int coefficients
             flat, precs = cfg._flat(flat, len(flat), None)
-        self.cfg, self.flat, self.precs, self._packed = cfg, flat, precs, None
+        self.cfg, self.flat, self.precs = cfg, flat, precs
+        self._packed = self._len = None
 
     def _new(self, flat, precs):
         return type(self)(self.cfg, flat, precs)
@@ -918,10 +955,20 @@ class _WPoly(_Poly):
         """A new element from coordinates not yet reduced mod p^prec."""
         return self._new(self.cfg.witt.canon(flat, precs), precs)
 
+    def _sig(self):
+        """The flat coordinates up to the top nonzero coefficient (_len)."""
+        if self._len is None:
+            k = len(self.flat)
+            while k and not self.flat[k - 1]:
+                k -= 1
+            self._len = -(-k // self.cfg.m)
+        return self.flat[:self._len * self.cfg.m]
+
     def _packed_by(self, kernel):
+        """The packed coefficients up to the top nonzero one, and _len."""
         if self._packed is None:
-            self._packed = _pack(self.flat, kernel.m, kernel.W)
-        return self._packed
+            self._packed = _pack(self._sig(), kernel.m, kernel.W)
+        return self._packed, self._len
 
     @property
     def coeffs(self):
@@ -993,7 +1040,8 @@ class _WPoly(_Poly):
     def _mul_u_mod(self, kernel):
         """self * u reduced by the kernel's modulus."""
         m, N, d = kernel.m, kernel.N, kernel.d
-        flat, precs = kernel.reduce([0] * m + self.flat, [N] + self.precs, N)
+        flat, precs = kernel.reduce([0] * m + self._sig(), [N] + self.precs,
+                                    N)
         return self._map(flat[:d * m], precs[:d])
 
 
@@ -1036,8 +1084,8 @@ class STrunc(_WPoly):
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
         m, n, N, W = kernel.m, kernel.d, kernel.N, kernel.W
-        flat, precs, h = self.flat, self.precs, cfg.witt.modulus
-        sig = [c for k in range(0, n * m, m)
+        flat, precs, h = self._sig(), self.precs, cfg.witt.modulus
+        sig = [c for k in range(0, len(flat), m)
                for c in cfg.witt._frobenius(flat[k:k + m])]
         powers = kernel.powers()
         if cfg.e == 1:
@@ -1051,7 +1099,7 @@ class STrunc(_WPoly):
         if low < 1:
             raise PrecisionError("element has no significant digits")
         total = 0
-        for k, (P, power) in enumerate(zip(precs, powers)):
+        for k, (P, power) in enumerate(zip(precs[:self._len], powers)):
             if P > 0 and any(flat[k * m:k * m + m]):
                 total += _pack(sig[k * m:k * m + m], m, W) * power
         return self._map(_unpack(total, n, m, W, h),
@@ -1067,7 +1115,7 @@ class STrunc(_WPoly):
         """Division by E(u)^s: canonical (flat, precs, d), coefficients < d
         the remainder and coefficient d + j the quotient's u^j."""
         kernel = self.cfg._kernel(s)
-        flat, precs = kernel.reduce(list(self.flat), self.precs, self.cfg.prec)
+        flat, precs = kernel.reduce(self._sig(), self.precs, self.cfg.prec)
         return self.cfg.witt.canon(flat, precs), precs, kernel.d
 
     def divrem_E(self, s):
@@ -1095,12 +1143,12 @@ class STrunc(_WPoly):
         if self.is_zero():
             return cfg.p
         kernel, e, zero = cfg._kernel(1), cfg.e, cfg.witt._zero
-        flat, precs = list(self.flat), self.precs
+        flat, precs = self._sig(), self.precs
         for v in range(cfg.p):
             flat, precs = kernel.reduce(flat, precs, cfg.prec)
             if not all(zero(flat, k, P) for k, P in enumerate(precs[:e])):
                 return v
-            flat = flat[e * kernel.m:] + [0] * (e * kernel.m)
+            flat = flat[e * kernel.m:]
             precs = precs[e:] + [cfg.prec] * e
             if all(zero(flat, k, P) for k, P in enumerate(precs)):
                 break
@@ -1206,10 +1254,8 @@ class TildePoly(_Poly):
     __rmul__ = __mul__
 
     def u_val(self):
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                return i
-        return self.cfg.e * self.cfg.p
+        return next((i for i, a in enumerate(self.coeffs) if not a.is_zero()),
+                    self.cfg.e * self.cfg.p)
 
     def shift_u(self, k):
         ep = self.cfg.e * self.cfg.p
@@ -1254,13 +1300,11 @@ class TildePoly(_Poly):
 
     def phi(self):
         """Frobenius: x -> x^p on k, u -> u^p."""
-        ep = self.cfg.e * self.cfg.p
-        out = [self.cfg.gf.zero] * ep
-        for i, a in enumerate(self.coeffs):
-            if i * self.cfg.p >= ep:
-                break
+        p, e = self.cfg.p, self.cfg.e
+        out = [self.cfg.gf.zero] * (e * p)
+        for i, a in enumerate(self.coeffs[:e]):
             if not a.is_zero():
-                out[i * self.cfg.p] = a.frobenius()
+                out[i * p] = a.frobenius()
         return TildePoly(self.cfg, tuple(out))
 
     def unit_part(self):
@@ -1361,10 +1405,7 @@ class K0Elem(_PExp):
         if v == self.num.prec:
             raise ZeroDivisionError("zero at working precision")
         unit = self.num.div_exact_p(v).unit_inverse()
-        pexp = v - self.pexp
-        if pexp < 0:
-            return K0Elem(self.ring, unit.scale_p(-pexp), 0)
-        return K0Elem(self.ring, unit, pexp)
+        return K0Elem(self.ring, unit, 0).mul_p_power(self.pexp - v)
 
     def frobenius(self):
         return K0Elem(self.ring, self.num.frobenius(), self.pexp)
@@ -1445,9 +1486,8 @@ class KElem(_PExp):
                      for rr in range(1, cfg.e)]
             mdet = det(minor) if minor else cfg.witt.one()
             adj.append(mdet if i % 2 == 0 else -mdet)
-        num, pexp = cfg.k_elem([a * unit_inv for a in adj]).num, d - self.pexp
-        return KElem(cfg, num.scale_p(-pexp), 0) if pexp < 0 else \
-            KElem(cfg, num, pexp)
+        return cfg.k_elem([a * unit_inv for a in adj]).mul_p_power(
+            self.pexp - d)
 
     def residue(self):
         """Image in the residue field k (requires valuation >= 0)."""

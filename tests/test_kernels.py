@@ -1,5 +1,6 @@
 """The int kernels of S/Fil^p S and K against the coefficient-object loops
-they replaced, which are kept here as reference implementations only.
+they replaced, which are kept here as reference implementations only, and
+the memoized determinant against the recursive cofactor expansion.
 
 Inputs have coefficients of reduced precision and coefficients that are
 zero as known, so every precision rule of the kernels is exercised: the
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from padicpolygons import DivisibilityError, PrecisionError, RingConfig
-from padicpolygons.arith import STrunc, TildePoly
+from padicpolygons.arith import KElem, STrunc, TildePoly, det
 
 RINGS = {
     (7, 2, 2): ([-7, 0, 1], 7),
@@ -471,3 +472,122 @@ def test_flat_ops_claim_only_digits_of_the_lifts(cfg):
         claims_hold(lambda a, b: a.mul_w(b.constant_term()).coeffs, x, w)
         for s in (1, 2):
             claims_hold(lambda a: a.tronc(s).coeffs, x)
+
+
+# ---------------------------------------------------------------------------
+# the degree-aware paths: operands short of ep coefficients, whose zeros
+# above the values may be known to fewer than N digits
+
+
+def short_strunc(cfg, rng, top, zero_prec=None):
+    """A rough element of degree top (its top coefficient nonzero) whose
+    zeros above are known to zero_prec digits each, or to random ones."""
+    coeffs = [rough_witt(cfg, rng) for _ in range(top)]
+    coeffs.append(cfg.w((rng.randrange(1, cfg.p),) + (0,) * (cfg.m - 1),
+                        rng.randrange(1, cfg.prec + 1)))
+    return cfg.s(coeffs + [
+        cfg.w(0, zero_prec or rng.randrange(1, cfg.prec + 1))
+        for _ in range(cfg.e * cfg.p - top - 1)])
+
+
+def degree_pairs(cfg, seed):
+    """A zero operand, pairs of degree 0, pairs whose product needs no
+    division (deg a + deg b < ep) and pairs that cross ep, each with its
+    zeros above known to N digits and to fewer."""
+    rng, ep, N = random.Random(seed), cfg.e * cfg.p, cfg.prec
+    tops = [(0, 0), (0, ep // 2), (ep // 3, ep // 2 - 1), (ep // 2, ep // 2),
+            (ep - 1, 1), (ep - 2, ep - 1)]
+    pairs = []
+    for zp in (N, None):
+        zero = cfg.s([cfg.w(0, zp or rng.randrange(1, N + 1))
+                      for _ in range(ep)])
+        x = short_strunc(cfg, rng, rng.randrange(ep), zp)
+        pairs += [(zero, x), (x, zero)]
+        pairs += [(short_strunc(cfg, rng, ta, zp),
+                   short_strunc(cfg, rng, tb, zp)) for ta, tb in tops]
+    return pairs
+
+
+def test_short_products_match_reference(cfg):
+    for x, y in degree_pairs(cfg, 16):
+        same(lambda: x * y, lambda: ref_mul(x, y))
+        same(lambda: y * x, lambda: ref_mul(y, x))
+
+
+def test_reduced_digit_of_a_short_operand_reaches_past_the_product(cfg):
+    """A nonzero coefficient known to 2 digits caps every raw coefficient
+    it meets, zeros of the other operand included, so the product of a
+    constant and u knows 2 digits up to u^{ep-1}."""
+    ep, N = cfg.e * cfg.p, cfg.prec
+    a = cfg.s([cfg.w(1 + cfg.p, prec=2)])
+    for y in (cfg.s_u(1), cfg.s([0, 1, 2]), cfg.s_u(ep - 1)):
+        for x, z in ((a, y), (y, a)):
+            same(lambda: x * z, lambda: ref_mul(x, z))
+        assert (a * y).precs == [2] * ep
+    assert (cfg.s_u(1) * cfg.s_u(2)).precs == [N] * ep
+
+
+def test_short_division_paths_match_reference(cfg):
+    """tronc, mod_E, divrem_E, val_E, mul_u and phi of short elements."""
+    rng, E = random.Random(17), cfg.s_E()
+    elems = [x for pair in degree_pairs(cfg, 17) for x in pair]
+    for x in elems:
+        same(x.mul_u, lambda: ref_mul_u(x))
+        for s in (1, 2):
+            same(lambda: x.divrem_E(s), lambda: ref_divrem_E(x, s))
+            agree(lambda: x.tronc(s), lambda: ref_tronc(x, s))
+        agree(lambda: x.mod_E().num,
+              lambda: type(x)(cfg, ref_divrem_E(x, 1)[1]))
+    for x in elems[:trials(cfg, 12, 4)]:
+        same(x.phi, lambda: ref_phi(x))
+        for _ in range(rng.randrange(3)):
+            x = x * E
+        try:
+            want = ref_val_E(x)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                x.val_E()
+            continue
+        assert x.val_E() == want
+
+
+# ---------------------------------------------------------------------------
+# the memoized determinant against the recursive cofactor expansion
+
+
+def ref_det(rows):
+    """Cofactor expansion along the first row, recomputing every minor."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(n):
+        term = rows[0][j] * ref_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_det_matches_the_recursive_expansion(cfg):
+    """W and K matrices with n <= 6 and reduced precisions: the same
+    coordinates, precisions and p-prefixes."""
+    rng = random.Random(18)
+    for n in range(1, 7):
+        rows = [[rough_witt(cfg, rng) for _ in range(n)] for _ in range(n)]
+        got, want = det(rows), ref_det(rows)
+        assert (got.coords, got.prec) == (want.coords, want.prec)
+    for n in range(1, trials(cfg, 7, 5)):
+        rows = [[KElem(cfg, rough_k(cfg, rng).num, rng.randrange(3))
+                 for _ in range(n)] for _ in range(n)]
+        try:
+            want = ref_det(rows)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                det(rows)
+            continue
+        got = det(rows)
+        assert (got.num.flat, got.num.precs, got.pexp) == \
+            (want.num.flat, want.num.precs, want.pexp)
