@@ -1,13 +1,15 @@
-"""Elementary-divisor exponents over the three "principal" carriers, adapted
-bases, and the dictionaries turning exponents into Hodge weights.
+"""Elementary-divisor exponents over the three "principal" carriers, a
+linear solver over the same carriers, and the dictionary turning
+exponents into Hodge weights.
 
 Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep} with u;
 and W/p^N with p.  In each, the exponents n_1 <= ... <= n_d of a submodule
-containing the r-th power of the maximal element are characterized by
-n_1 + ... + n_k = (smallest valuation of a k x k minor of a generator
-matrix).  The production path is a Smith-style reduction with a minimal-
-valuation pivot; exhaustive minor enumeration is kept alongside as the
-independent oracle.
+containing the r-th power of the maximal element (the exponents of an
+adapted basis) are characterized by n_1 + ... + n_k = (smallest valuation
+of a k x k minor of a generator matrix).  The production path is a
+Smith-style reduction with a minimal-valuation pivot; exhaustive minor
+enumeration is kept alongside as the independent oracle.  Only the
+exponents are read: the pipeline never needs the adapted basis itself.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def carrier_by_name(cfg, name):
     return table[name](cfg)
 
 
-def minor_exponents(rows, carrier, k_max=None):
+def minor_exponents(rows, carrier):
     """Exponents read off minimal k x k minor valuations (the oracle path).
 
     ``rows`` is a d x D matrix of carrier elements, d <= D.  Exponential in
@@ -142,9 +144,8 @@ def minor_exponents(rows, carrier, k_max=None):
         raise ValueError("need at least as many generators as the rank")
     if d > 4:
         raise ValueError("minor enumeration is restricted to d <= 4")
-    k_max = d if k_max is None else min(k_max, d)
     mins = []
-    for k in range(1, k_max + 1):
+    for k in range(1, d + 1):
         best = carrier.cap
         for rsel in combinations(range(d), k):
             for csel in combinations(range(D), k):
@@ -168,10 +169,10 @@ def minor_exponents(rows, carrier, k_max=None):
 def smith_reduce(rows, carrier, track=False):
     """Diagonalize by row/column operations with minimal-valuation pivots.
 
-    Returns (pivot_vals, T, Tinv, C) where pivot_vals[i] is the valuation of
-    the i-th pivot (carrier.cap for an exhausted matrix), and, when track is
-    set, T (row transform), Tinv (its inverse) and C (column transform) with
-    T * M * C = diag(pi^{pivot_vals}).  The matrix is consumed.
+    Returns (pivot_vals, T, C) where pivot_vals[i] is the valuation of the
+    i-th pivot (carrier.cap for an exhausted matrix), and, when track is
+    set, the row transform T and the column transform C with
+    T * M * C = diag(pi^{pivot_vals}); otherwise T and C are None.
 
     Fraction-free carriers are cleared by cross-multiplication (the pivot's
     unit cofactor scales the target row), which preserves all minor
@@ -184,11 +185,10 @@ def smith_reduce(rows, carrier, track=False):
         raise ValueError(f"carrier {carrier.name!r} does not support "
                          "transform tracking")
     M = [list(r) for r in rows]
-    T = Tinv = C = None
+    T = C = None
     if track:
         one, zero = carrier.one(), carrier.zero()
         T = [[one if i == j else zero for j in range(d)] for i in range(d)]
-        Tinv = [[one if i == j else zero for j in range(d)] for i in range(d)]
         C = [[one if i == j else zero for j in range(D)] for i in range(D)]
     pivot_vals = []
     for s in range(min(d, D)):
@@ -205,8 +205,6 @@ def smith_reduce(rows, carrier, track=False):
             M[s], M[bi] = M[bi], M[s]
             if track:
                 T[s], T[bi] = T[bi], T[s]
-                for row in Tinv:
-                    row[s], row[bi] = row[bi], row[s]
         if bj != s:
             for row in M:
                 row[s], row[bj] = row[bj], row[s]
@@ -230,16 +228,13 @@ def smith_reduce(rows, carrier, track=False):
                     M[i][j] = ws * M[i][j] - wj * M[i][s]
             pivot_vals.append(v)
             continue
-        cofactor = carrier.shift_div(M[s][s], v)
-        unit = carrier.unit_inverse(cofactor)
+        unit = carrier.unit_inverse(carrier.shift_div(M[s][s], v))
         # normalize the pivot row so the pivot is exactly pi^v
         for j in range(D):
             M[s][j] = M[s][j] * unit
         if track:
             for j in range(d):
                 T[s][j] = T[s][j] * unit
-            for i in range(d):
-                Tinv[i][s] = Tinv[i][s] * cofactor
         for i in range(d):
             if i == s:
                 continue
@@ -251,8 +246,6 @@ def smith_reduce(rows, carrier, track=False):
             if track:
                 for j in range(d):
                     T[i][j] = T[i][j] - factor * T[s][j]
-                for k in range(d):
-                    Tinv[k][s] = Tinv[k][s] + factor * Tinv[k][i]
         for j in range(D):
             if j == s:
                 continue
@@ -266,49 +259,12 @@ def smith_reduce(rows, carrier, track=False):
                     C[i][j] = C[i][j] - C[i][s] * factor
         pivot_vals.append(v)
     pivot_vals += [carrier.cap] * (d - len(pivot_vals))
-    return pivot_vals, T, Tinv, C
+    return pivot_vals, T, C
 
 
-def divisor_exponents(rows, carrier, k_max=None):
+def divisor_exponents(rows, carrier):
     """Elementary-divisor exponents n_1 <= ... <= n_d (reduction path)."""
-    d = len(rows)
-    k_max = d if k_max is None else min(k_max, d)
-    vals, _, _, _ = smith_reduce(rows, carrier)
-    return sorted(vals)[:k_max]
-
-
-class AdaptedBasis:
-    """Basis of the ambient module plus ascending exponents such that the
-    submodule is spanned by pi^{n_i} * e_i (together with pi^cap = 0)."""
-
-    def __init__(self, basis, exponents):
-        self.basis = basis          # list of columns (tuples of elements)
-        self.exponents = exponents  # ascending list of ints
-
-    def __repr__(self):
-        return f"AdaptedBasis(exponents={self.exponents})"
-
-
-def adapted_basis(gens, rank, carrier, bound=None):
-    """Adapted basis for the submodule generated by ``gens``.
-
-    ``gens`` is a list of length-``rank`` coordinate vectors.  When ``bound``
-    is given, the exponents are required to be <= bound (the submodule must
-    contain pi^bound times the ambient module).
-    """
-    if not gens:
-        raise ValueError("no generators")
-    rows = [[g[i] for g in gens] for i in range(rank)]
-    vals, _, Tinv, _ = smith_reduce(rows, carrier, track=True)
-    if any(v >= carrier.cap for v in vals):
-        raise ValueError("generators do not span a full-rank submodule")
-    cols = [tuple(Tinv[i][j] for i in range(rank)) for j in range(rank)]
-    order = sorted(range(rank), key=lambda j: vals[j])
-    basis = [cols[j] for j in order]
-    exponents = [vals[j] for j in order]
-    if bound is not None and exponents[-1] > bound:
-        raise ValueError(f"exponent {exponents[-1]} exceeds the bound {bound}")
-    return AdaptedBasis(basis, exponents)
+    return sorted(smith_reduce(rows, carrier)[0])
 
 
 def span_solver(columns, carrier, rank):
@@ -323,7 +279,7 @@ def span_solver(columns, carrier, rank):
     if not n:
         return lambda target: None
     rows = [[col[i] for col in columns] for i in range(rank)]
-    vals, T, _, C = smith_reduce(rows, carrier, track=True)
+    vals, T, C = smith_reduce(rows, carrier, track=True)
 
     def solve(target):
         # T * target must be solvable against diag(pi^{vals})
@@ -359,25 +315,12 @@ def span_solver(columns, carrier, rank):
     return solve
 
 
-def hodge_weights(exponents, r, e, mode):
-    """Hodge weights from adapted-basis exponents.
-
-    mode "integral": h_i = r - n_i for exponents in [0, r];
-    mode "modp":     h_i = r - n_i/e for exponents in [0, er].
-    Returned ascending.
-    """
-    if mode == "integral":
-        hi = r
-    elif mode == "modp":
-        hi = e * r
-    else:
-        raise ValueError("mode must be 'integral' or 'modp'")
+def hodge_weights(exponents, r, e):
+    """Hodge weights h_i = r - n_i/e of the mod-p exponents n_i in [0, er],
+    ascending.  In rank 1 this is the tame inertia weight of Fil^r = u^n."""
     out = []
     for n in exponents:
-        if not 0 <= n <= hi:
-            raise ValueError(f"exponent {n} outside [0, {hi}]")
-        if mode == "integral":
-            out.append(Fraction(r - n))
-        else:
-            out.append(Fraction(e * r - n, e))
+        if not 0 <= n <= e * r:
+            raise ValueError(f"exponent {n} outside [0, {e * r}]")
+        out.append(Fraction(e * r - n, e))
     return sorted(out)

@@ -97,27 +97,29 @@ def _power(x, n, one, mul=operator.mul):
 
 
 def det(rows):
-    """Cofactor-expansion determinant of a small nonempty square matrix,
-    along the first row.  minors[cols], the determinant of the last
-    len(cols) rows on the columns cols, is computed once, bottom rows up."""
+    """Determinant of a small nonempty square matrix (see _cofactors)."""
+    return _cofactors(rows)[0]
+
+
+def _cofactors(rows):
+    """(det, minors) of an n x n matrix: its expansion along the first row,
+    and minors[cols], the determinant of rows 1..n-1 on the n - 1 columns
+    cols ({} if n = 1).  Each lower-row minor is computed once, bottom up."""
     n = len(rows)
     if n == 1:
-        return rows[0][0]
+        return rows[0][0], {}
     a, b = rows[-2], rows[-1]   # the 2 x 2 minors, as the recursion forms them
+    lower = {(0,): b[0], (1,): b[1]}    # replaced unless n = 2
     minors = {(i, j): a[i] * b[j] - a[j] * b[i]
               for i, j in itertools.combinations(range(n), 2)}
     for r in range(n - 3, -1, -1):
-        nxt = {}
+        lower, minors = minors, {}
         for cols in itertools.combinations(range(n), n - r):
-            acc = None
             for j, c in enumerate(cols):
-                term = rows[r][c] * minors[cols[:j] + cols[j + 1:]]
-                if j % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            nxt[cols] = acc
-        minors = nxt
-    return minors[tuple(range(n))]
+                term = rows[r][c] * lower[cols[:j] + cols[j + 1:]]
+                acc = term if j == 0 else acc + (-term if j % 2 else term)
+            minors[cols] = acc
+    return minors[tuple(range(n))], lower
 
 
 def _coord_mul(a, b, modulus, q):
@@ -1473,20 +1475,17 @@ class KElem(_PExp):
         cfg = self.cfg
         if self.is_zero():
             raise ZeroDivisionError("zero at working precision")
-        M = self._mult_matrix()
-        norm = det(M)
+        norm, minors = _cofactors(self._mult_matrix())
         d = norm.val()
         if d == norm.prec:
             raise PrecisionError("norm vanishes at working precision")
         unit_inv = norm.div_exact_p(d).unit_inverse()
         # first column of the adjugate: signed minors along the first row
-        adj = []
-        for i in range(cfg.e):
-            minor = [[M[rr][cc] for cc in range(cfg.e) if cc != i]
-                     for rr in range(1, cfg.e)]
-            mdet = det(minor) if minor else cfg.witt.one()
-            adj.append(mdet if i % 2 == 0 else -mdet)
-        return cfg.k_elem([a * unit_inv for a in adj]).mul_p_power(
+        cols = range(cfg.e)
+        adj = [minors[tuple(c for c in cols if c != i)] for i in cols] \
+            if minors else [cfg.witt.one()]
+        return cfg.k_elem([(-a if i % 2 else a) * unit_inv
+                           for i, a in enumerate(adj)]).mul_p_power(
             self.pexp - d)
 
     def residue(self):

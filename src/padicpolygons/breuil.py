@@ -208,33 +208,25 @@ def build_elements(params, norm):
 
 @dataclass
 class StrongLattice:
-    """Lattice spanned by f_1 = Z e_1 + p^{n2-n1} e_2 and f_2 = p^n e_1,
-    with its Fil^r generators stored as (f_1, f_2)-coordinate pairs."""
+    """Lattice spanned by f_1 = Z e_1 + e_2 and f_2 = p e_1 (n1 = n2 = 1),
+    with its Fil^2 generators stored as (f_1, f_2)-coordinate pairs."""
 
     cfg: object
-    n1: int
-    n2: int
-    n: int
     Z: STrunc
     fil_gens: list           # [(name, (A, B))], or (name, Exception)
     elements: object = None  # FamilyElements when built from the family
 
     def e_coords(self, A, B):
         """(x, y) with A f_1 + B f_2 = x e_1 + y e_2."""
-        x = A * self.Z + B.scale_p(self.n)
-        y = A.scale_p(self.n2 - self.n1)
-        return x, y
+        return A * self.Z + B.scale_p(1), A
 
     def f_coords(self, x, y):
         """(A, B) with x e_1 + y e_2 = A f_1 + B f_2 (exact divisions)."""
-        A = y.div_exact_p(self.n2 - self.n1) if self.n2 > self.n1 else y
-        B = (x - A * self.Z).div_exact_p(self.n)
-        return A, B
+        return y, (x - y * self.Z).div_exact_p(1)
 
 
-def _m_of(elements, A, Z=None):
+def _m_of(elements, A, Z):
     """m(A) = A f_1 + (1/p) tronc_2(A (L_2 - Z)) f_2, as (f_1, f_2)-coords."""
-    Z = elements.Z if Z is None else Z
     Y = A * (elements.PL2 - Z.scale_p(1))
     B = Y.tronc(2).div_exact_p(2)
     return (A, B)
@@ -256,7 +248,7 @@ def _lattice(elements, Z, failures=()):
             gens.append((name, exc))
     gens.append(("E^2*f1", (E2, cfg.s_zero())))
     gens.append(("E^2*f2", (cfg.s_zero(), E2)))
-    return StrongLattice(cfg, 1, 1, 1, Z, gens, elements)
+    return StrongLattice(cfg, Z, gens, elements)
 
 
 def strong_lattice(elements):
@@ -283,8 +275,8 @@ class DivisibilityReport:
         return self.images_generate and all(ok for _, ok, _ in self.entries)
 
 
-def verify_strong_divisibility(lat, r=2):
-    """Check phi(g) in p^r M generator by generator, and that the divided
+def verify_strong_divisibility(lat):
+    """Check phi(g) in p^2 M generator by generator, and that the divided
     images generate the reduction mod p."""
     entries = []
     images = []
@@ -294,21 +286,19 @@ def verify_strong_divisibility(lat, r=2):
             continue
         A, B = data
         x, y = lat.e_coords(A, B)
-        phix = x.phi().scale_p(lat.n1)
-        phiy = y.phi().scale_p(lat.n2)
         try:
-            fA, fB = lat.f_coords(phix, phiy)
+            fA, fB = lat.f_coords(x.phi().scale_p(1), y.phi().scale_p(1))
         except (DivisibilityError, PrecisionError) as exc:
             entries.append((name, False, f"phi(g) is not in the lattice: {exc}"))
             continue
         vA, vB = fA.val_p(), fB.val_p()
-        if vA >= r and vB >= r:
-            entries.append((name, True, f"phi(g) in p^{r} M"))
-            images.append((name, (fA.div_exact_p(r).reduce_mod_p(),
-                                  fB.div_exact_p(r).reduce_mod_p())))
+        if vA >= 2 and vB >= 2:
+            entries.append((name, True, "phi(g) in p^2 M"))
+            images.append((name, (fA.div_exact_p(2).reduce_mod_p(),
+                                  fB.div_exact_p(2).reduce_mod_p())))
         else:
             entries.append((name, False,
-                            f"phi(g) f-coordinate valuations ({vA}, {vB}) < {r}"))
+                            f"phi(g) f-coordinate valuations ({vA}, {vB}) < 2"))
     # the divided images must generate mod (p, u): some 2x2 minor is a unit
     cols = [img for _, img in images]
     gen_ok = any(_minor_is_unit(cols[i], cols[j])
@@ -329,23 +319,17 @@ def _minor_is_unit(x, y):
 
 @dataclass
 class TildeObject:
-    """Rank-d object over k[u]/u^{ep}: filtration generators, their divided
-    Frobenius images, and the monodromy marker."""
+    """Rank-d object over k[u]/u^{ep}: filtration generators and their
+    divided Frobenius images.  N kills the basis, so N acts coordinatewise."""
 
     cfg: object
     rank: int
     fil_gens: list           # list of coordinate tuples (TildePoly, ...)
     phi_images: list         # parallel list
-    n_op: object = "zero"    # "zero" or a rank x rank matrix of TildePoly
 
     def n_of(self, vec):
-        """Coordinate Leibniz monodromy against the stored basis action."""
-        out = [c.monodromy() for c in vec]
-        if self.n_op != "zero":
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    out[i] = out[i] + vec[j] * self.n_op[i][j]
-        return tuple(out)
+        """Coordinatewise monodromy of a vector (N(e_i) = 0)."""
+        return tuple(c.monodromy() for c in vec)
 
 
 def reduce_mod_p(lat, report=None):
@@ -357,7 +341,7 @@ def reduce_mod_p(lat, report=None):
         raise ValueError("reduction needs the family elements")
     cfg = lat.cfg
     if report is None:
-        report = verify_strong_divisibility(lat, r=2)
+        report = verify_strong_divisibility(lat)
     if not report.all_passed:
         raise VerificationError("cannot reduce an unverified lattice")
     direct = dict(report.phi2_images)
@@ -455,18 +439,9 @@ def solve_eqX(rho, alpha, mu, e, j):
     return X
 
 
-def rank1_inertia_weight(s, e, r):
-    """Tame inertia weight of a rank-1 object with Fil^r = u^s:
-    the Hodge weight r - s/e."""
-    if not 0 <= s <= e * r:
-        raise ValueError(f"exponent {s} outside [0, {e * r}]")
-    return Fraction(e * r - s, e)
-
-
-def inertia_polygon(case_tag, v, e, r=2):
-    """Slopes (1-v, 1+v) for 0 <= v < 1, and (0, 2) for v >= 1 or infinite."""
-    if r != 2:
-        raise ValueError("the family polygon is only defined for r = 2")
+def inertia_polygon(v):
+    """The family's tame inertia polygon (r = 2) from v = v_p(t(pi)):
+    slopes (1-v, 1+v) for 0 <= v < 1, and (0, 2) for v >= 1 or infinite."""
     if v == INF or v >= 1:
         return polygons.from_slopes([0, 2])
     v = Fraction(v)
@@ -702,13 +677,13 @@ def analyze_family(params):
     norm = normalize_L(params.L)
     elements = build_elements(params, norm)
     lat = strong_lattice(elements)
-    report = verify_strong_divisibility(lat, r=2)
+    report = verify_strong_divisibility(lat)
     tilde = reduce_mod_p(lat, report)
     classification = classify_rank2(tilde)
     exps_E, exps_u = _family_exponents(cfg, lat)
     hodge_Mbar = polygons.from_slopes(
-        adapted.hodge_weights(exps_u, 2, cfg.e, "modp"))
-    inertia = inertia_polygon(elements.case_tag, elements.v, cfg.e)
+        adapted.hodge_weights(exps_u, 2, cfg.e))
+    inertia = inertia_polygon(elements.v)
 
     verdicts = []
     vL = norm.L.val_p()
@@ -827,7 +802,7 @@ def pseudo_counterexample(n, p, prec=None):
     exps = adapted.divisor_exponents([[c[i] for c in cols] for i in range(2)],
                                      uc)
     hodge_Mbar = polygons.from_slopes(
-        adapted.hodge_weights(exps, r, 1, "modp"))
+        adapted.hodge_weights(exps, r, 1))
     inertia_bound = hodge_Mbar
 
     # Newton polygon of the Frobenius matrix over K0 (u -> 0 sends c to c(0))

@@ -1,4 +1,4 @@
-"""Elementary-divisor exponents, adapted bases, Hodge-weight dictionaries."""
+"""Elementary-divisor exponents, the span solver, Hodge weights."""
 
 import random
 from fractions import Fraction
@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicpolygons import (ECarrier, PCarrier, RingConfig, UCarrier,
-                           adapted_basis, divisor_exponents, hodge_weights,
-                           minor_exponents)
+                           divisor_exponents, hodge_weights, minor_exponents)
 from padicpolygons.adapted import smith_reduce, span_solver
 from padicpolygons.oracle import (exponent_paths_agree, random_matrix,
                                   random_strunc, random_tilde, random_witt)
@@ -110,7 +109,7 @@ def _unimodular(cfg, carrier, rng, n):
 
 
 def test_tracked_smith_transforms(cfg7, rng):
-    # planted M = U diag(pi^n) V: T M C = diag(pi^v), T Tinv = Tinv T = I
+    # planted M = U diag(pi^n) V: T M C = diag(pi^v)
     for carrier in (UCarrier(cfg7), PCarrier(cfg7)):
         for exps in ((0, 2), (1, 2), (0, 1, 2), (1, 1, 2)):
             d, D = len(exps), len(exps) + 1
@@ -118,100 +117,81 @@ def test_tracked_smith_transforms(cfg7, rng):
                 M = _matmul(carrier, _unimodular(cfg7, carrier, rng, d),
                             _matmul(carrier, _diag(carrier, exps, d, D),
                                     _unimodular(cfg7, carrier, rng, D)))
-                vals, T, Tinv, C = smith_reduce([list(r) for r in M],
-                                                carrier, track=True)
+                vals, T, C = smith_reduce([list(r) for r in M], carrier,
+                                          track=True)
                 assert sorted(vals) == list(exps)
                 assert _matmul(carrier, _matmul(carrier, T, M), C) == \
                     _diag(carrier, vals, d, D)
-                eye = _identity(carrier, d)
-                assert _matmul(carrier, T, Tinv) == eye
-                assert _matmul(carrier, Tinv, T) == eye
+
+
+def _combination(carrier, columns, x):
+    return [sum((xj * col[i] for xj, col in zip(x, columns)), carrier.zero())
+            for i in range(len(columns[0]))]
+
+
+def test_span_solver_solves_members_of_the_span(cfg7, rng):
+    # over k[u]/u^{ep}, the carrier classify_rank2 solves over: members
+    # sum x_j col_j are solved exactly, and a vector off u * ambient is not
+    # in a span of columns that all lie in u * ambient
+    uc = UCarrier(cfg7)
+    for _ in range(20):
+        columns = [[entry * uc.pi_power(rng.randrange(1, 3)) for entry in col]
+                   for col in random_matrix(cfg7, uc, rng, 3, 2, 2)]
+        solve = span_solver(columns, uc, 2)
+        for _ in range(3):
+            x = [r[0] for r in random_matrix(cfg7, uc, rng, 3, 1, 2)]
+            target = _combination(uc, columns, x)
+            got = solve(list(target))
+            assert got is not None
+            assert _combination(uc, columns, got) == target
+        assert solve([uc.one(), uc.zero()]) is None
+    assert span_solver([], uc, 2)([uc.zero(), uc.zero()]) is None
 
 
 def test_adapted_basis_diagonal_example(cfg7):
+    # the exponents of an adapted basis of span(u^2 e_1, e_2), within e * r
     uc = UCarrier(cfg7)
-    gens = [(uc.pi_power(2), cfg7.tilde_zero()),
-            (cfg7.tilde_zero(), cfg7.tilde_one())]
-    ab = adapted_basis(gens, 2, uc, bound=cfg7.e * cfg7.r)
-    assert ab.exponents == [0, 2]
-
-
-def test_adapted_basis_reconstruction(cfg7, rng):
-    # the generated submodule is recovered from the basis and exponents:
-    # each generator lies in span(pi^{n_i} e_i), and each pi^{n_i} e_i lies
-    # in the generator span
-    uc = UCarrier(cfg7)
-    for _ in range(10):
-        gens = []
-        for _ in range(3):
-            v = rng.randrange(0, 3)
-            gens.append((random_tilde(cfg7, rng, 5) * uc.pi_power(v),
-                         random_tilde(cfg7, rng, 5) * uc.pi_power(rng.randrange(0, 3))))
-        gens.append((uc.pi_power(3), cfg7.tilde_zero()))
-        gens.append((cfg7.tilde_zero(), uc.pi_power(3)))
-        ab = adapted_basis(gens, 2, uc)
-        scaled = [tuple(c * uc.pi_power(n) for c in col)
-                  for col, n in zip(ab.basis, ab.exponents)]
-        in_scaled = span_solver(scaled, uc, 2)
-        for g in gens:
-            assert in_scaled(list(g)) is not None
-        in_gens = span_solver([list(g) for g in gens], uc, 2)
-        for col in scaled:
-            assert in_gens(list(col)) is not None
-
-
-def test_adapted_basis_exponents_match_divisor_exponents(cfg7, rng):
-    uc = UCarrier(cfg7)
-    for _ in range(10):
-        gens = [(random_tilde(cfg7, rng, 6), random_tilde(cfg7, rng, 6))
-                for _ in range(3)]
-        gens.append((uc.pi_power(4), cfg7.tilde_zero()))
-        gens.append((cfg7.tilde_zero(), uc.pi_power(4)))
-        rows = [[g[i] for g in gens] for i in range(2)]
-        ab = adapted_basis(gens, 2, uc)
-        assert ab.exponents == divisor_exponents(rows, uc)
+    rows = [[uc.pi_power(2), cfg7.tilde_zero()],
+            [cfg7.tilde_zero(), cfg7.tilde_one()]]
+    assert divisor_exponents(rows, uc) == [0, 2]
+    assert hodge_weights([0, 2], cfg7.r, cfg7.e) == [1, 2]
 
 
 def test_adapted_basis_invariance_under_base_change(cfg7, rng):
+    # adapted-basis exponents do not depend on the presentation
     uc = UCarrier(cfg7)
     for _ in range(10):
         n1, n2 = sorted((rng.randrange(0, 4), rng.randrange(0, 4)))
         gens = [(uc.pi_power(n1), cfg7.tilde_zero()),
                 (cfg7.tilde_zero(), uc.pi_power(n2))]
-        # random invertible change of presentation
         x = random_tilde(cfg7, rng, 4)
         g0 = (gens[0][0] + x * gens[1][0], gens[0][1] + x * gens[1][1])
-        ab = adapted_basis([g0, gens[1]], 2, uc)
-        assert ab.exponents == [n1, n2]
+        rows = [[g[i] for g in (g0, gens[1])] for i in range(2)]
+        assert divisor_exponents(rows, uc) == [n1, n2]
 
 
-def test_adapted_basis_rejects_rank_deficiency(cfg7):
-    uc = UCarrier(cfg7)
-    gens = [(cfg7.tilde_one(), cfg7.tilde_zero())]
-    with pytest.raises(ValueError):
-        adapted_basis(gens, 2, uc)
+def test_tracked_smith_exponents_match_divisor_exponents(cfg7, rng):
+    # tracking the transforms does not change the pivot valuations
+    for carrier in (UCarrier(cfg7), PCarrier(cfg7)):
+        for _ in range(10):
+            rows = random_matrix(cfg7, carrier, rng, 2, 3, 3)
+            vals, _, _ = smith_reduce(rows, carrier, track=True)
+            assert sorted(vals) == divisor_exponents(rows, carrier)
 
 
-def test_adapted_basis_bound_enforced(cfg7):
-    uc = UCarrier(cfg7)
-    gens = [(uc.pi_power(5), cfg7.tilde_zero()),
-            (cfg7.tilde_zero(), cfg7.tilde_one())]
-    with pytest.raises(ValueError):
-        adapted_basis(gens, 2, uc, bound=4)
-
-
-def test_adapted_basis_not_tracked_over_E(cfg7):
+def test_smith_reduce_not_tracked_over_E(cfg7):
     ec = ECarrier(cfg7)
-    gens = [(cfg7.s_one(), cfg7.s_zero()), (cfg7.s_zero(), cfg7.s_one())]
+    rows = [[cfg7.s_one(), cfg7.s_zero()], [cfg7.s_zero(), cfg7.s_one()]]
     with pytest.raises(ValueError):
-        adapted_basis(gens, 2, ec)
+        smith_reduce(rows, ec, track=True)
+    assert smith_reduce(rows, ec)[0] == [0, 0]
 
 
 def test_hodge_weights_examples():
-    assert hodge_weights([0, 2], 2, 1, "integral") == [0, 2]
-    assert hodge_weights([1, 3], 2, 2, "modp") == \
-        [Fraction(1, 2), Fraction(3, 2)]
+    assert hodge_weights([3, 1], 2, 2) == [Fraction(1, 2), Fraction(3, 2)]
+    assert hodge_weights([0, 4], 2, 2) == [0, 2]
     # the pseudo-module at r = 2n, exponents (n, n)
-    assert hodge_weights([2, 2], 4, 1, "modp") == [2, 2]
-    with pytest.raises(ValueError):
-        hodge_weights([3], 2, 1, "integral")
+    assert hodge_weights([2, 2], 4, 1) == [2, 2]
+    for bad in ([5], [-1], [0, 5]):
+        with pytest.raises(ValueError):
+            hodge_weights(bad, 2, 2)

@@ -9,10 +9,10 @@ import pytest
 from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            TildeObject, VerificationError, analyze_family,
                            build_elements, classify_rank2, from_slopes,
-                           inertia_polygon, normalize_L, phi2_image,
-                           pseudo_counterexample, rank1_inertia_weight,
-                           reduce_mod_p, sabotaged_lattice, solve_eqX,
-                           strong_lattice, verify_strong_divisibility)
+                           hodge_weights, inertia_polygon, normalize_L,
+                           phi2_image, pseudo_counterexample, reduce_mod_p,
+                           sabotaged_lattice, solve_eqX, strong_lattice,
+                           verify_strong_divisibility)
 from padicpolygons import adapted
 from padicpolygons.breuil import _minor_is_unit
 from padicpolygons.oracle import (eqX_substitution, random_tilde,
@@ -135,7 +135,7 @@ def test_strong_divisibility(cfg7, which):
     params = FamilyParams(cfg7, 1, 1, L)
     el = build_elements(params, normalize_L(L))
     lat = strong_lattice(el)
-    report = verify_strong_divisibility(lat, r=2)
+    report = verify_strong_divisibility(lat)
     assert report.all_passed, report.entries
 
 
@@ -144,7 +144,7 @@ def test_sabotage_fails_on_m_ptE(cfg7, which):
     L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
     params = FamilyParams(cfg7, 1, 1, L)
     el = build_elements(params, normalize_L(L))
-    report = verify_strong_divisibility(sabotaged_lattice(el), r=2)
+    report = verify_strong_divisibility(sabotaged_lattice(el))
     assert not report.all_passed
     verdict = dict((n, ok) for n, ok, _ in report.entries)
     assert verdict["m(p+tE)"] is False
@@ -356,21 +356,25 @@ def test_solve_eqX_rejects_nonunits(cfg7m1):
 
 
 def test_inertia_polygon_values():
-    assert inertia_polygon("ii", Fraction(0), 2) == from_slopes([1, 1])
-    assert inertia_polygon("i", Fraction(1, 2), 2) == \
+    assert inertia_polygon(Fraction(0)) == from_slopes([1, 1])
+    assert inertia_polygon(Fraction(1, 2)) == \
         from_slopes([Fraction(1, 2), Fraction(3, 2)])
-    assert inertia_polygon("i", INF, 2) == from_slopes([0, 2])
-    assert inertia_polygon("i", Fraction(3, 2), 2) == from_slopes([0, 2])
+    assert inertia_polygon(INF) == from_slopes([0, 2])
+    assert inertia_polygon(Fraction(3, 2)) == from_slopes([0, 2])
     for v in (Fraction(0), Fraction(1, 2), INF):
-        assert inertia_polygon("i", v, 2).endpoint[1] == 2
+        assert inertia_polygon(v).endpoint[1] == 2
+    with pytest.raises(ValueError):
+        inertia_polygon(Fraction(-1, 2))
 
 
 def test_rank1_inertia_weight():
-    assert rank1_inertia_weight(0, 2, 2) == 2
-    assert rank1_inertia_weight(4, 2, 2) == 0
-    assert rank1_inertia_weight(1, 2, 2) == Fraction(3, 2)
+    # the tame inertia weight of a rank-1 object with Fil^r = u^s is its
+    # Hodge weight r - s/e
+    assert hodge_weights([0], 2, 2) == [2]
+    assert hodge_weights([4], 2, 2) == [0]
+    assert hodge_weights([1], 2, 2) == [Fraction(3, 2)]
     with pytest.raises(ValueError):
-        rank1_inertia_weight(5, 2, 2)
+        hodge_weights([5], 2, 2)
 
 
 def test_rank1_tame_slope_matches_hodge(cfg7):
@@ -378,7 +382,7 @@ def test_rank1_tame_slope_matches_hodge(cfg7):
     # computed from the filtration exponent e(r - s) is s again
     for s in (0, 1, 2):
         n = cfg7.e * (cfg7.r - s)
-        assert rank1_inertia_weight(n, cfg7.e, cfg7.r) == s
+        assert hodge_weights([n], cfg7.r, cfg7.e) == [s]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The int kernels of S/Fil^p S and K against the coefficient-object loops
 they replaced, which are kept here as reference implementations only, and
-the memoized determinant against the recursive cofactor expansion.
+the memoized determinant and the K inverse against the recursive cofactor
+expansion.
 
 Inputs have coefficients of reduced precision and coefficients that are
 zero as known, so every precision rule of the kernels is exercised: the
@@ -589,5 +590,50 @@ def test_det_matches_the_recursive_expansion(cfg):
                 det(rows)
             continue
         got = det(rows)
+        assert (got.num.flat, got.num.precs, got.pexp) == \
+            (want.num.flat, want.num.precs, want.pexp)
+
+
+def ref_inverse(x):
+    """KElem.inverse through the adjugate, with the norm and each of the e
+    minors of rows 1..e-1 recomputed by ref_det."""
+    if x.is_zero():
+        raise ZeroDivisionError("zero at working precision")
+    cfg, M = x.cfg, x._mult_matrix()
+    norm = ref_det(M)
+    d = norm.val()
+    if d == norm.prec:
+        raise PrecisionError("norm vanishes at working precision")
+    unit_inv = norm.div_exact_p(d).unit_inverse()
+    adj = []
+    for i in range(cfg.e):
+        minor = [r[:i] + r[i + 1:] for r in M[1:]]
+        mdet = ref_det(minor) if minor else cfg.witt.one()
+        adj.append(mdet if i % 2 == 0 else -mdet)
+    return cfg.k_elem([a * unit_inv for a in adj]).mul_p_power(x.pexp - d)
+
+
+@pytest.mark.parametrize("p, m, e, prec", [(13, 1, 5, 8), (17, 2, 7, 10)])
+def test_kelem_inverse_matches_the_recursive_adjugate(p, m, e, prec):
+    """Reduced precisions, p-divisible coefficients and p-prefixes 0-2:
+    the adjugate read from det's own minors gives the same coordinates,
+    precisions and p-prefix as the recursive one, or the same error."""
+    cfg = RingConfig(p, m, e, [-p] + [0] * (e - 1) + [1], prec=prec, r=2)
+    rng = random.Random(e)
+    for _ in range(12):
+        coeffs = []
+        for _ in range(e):
+            pv = 0 if rng.random() < 0.15 else p ** rng.randrange(3)
+            coeffs.append(cfg.w(tuple(rng.randrange(p ** prec) * pv
+                                      for _ in range(m)),
+                                rng.randrange(3, prec + 1)))
+        x = KElem(cfg, cfg.k_elem(coeffs).num, rng.randrange(3))
+        try:
+            want = ref_inverse(x)
+        except (PrecisionError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                x.inverse()
+            continue
+        got = x.inverse()
         assert (got.num.flat, got.num.precs, got.pexp) == \
             (want.num.flat, want.num.precs, want.pexp)
