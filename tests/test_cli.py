@@ -255,6 +255,9 @@ CLI_CASES = {
                                      _family_doc(11, 2, 4, "pi^3+x")),
     "analyze_family_17_2_7_x+pi": (_ANALYZE + ["--prec", "17"],
                                    _family_doc(17, 2, 7, "x+pi")),
+    # classification shape 2, adapted exponents [1, 3]
+    "analyze_family_13_2_2_pi": (_ANALYZE + ["--prec", "13"],
+                                 _family_doc(13, 2, 2, "pi")),
     # exit 2
     "error_unreadable_json": (_ANALYZE, '{"mode": "family",\n'),
     "error_missing_file": (["analyze", "--input", "missing.json"], None),
