@@ -2,14 +2,15 @@
 linear solver over the same carriers, and the dictionary turning
 exponents into Hodge weights.
 
-Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep} with u;
-and W/p^N with p.  In each, the exponents n_1 <= ... <= n_d of a submodule
-containing the r-th power of the maximal element (the exponents of an
-adapted basis) are characterized by n_1 + ... + n_k = (smallest valuation
-of a k x k minor of a generator matrix).  The production path is a
-Smith-style reduction with a minimal-valuation pivot; exhaustive minor
-enumeration is kept alongside as the independent oracle.  Only the
-exponents are read: the pipeline never needs the adapted basis itself.
+Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep}, or a
+shorter k[u]/u^n, with u; and W/p^N with p.  In each, the exponents
+n_1 <= ... <= n_d of a submodule containing the r-th power of the maximal
+element (the exponents of an adapted basis) are characterized by
+n_1 + ... + n_k = (smallest valuation of a k x k minor of a generator
+matrix).  The production path is a Smith-style reduction with a
+minimal-valuation pivot; exhaustive minor enumeration is kept alongside as
+the independent oracle.  Only the exponents are read: the pipeline never
+needs the adapted basis itself.
 """
 
 from __future__ import annotations
@@ -59,19 +60,20 @@ class ECarrier:
 
 
 class UCarrier:
-    """k[u]/u^{ep} with maximal element u; valuations clamp at ep."""
+    """k[u]/u^n with maximal element u, n = ep unless given (1 <= n <= ep);
+    valuations clamp at n, the cap, and elements have length n."""
 
     name = "u"
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, n=None):
         self.cfg = cfg
-        self.cap = cfg.e * cfg.p
+        self.cap = cfg.e * cfg.p if n is None else n
 
     def zero(self):
-        return self.cfg.tilde_zero()
+        return self.cfg.tilde_zero().truncate(self.cap)
 
     def one(self):
-        return self.cfg.tilde_one()
+        return self.cfg.tilde_one().truncate(self.cap)
 
     def val(self, x):
         return x.u_val()
@@ -80,7 +82,7 @@ class UCarrier:
         return x.div_exact_u(n)
 
     def pi_power(self, n):
-        return self.cfg.tilde_u(n)
+        return self.cfg.tilde_u(n).truncate(self.cap)
 
     def unit_inverse(self, x):
         return x.unit_inverse()
@@ -269,15 +271,18 @@ def divisor_exponents(rows, carrier):
 
 def span_solver(columns, carrier, rank):
     """Factor the rank x n matrix of ``columns`` once (one tracked Smith
-    reduction) and return ``solve(target)``: coefficients x with
-    sum(x_j * columns[j]) = target, or None.
+    reduction) and return ``(vals, solve)``: the pivot valuations and
+    ``solve(target)``, coefficients x with sum(x_j * columns[j]) = target,
+    or None.
 
     Linear solve over the local carrier ring; membership fails when a
-    division is inexact or a cleared row of the target is nonzero.
+    division is inexact or a cleared row of the target is nonzero.  Over
+    k[u]/u^n a solution is fixed only mod u^{n - v} in the coordinate of a
+    pivot u^v: any x + C w with u^{v_i} w_i = 0 solves as well.
     """
     n = len(columns)
     if not n:
-        return lambda target: None
+        return [carrier.cap] * rank, lambda target: None
     rows = [[col[i] for col in columns] for i in range(rank)]
     vals, T, C = smith_reduce(rows, carrier, track=True)
 
@@ -312,7 +317,7 @@ def span_solver(columns, carrier, rank):
             x.append(acc)
         return x
 
-    return solve
+    return vals, solve
 
 
 def hodge_weights(exponents, r, e):

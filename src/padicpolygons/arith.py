@@ -10,12 +10,15 @@ Every other ring is built on one of two bases:
 * ``_Poly``, a fixed-length polynomial over W or k.  It owns the coercion
   of constants, the reflected operators and ==.
 
-  - ``TildePoly``: ``k[u]/u^{ep}``, a tuple of ``GFElem`` coefficients, the
-    mod-p residue of ``STrunc``.  It adds phi, the u-valuation and division,
-    and unit inversion.  The inverse runs on packed F_p[w] coordinates
-    (``_pack``/``_unpack``, the one packer, shared with ``_Kernel``); the
-    product, truncated at u^{ep}, is still a loop of ``GFElem`` products
-    until the benchmark's per-operation records are folded (ROADMAP item 4).
+  - ``TildePoly``: ``k[u]/u^n``, a tuple of n ``GFElem`` coefficients; the
+    ring builds n = ep, the mod-p residue of ``STrunc``, and ``truncate``
+    maps it onto a shorter k[u]/u^n.  Operands of one operation have one
+    length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e,
+    the u-valuation and division, and unit inversion.  The inverse runs on
+    packed F_p[w] coordinates (``_pack``/``_unpack``, the one packer, shared
+    with ``_Kernel``); the product, truncated at u^n, is still a loop of
+    ``GFElem`` products until the benchmark's per-operation records are
+    folded (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -1216,7 +1219,10 @@ class STrunc(_WPoly):
 
 
 class TildePoly(_Poly):
-    """Element of k[u]/u^{ep}: a tuple of ep ``GFElem`` coefficients."""
+    """Element of k[u]/u^n: a tuple of n ``GFElem`` coefficients.  The ring
+    builds n = ep, the mod-p residue of ``STrunc``; ``truncate`` gives the
+    image in a shorter k[u]/u^n.  Operands of a ring operation have one
+    length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for n >= e."""
 
     __slots__ = ("coeffs",)
 
@@ -1224,9 +1230,15 @@ class TildePoly(_Poly):
         self.cfg, self.coeffs = cfg, coeffs
 
     def _constant(self, c):
-        return self.cfg.tilde([c])
+        return self.cfg.tilde([c]).truncate(len(self.coeffs))
+
+    def _length_error(self, other):
+        return ValueError(f"operands in k[u]/u^{len(self.coeffs)} and "
+                          f"k[u]/u^{len(other.coeffs)}")
 
     def _zip(self, other, op):
+        if len(other.coeffs) != len(self.coeffs):
+            raise self._length_error(other)
         return TildePoly(self.cfg, tuple(map(op, self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -1242,28 +1254,37 @@ class TildePoly(_Poly):
 
     def __mul__(self, other):
         other = self._coerce(other)
-        ep = self.cfg.e * self.cfg.p
-        out = [self.cfg.gf.zero] * ep
+        n = len(self.coeffs)
+        if len(other.coeffs) != n:
+            raise self._length_error(other)
+        out = [self.cfg.gf.zero] * n
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
-                if i + j >= ep:
+                if i + j >= n:
                     break
                 out[i + j] = out[i + j] + a * b
         return TildePoly(self.cfg, tuple(out))
 
     __rmul__ = __mul__
 
+    def truncate(self, n):
+        """The image in k[u]/u^n, n <= the length."""
+        if n > len(self.coeffs):
+            raise ValueError(f"cannot truncate k[u]/u^{len(self.coeffs)} "
+                             f"to u^{n}")
+        return TildePoly(self.cfg, self.coeffs[:n])
+
     def u_val(self):
         return next((i for i, a in enumerate(self.coeffs) if not a.is_zero()),
-                    self.cfg.e * self.cfg.p)
+                    len(self.coeffs))
 
     def shift_u(self, k):
-        ep = self.cfg.e * self.cfg.p
-        out = [self.cfg.gf.zero] * min(k, ep) + list(self.coeffs[:ep - k])
-        out += [self.cfg.gf.zero] * (ep - len(out))
-        return TildePoly(self.cfg, tuple(out[:ep]))
+        n = len(self.coeffs)
+        out = [self.cfg.gf.zero] * min(k, n) + list(self.coeffs[:n - k])
+        out += [self.cfg.gf.zero] * (n - len(out))
+        return TildePoly(self.cfg, tuple(out[:n]))
 
     def div_exact_u(self, k):
         if k == 0:
@@ -1277,31 +1298,33 @@ class TildePoly(_Poly):
         return not self.coeffs[0].is_zero()
 
     def unit_inverse(self):
-        """Newton iteration y <- y (2 - x y) mod u^n, n doubling up to ep,
-        from the inverse of the constant term.  Each product is one packed
-        bigint product of F_p[w] coordinates, reduced by hbar and mod p."""
+        """Newton iteration y <- y (2 - x y) mod u^k, k doubling up to the
+        length n, from the inverse of the constant term.  Each product is
+        one packed bigint product of F_p[w] coordinates, reduced by hbar and
+        mod p."""
         if not self.is_unit():
-            raise DivisibilityError("not a unit of k[u]/u^{ep}")
+            raise DivisibilityError(f"not a unit of k[u]/u^{len(self.coeffs)}")
         cfg, gf, m, p = self.cfg, self.cfg.gf, self.cfg.m, self.cfg.p
-        ep = cfg.e * p
-        W = (ep * m * p * p).bit_length() // 8 + 1
+        n = len(self.coeffs)
+        W = (n * m * p * p).bit_length() // 8 + 1
 
-        def mul(a, b, n):
+        def mul(a, b, k):
             return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W),
-                                           n, m, W, gf.modulus)]
+                                           k, m, W, gf.modulus)]
 
         x = [c for a in self.coeffs for c in a.coords]
-        y, n = list(self.coeffs[0].inverse().coords), 1
-        while n < ep:
-            n = min(2 * n, ep)
-            t = [-c % p for c in mul(x[:n * m], y, n)]
+        y, k = list(self.coeffs[0].inverse().coords), 1
+        while k < n:
+            k = min(2 * k, n)
+            t = [-c % p for c in mul(x[:k * m], y, k)]
             t[0] = (t[0] + 2) % p
-            y = mul(y, t, n)
-        return TildePoly(cfg, tuple(GFElem(gf, tuple(y[k:k + m]))
-                                    for k in range(0, ep * m, m)))
+            y = mul(y, t, k)
+        return TildePoly(cfg, tuple(GFElem(gf, tuple(y[i:i + m]))
+                                    for i in range(0, n * m, m)))
 
     def phi(self):
-        """Frobenius: x -> x^p on k, u -> u^p."""
+        """Frobenius: x -> x^p on k, u -> u^p, into k[u]/u^{ep}; it reads
+        only the coefficients below u^e."""
         p, e = self.cfg.p, self.cfg.e
         out = [self.cfg.gf.zero] * (e * p)
         for i, a in enumerate(self.coeffs[:e]):
@@ -1312,7 +1335,7 @@ class TildePoly(_Poly):
     def unit_part(self):
         """(u-valuation, unit cofactor); the cofactor of 0 is undefined."""
         v = self.u_val()
-        if v == self.cfg.e * self.cfg.p:
+        if v == len(self.coeffs):
             raise ZeroDivisionError("zero has no unit part")
         return v, self.div_exact_u(v)
 

@@ -534,10 +534,32 @@ def _normalize_generators(obj):
                     for i, g in enumerate(obj.fil_gens)))
 
 
+def _fil2_solver(cfg, gens):
+    """``solve(target)`` against the two Fil^2 generators ``gens``, over
+    k[u]/u^{3e}: the coefficients mod u^{3e}, or None off their span.
+
+    Fil^2 contains u^{er} M (r = 2), so the Smith pivots u^{v_i} of the
+    generators have v_i <= er < 3e = e(r + 1), and membership is decided
+    mod u^{3e}.  Two solutions differ by C w with w_i in u^{3e - v_i},
+    inside u^e, which phi kills.  A pivot above u^{er} raises: such a pair
+    does not generate Fil^2."""
+    er = 2 * cfg.e
+    n = er + cfg.e
+    vals, solve = adapted.span_solver(
+        [[c.truncate(n) for c in g] for g in gens], adapted.UCarrier(cfg, n),
+        2)
+    top = max(vals)
+    if top > er:
+        raise ClassificationError(f"Smith pivot u^{top} of the Fil^2 "
+                                  f"generators lies above u^{er}")
+    return lambda target: solve([c.truncate(n) for c in target])
+
+
 def _phi2_of_member(obj, solve, vec):
     """phi_2 of an element of Fil^2 expressed against the generators, whose
-    factorization ``solve`` (from ``adapted.span_solver``) carries."""
-    coeffs = solve(list(vec))
+    factorization ``solve`` (from ``_fil2_solver``) carries; phi reads the
+    coefficients mod u^e only."""
+    coeffs = solve(vec)
     if coeffs is None:
         return None
     out = [obj.cfg.tilde_zero(), obj.cfg.tilde_zero()]
@@ -599,9 +621,10 @@ def classify_rank2(obj):
 
     # the sub-object: Fil^2 M' = u^{sub_exp} M', generated by u^{sub_exp} m
     gen_fil = tuple(c.shift_u(sub_exp) for c in m_vec)
-    # one factorization of the generators serves both phi_2 targets
-    solve = adapted.span_solver([list(g) for g in obj.fil_gens],
-                                adapted.UCarrier(cfg), 2)
+    # one factorization of the generators serves both phi_2 targets; it is
+    # made mod u^{3e}, where the pivots (at most u^{2e}) decide membership,
+    # and phi of a solution, which reads it mod u^e, is fixed there
+    solve = _fil2_solver(cfg, obj.fil_gens)
     img = _phi2_of_member(obj, solve, gen_fil)
     checks["fil_member"] = img is not None
     lam = _proportional_unit(img, m_vec) if img is not None else None

@@ -8,8 +8,10 @@ import pytest
 from padicpolygons import (ECarrier, PCarrier, RingConfig, UCarrier,
                            divisor_exponents, hodge_weights, minor_exponents)
 from padicpolygons.adapted import smith_reduce, span_solver
+from padicpolygons.breuil import ClassificationError, _fil2_solver
 from padicpolygons.oracle import (exponent_paths_agree, random_matrix,
-                                  random_strunc, random_tilde, random_witt)
+                                  random_strunc, random_tilde,
+                                  random_tilde_unit, random_witt)
 
 
 def _identity(carrier, d):
@@ -137,7 +139,7 @@ def test_span_solver_solves_members_of_the_span(cfg7, rng):
     for _ in range(20):
         columns = [[entry * uc.pi_power(rng.randrange(1, 3)) for entry in col]
                    for col in random_matrix(cfg7, uc, rng, 3, 2, 2)]
-        solve = span_solver(columns, uc, 2)
+        _, solve = span_solver(columns, uc, 2)
         for _ in range(3):
             x = [r[0] for r in random_matrix(cfg7, uc, rng, 3, 1, 2)]
             target = _combination(uc, columns, x)
@@ -145,7 +147,67 @@ def test_span_solver_solves_members_of_the_span(cfg7, rng):
             assert got is not None
             assert _combination(uc, columns, got) == target
         assert solve([uc.one(), uc.zero()]) is None
-    assert span_solver([], uc, 2)([uc.zero(), uc.zero()]) is None
+    vals, solve = span_solver([], uc, 2)
+    assert vals == [uc.cap, uc.cap]
+    assert solve([uc.zero(), uc.zero()]) is None
+
+
+def _planted(cfg, rng, v1, v2):
+    """Columns of U diag(u^v1, u^v2) V over k[u]/u^{ep}, U and V invertible
+    with entries of degree < 4e, and U."""
+    def draw():
+        return random_tilde(cfg, rng, 2 * cfg.e)
+
+    def unit():
+        return random_tilde_unit(cfg, rng, 2 * cfg.e)
+
+    def invertible():
+        lower = [[1, 0], [draw(), 1]]
+        upper = [[unit(), draw()], [0, unit()]]
+        return [[sum((lower[i][k] * upper[k][j] for k in range(2)),
+                     cfg.tilde_zero()) for j in range(2)] for i in range(2)]
+
+    U, V = invertible(), invertible()
+    D = [cfg.tilde_u(v1), cfg.tilde_u(v2)]
+    G = [[U[i][0] * D[0] * V[0][j] + U[i][1] * D[1] * V[1][j]
+          for j in range(2)] for i in range(2)]
+    return [(G[0][j], G[1][j]) for j in range(2)], U
+
+
+@pytest.mark.parametrize("p, m, e", [(7, 2, 2), (11, 2, 4), (13, 2, 4)])
+def test_fil2_solver_agrees_with_the_full_solver(p, m, e):
+    # U diag(u^v1, u^v2) V with v_i <= 2e: the solver over k[u]/u^{3e} and
+    # the one over k[u]/u^{ep} agree on membership and on phi of every
+    # solution coefficient; U (u^w1 c1, u^w2 c2) lies in the span iff
+    # w_i >= v_i for both i
+    cfg = RingConfig(p, m, e, [-p] + [0] * (e - 1) + [1], prec=p, r=2)
+    rng = random.Random(p * 100 + e)
+    uc = UCarrier(cfg)
+    pairs = [(0, 2 * e), (2 * e, 2 * e), (e - 1, e + 1)]
+    pairs.append(tuple(sorted(rng.randrange(2 * e + 1) for _ in range(2))))
+    seen = set()
+    for v in pairs:
+        gens, U = _planted(cfg, rng, *v)
+        _, full = span_solver([list(g) for g in gens], uc, 2)
+        short = _fil2_solver(cfg, gens)
+        for _ in range(4):
+            w = [rng.randrange(3 * e + 1) for _ in range(2)]
+            c = [random_tilde_unit(cfg, rng, 2 * e) * cfg.tilde_u(wi)
+                 for wi in w]
+            target = [U[i][0] * c[0] + U[i][1] * c[1] for i in range(2)]
+            member = all(wi >= vi for wi, vi in zip(w, v))
+            seen.add(member)
+            x, y = full(target), short(target)
+            assert (x is not None) == (y is not None) == member
+            if member:
+                assert len(y[0].coeffs) == 3 * e
+                assert [[a.coords for a in xj.phi().coeffs] for xj in x] == \
+                    [[a.coords for a in yj.phi().coeffs] for yj in y]
+    assert seen == {True, False}
+    # a pivot above u^{2e}: the pair does not contain u^{2e} of the module
+    gens, _ = _planted(cfg, rng, 0, 2 * e + 1)
+    with pytest.raises(ClassificationError, match=f"u\\^{2 * e + 1}"):
+        _fil2_solver(cfg, gens)
 
 
 def test_adapted_basis_diagonal_example(cfg7):

@@ -15,6 +15,7 @@ import pytest
 
 from padicpolygons import DivisibilityError, PrecisionError, RingConfig
 from padicpolygons.arith import KElem, STrunc, TildePoly, det
+from padicpolygons.oracle import random_tilde, random_tilde_unit
 
 RINGS = {
     (7, 2, 2): ([-7, 0, 1], 7),
@@ -637,3 +638,92 @@ def test_kelem_inverse_matches_the_recursive_adjugate(p, m, e, prec):
         got = x.inverse()
         assert (got.num.flat, got.num.precs, got.pexp) == \
             (want.num.flat, want.num.precs, want.pexp)
+
+
+# ---------------------------------------------------------------------------
+# truncation k[u]/u^{ep} -> k[u]/u^n is a ring map, and phi reads only the
+# coefficients below u^e
+
+
+def coords(x):
+    return [c.coords for c in x.coeffs]
+
+
+def tilde_samples(cfg, rng):
+    """Dense elements, units, multiples of powers of u, and zero."""
+    ep = cfg.e * cfg.p
+    out = [random_tilde(cfg, rng) for _ in range(trials(cfg, 8, 3))]
+    out += [random_tilde_unit(cfg, rng) for _ in range(trials(cfg, 4, 2))]
+    out += [random_tilde(cfg, rng) * cfg.tilde_u(rng.randrange(1, ep))
+            for _ in range(trials(cfg, 4, 2))]
+    return out + [cfg.tilde_zero()]
+
+
+def lengths(cfg):
+    e, ep = cfg.e, cfg.e * cfg.p
+    return sorted({1, e, 2 * e, min(3 * e, ep), ep - 1, ep})
+
+
+def test_truncation_commutes_with_the_ring_operations(cfg):
+    rng = random.Random(31)
+    xs = tilde_samples(cfg, rng)
+    for n in lengths(cfg):
+        for x in xs:
+            xn = x.truncate(n)
+            assert len(xn.coeffs) == n
+            y = rng.choice(xs)
+            for op in (operator.add, operator.sub, operator.mul):
+                assert coords(op(x, y).truncate(n)) == \
+                    coords(op(xn, y.truncate(n)))
+            assert coords((x + 1).truncate(n)) == coords(xn + 1)
+            assert coords((-x).truncate(n)) == coords(-xn)
+            if x.is_unit():
+                assert coords(x.unit_inverse().truncate(n)) == \
+                    coords(xn.unit_inverse())
+            else:
+                with pytest.raises(DivisibilityError):
+                    xn.unit_inverse()
+            v = x.u_val()
+            assert xn.u_val() == (v if v < n else n)
+            for k in sorted({0, 1, n // 2, n - 1, n}):
+                assert coords(x.shift_u(k).truncate(n)) == \
+                    coords(xn.shift_u(k))
+                try:
+                    full = x.div_exact_u(k)
+                except DivisibilityError:
+                    with pytest.raises(DivisibilityError):
+                        xn.div_exact_u(k)
+                    continue
+                # u^k x' = x fixes x' mod u^{n-k} only
+                assert coords(full.truncate(n - k)) == \
+                    coords(xn.div_exact_u(k).truncate(n - k))
+
+
+def test_phi_of_a_truncation_is_phi_of_every_lift(cfg):
+    rng = random.Random(32)
+    e, ep = cfg.e, cfg.e * cfg.p
+    for n in (m for m in lengths(cfg) if m >= e):
+        for x in tilde_samples(cfg, rng):
+            xn = x.truncate(n)
+            assert len(xn.phi().coeffs) == ep
+            assert coords(xn.phi()) == coords(x.phi())
+            # any lift of xn: its coefficients below u^n, anything above
+            top = random_tilde(cfg, rng).shift_u(n)
+            assert coords(xn.phi()) == coords((x + top).phi())
+
+
+def test_mixed_lengths_raise(cfg):
+    rng = random.Random(33)
+    ep = cfg.e * cfg.p
+    x = random_tilde_unit(cfg, rng)
+    for n in (1, cfg.e, ep - 1):
+        short = x.truncate(n)
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ValueError):
+                op(x, short)
+            with pytest.raises(ValueError):
+                op(short, x)
+    with pytest.raises(ValueError):
+        x.truncate(ep + 1)
+    # the full length is the identity
+    assert coords(x.truncate(ep)) == coords(x)
