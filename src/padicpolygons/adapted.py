@@ -3,7 +3,9 @@ linear solver over the same carriers, and the dictionary turning
 exponents into Hodge weights.
 
 Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep}, or a
-shorter k[u]/u^n, with u; and W/p^N with p.  In each, the exponents
+shorter k[u]/u^n, with u; and W/p^N with p.  Each carrier's ``val``
+returns at most its ``cap``, the valuation of zero, so callers read it
+without clamping.  In each carrier, the exponents
 n_1 <= ... <= n_d of a submodule containing the r-th power of the maximal
 element (the exponents of an adapted basis) are characterized by
 n_1 + ... + n_k = (smallest valuation of a k x k minor of a generator
@@ -152,8 +154,7 @@ def minor_exponents(rows, carrier):
         for rsel in combinations(range(d), k):
             for csel in combinations(range(D), k):
                 sub = [[rows[i][j] for j in csel] for i in rsel]
-                best = min(best, min(carrier.val(det(sub)),
-                                     carrier.cap))
+                best = min(best, carrier.val(det(sub)))
                 if best == 0 and k == 1:
                     break
         mins.append(best)
@@ -197,7 +198,7 @@ def smith_reduce(rows, carrier, track=False):
         best, bi, bj = carrier.cap, None, None
         for i in range(s, d):
             for j in range(s, D):
-                v = min(carrier.val(M[i][j]), carrier.cap)
+                v = carrier.val(M[i][j])
                 if v < best:
                     best, bi, bj = v, i, j
         if bi is None:
@@ -217,13 +218,13 @@ def smith_reduce(rows, carrier, track=False):
         if fraction_free:
             ws = carrier.shift_div(M[s][s], v)
             for i in range(d):
-                if i == s or min(carrier.val(M[i][s]), carrier.cap) >= carrier.cap:
+                if i == s or carrier.val(M[i][s]) >= carrier.cap:
                     continue
                 wi = carrier.shift_div(M[i][s], v)
                 for j in range(D):
                     M[i][j] = ws * M[i][j] - wi * M[s][j]
             for j in range(s + 1, D):
-                if min(carrier.val(M[s][j]), carrier.cap) >= carrier.cap:
+                if carrier.val(M[s][j]) >= carrier.cap:
                     continue
                 wj = carrier.shift_div(M[s][j], v)
                 for i in range(d):
@@ -240,7 +241,7 @@ def smith_reduce(rows, carrier, track=False):
         for i in range(d):
             if i == s:
                 continue
-            if min(carrier.val(M[i][s]), carrier.cap) >= carrier.cap:
+            if carrier.val(M[i][s]) >= carrier.cap:
                 continue
             factor = carrier.shift_div(M[i][s], v)
             for j in range(D):
@@ -251,7 +252,7 @@ def smith_reduce(rows, carrier, track=False):
         for j in range(D):
             if j == s:
                 continue
-            if min(carrier.val(M[s][j]), carrier.cap) >= carrier.cap:
+            if carrier.val(M[s][j]) >= carrier.cap:
                 continue
             factor = carrier.shift_div(M[s][j], v)
             for i in range(d):
@@ -297,15 +298,14 @@ def span_solver(columns, carrier, rank):
         y = []
         for i in range(rank):
             if i < min(rank, n) and vals[i] < carrier.cap:
-                if min(carrier.val(tb[i]), carrier.cap) < vals[i]:
+                if carrier.val(tb[i]) < vals[i]:
                     return None
                 try:
                     y.append(carrier.shift_div(tb[i], vals[i]))
                 except DivisibilityError:
                     return None
             else:
-                v = min(carrier.val(tb[i]), carrier.cap)
-                if v < carrier.cap:
+                if carrier.val(tb[i]) < carrier.cap:
                     return None
                 y.append(carrier.zero())
         y += [carrier.zero()] * (n - len(y))

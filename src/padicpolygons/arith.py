@@ -26,12 +26,16 @@ Every other ring is built on one of two bases:
     Kronecker-packed bigint product over (u, w), whose packed operands are
     kept on the elements, and a reduction that loops over the nonzero
     coefficients of the monic modulus; both stop at the top nonzero
-    coefficient, so the work follows operand degree.  Two rings use it:
+    coefficient, so the work follows operand degree.  It supplies +, -,
+    negation, the zero test, multiplication and exact division by p^k,
+    multiplication by a scalar of W, the reduced product and, for the
+    multiplication matrix of K, the product by u.  Two rings use it:
 
     - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
       divided-power ring S in which every formula of the package is
-      stated.  It adds phi, troncation, the E-adic valuation and
-      division, and unit inversion.
+      stated.  It adds phi, the u-derivative, troncation, the E-adic
+      valuation and division, reduction to K and mod p, and unit
+      inversion.
     - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
       numerator of a K element.
 
@@ -43,8 +47,6 @@ Every other ring is built on one of two bases:
   - ``K0Elem``: ``K0 = Frac(W)``, numerator a ``WittElem``.
   - ``KElem``: ``K = K0[u]/E(u)``, numerator a ``_KNum``; it adds the
     norm, the valuation and the inverse.
-  - ``SK0Elem``: numerator an ``STrunc``; enough of S_{K0} for troncation
-    and for the filtration computations.
 
 Precision model: every Witt coefficient carries an absolute precision
 (number of significant p-digits) capped by the ring precision N.
@@ -699,9 +701,6 @@ class RingConfig:
         return self.s([1])
 
     def s_u(self, k=1):
-        ep = self.e * self.p
-        if k >= ep:  # reduce the monomial through E(u)^p
-            return self.s_u(ep - 1).shift_u(k - ep + 1)
         return self.s([0] * k + [1])
 
     def s_E(self):
@@ -992,12 +991,6 @@ class _WPoly(_Poly):
         zero = self.cfg.witt._zero
         return all(zero(self.flat, k, P) for k, P in enumerate(self.precs))
 
-    def monodromy(self):
-        """N(u^n) = -n u^n, extended coefficient-linearly."""
-        m = self.cfg.m
-        return self._map([-(k // m) * c for k, c in enumerate(self.flat)],
-                         self.precs)
-
     def min_prec(self):
         return min(self.precs)
 
@@ -1066,15 +1059,6 @@ class STrunc(_WPoly):
         return self._mul_mod(other, self.cfg._kernel(self.cfg.p))
 
     __rmul__ = __mul__
-
-    def mul_u(self):
-        return self._mul_u_mod(self.cfg._kernel(self.cfg.p))
-
-    def shift_u(self, k):
-        out = self
-        for _ in range(k):
-            out = out.mul_u()
-        return out
 
     def phi(self):
         """The semilinear Frobenius: sigma on W, u -> u^p.
@@ -1347,7 +1331,7 @@ class TildePoly(_Poly):
 class _PExp:
     """``num / p^pexp``: a numerator with a power of p split off.
 
-    The numerator (a ``WittElem``, ``_KNum`` or ``STrunc``) supplies +, -,
+    The numerator (a ``WittElem`` or a ``_KNum``) supplies +, -,
     *, ``scale_p``, ``is_zero``, ``min_prec`` and ``_coerce``; subclasses
     supply ``_new``.  Scalars and bare numerators enter with pexp 0."""
 
@@ -1521,46 +1505,3 @@ class KElem(_PExp):
 
     def __repr__(self):
         return f"K({[c.coords for c in self.coeffs]}/p^{self.pexp})"
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over K0 of degree < ep with a p-power prefix (inside S_{K0})
-
-
-class SK0Elem(_PExp):
-    """num / p^pexp with num in S/Fil^p S; enough of S_{K0} for troncation,
-    monodromy, derivatives of honest polynomials, and reduction to K."""
-
-    __slots__ = ("cfg",)
-
-    def __init__(self, cfg, num, pexp=0):
-        self.cfg, self.num, self.pexp = cfg, num, pexp
-
-    def _new(self, num, pexp):
-        return SK0Elem(self.cfg, num, pexp)
-
-    @classmethod
-    def from_strunc(cls, x):
-        return cls(x.cfg, x, 0)
-
-    def tronc(self, s):
-        return SK0Elem(self.cfg, self.num.tronc(s), self.pexp)
-
-    def monodromy(self):
-        return SK0Elem(self.cfg, self.num.monodromy(), self.pexp)
-
-    def derivative(self):
-        return SK0Elem(self.cfg, self.num.derivative(), self.pexp)
-
-    def mod_E(self):
-        return KElem(self.cfg, self.num.mod_E().num, self.pexp)
-
-    def val_E(self):
-        return self.num.val_E()
-
-    def to_strunc(self):
-        """Exact representative in S (errors when not integral)."""
-        return self.num.div_exact_p(self.pexp)
-
-    def __repr__(self):
-        return f"SK0({self.num!r}/p^{self.pexp})"

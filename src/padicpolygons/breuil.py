@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import adapted, fontaine, polygons
 from .arith import (INF, DivisibilityError, K0Elem, KElem, PrecisionError,
-                    RingConfig, SK0Elem, STrunc)
+                    RingConfig, STrunc)
 from .polygons import Polygon
 
 
@@ -90,7 +90,7 @@ def normalize_L(L):
 
 
 # ---------------------------------------------------------------------------
-# The family elements t, Z, U, V, B_1, B_2
+# The family elements t, Z, U, V
 
 
 @dataclass
@@ -102,22 +102,18 @@ class FamilyElements:
     v_exact: bool
     L: KElem                 # normalized parameter
     L0: STrunc               # degree-< e representative of L
-    L1: STrunc
+    L1: STrunc               # p L_2 = p L_0 + L_1 E(u), degree < e
     lam: object              # WittElem: constant term of L0
-    mu: object               # sigma(lam) - lam
     t: STrunc
     Z: STrunc
     U: STrunc
     V: STrunc
-    B1: STrunc
-    B2: STrunc
     PL2: STrunc              # p * L_2 as an element of S
-    L2: SK0Elem
     warnings: list = field(default_factory=list)
 
 
 def build_elements(params, norm):
-    """Construct t, Z, U, V, B_1, B_2 for n1 = n2 = 1 and verify on the way:
+    """Construct t, Z, U, V for n1 = n2 = 1 and verify on the way:
     the three defining properties of t, the congruence Z = sigma(lambda)
     mod (p, Fil^2), and the case (ii) residue identities.  Any failure is a
     hard error."""
@@ -134,15 +130,12 @@ def build_elements(params, norm):
     L0 = L.to_strunc()
     lam = L0.constant_term()
     slam = lam.frobenius()
-    mu = slam - lam
 
     # L_2 = L_0 + (1/p) L_1 E(u) with L_1(pi) = -p L_0'(pi)/E'(pi)
-    L2 = fontaine.hermite_interpolant(L, 2)
-    PL2 = L2.mul_p_power(1).to_strunc()
-    L1 = (PL2 - L0.scale_p(1)).div_exact_E(1).tronc(1)
+    PL2, L1 = fontaine.hermite_interpolant(L)
 
     if case == "i":
-        if not mu.is_unit():
+        if not (slam - lam).is_unit():
             raise VerificationError("case (i) needs sigma(lambda) - lambda "
                                     "to be a unit")
         denom = L0.mul_w(-1) + slam          # sigma(lambda) - L_0, a unit of S
@@ -193,13 +186,8 @@ def build_elements(params, norm):
         if V.constant_term().residue() != -cfg.c0.residue().inverse():
             raise VerificationError("constant term of V is not -1/c_0 mod p")
 
-    slam_minus_Z = cfg.s([slam]) - Z
-    B1 = diff + (t * slam_minus_Z).tronc(1).div_exact_p(1).shift_u(cfg.e)
-    B2 = (cfg.s_one() +
-          (U * slam_minus_Z).tronc(1).div_exact_p(1)).shift_u(cfg.e)
-
-    return FamilyElements(cfg, case, norm.j, v, v_exact, L, L0, L1, lam, mu,
-                          t, Z, U, V, B1, B2, PL2, L2, warnings)
+    return FamilyElements(cfg, case, norm.j, v, v_exact, L, L0, L1, lam,
+                          t, Z, U, V, PL2, warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Filtered (phi, N)-modules over K0: Hodge and Newton polygons, Hodge and
-Newton numbers, weak admissibility in dimension <= 2, and the passage to the
-S_{K0}-side (Hermite interpolation and the closed-form filtration generator
-for the two-dimensional family).
+Newton numbers, weak admissibility in dimension <= 2, and the Hermite
+interpolant L_2 of the two-dimensional family, built in S as p L_2.
 
 The family D(L), for nonnegative n1 <= n2 with e(n1+n2) < p-1 and L in K:
 phi(e_1) = p^{n1} e_1, phi(e_2) = p^{n2} e_2, N = 0, and the filtration in
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polygons
-from .arith import K0Elem, KElem, SK0Elem
+from .arith import K0Elem, KElem
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,6 @@ def family_module(params):
     line = ((params.L, kone),)
     fil = [full] + [line] * params.r + [()]
     return FilteredModule(cfg, 2, phi, nmat, tuple(fil))
-
-
-def rank1_module(cfg, alpha, jump, r=None):
-    """Rank-1 module with phi(e) = alpha * e and filtration jump at ``jump``."""
-    r = cfg.r if r is None else r
-    kone = cfg.k_one()
-    fil = [((kone,),) if t <= jump else () for t in range(r + 2)]
-    return FilteredModule(cfg, 1, ((alpha,),), ((_k0_zero(cfg),),), tuple(fil))
 
 
 def hodge_polygon(D):
@@ -339,130 +330,27 @@ def weakly_admissible_dim2(D, family=None):
 
 
 # ---------------------------------------------------------------------------
-# Hermite interpolation and the S_{K0}-side of the family
+# The Hermite interpolant of the family
 
 
-def t_pi(P, r):
-    """(P(pi), P'(pi), ..., P^{(r-1)}(pi)) for P a polynomial over K0."""
-    out = []
-    cur = P
-    for _ in range(r):
-        out.append(cur.mod_E())
-        cur = cur.derivative()
-    return out
+def hermite_interpolant(L):
+    """(p L_2, L_1) in S for an integral L in K.
 
-
-def hermite_interpolant(L, r):
-    """The unique polynomial P over K0 of degree < er with P(pi) = L and
-    vanishing derivatives up to order r-1 at pi.
-
-    Built level by level: the degree-< e correction c_s at level s solves
-    c_s(pi) = -P_s^{(s)}(pi) / (s! E'(pi)^s).  For r = 2 the closed form
-    L_0 + (1/p) L_1 E(u) with L_1(pi) = -p L_0'(pi)/E'(pi) is cross-checked
-    against the generic construction.
-    """
+    L_2 is the interpolant of degree < 2e over K0 with L_2(pi) = L and
+    L_2'(pi) = 0.  With L_0 the degree-< e representative of L, it is
+    L_0 + (1/p) L_1 E(u), where L_1 is the degree-< e representative of
+    -p L_0'(pi) / E'(pi), integral since v_p(E'(pi)) < 1.  The result is
+    checked against the defining property, which pins it because p L_2
+    has degree < 2e: (p L_2)(pi) = p L and (p L_2)'(pi) = 0."""
     cfg = L.cfg
-    if r < 1:
-        raise ValueError("interpolation level must be >= 1")
-    if cfg.e * r >= cfg.e * cfg.p:
-        raise ValueError("degree budget exceeded")
-    Eprime_at_pi, Eprime_inv = cfg.Eprime_pi()
-    P = SK0Elem(cfg, cfg.s(list(L.coeffs)), L.pexp)
-    E_s = cfg.s_one()
-    fact = 1
-    Epi_pow = cfg.k_one()
-    for s in range(1, r):
-        E_s = E_s * cfg.s_E()
-        fact *= s
-        Epi_pow = Epi_pow * Eprime_at_pi
-        deriv = P
-        for _ in range(s):
-            deriv = deriv.derivative()
-        value = deriv.mod_E()
-        denom = Epi_pow * cfg.witt.elem(fact)
-        # at s = 1 the denominator is E'(pi), whose inverse the ring keeps
-        c_s = -(value * (Eprime_inv if s == 1 else denom.inverse()))
-        P = P + SK0Elem(cfg, cfg.s(list(c_s.coeffs)) * E_s, c_s.pexp)
-    # postcondition: T_pi(P) = (L, 0, ..., 0)
-    images = t_pi(P, r)
-    if not (images[0] - L).is_zero():
+    L0 = L.to_strunc()
+    # p comes off the prefix of the quotient: multiplying L_0'(pi) by p
+    # first would lose its top digit to the precision cap
+    L1 = (-(L0.derivative().mod_E() * cfg.Eprime_pi()[1])).mul_p_power(
+        1).to_strunc()
+    PL2 = L0.scale_p(1) + L1 * cfg.s_E()
+    if not (PL2.mod_E() - L.mul_p_power(1)).is_zero():
         raise ArithmeticError("interpolant does not evaluate to L at pi")
-    for img in images[1:]:
-        if not img.is_zero():
-            raise ArithmeticError("interpolant has a nonvanishing derivative")
-    if r == 2:
-        closed = _hermite_r2_closed_form(L)
-        if not (P - closed).is_zero():
-            raise ArithmeticError("generic interpolant disagrees with the "
-                                  "r = 2 closed form")
-    return P
-
-
-def _hermite_r2_closed_form(L):
-    """L_0 + (1/p) L_1 E(u), L_1 the degree-< e polynomial over K0 with
-    L_1(pi) = -p L_0'(pi) / E'(pi)."""
-    cfg = L.cfg
-    L0_num = cfg.s(list(L.coeffs))
-    L0 = SK0Elem(cfg, L0_num, L.pexp)
-    L0prime_at_pi = L0.derivative().mod_E()
-    L1_at_pi = -(L0prime_at_pi.mul_p_power(1) * cfg.Eprime_pi()[1])
-    L1 = SK0Elem(cfg, cfg.s(list(L1_at_pi.coeffs)), L1_at_pi.pexp)
-    return L0 + (L1 * SK0Elem.from_strunc(cfg.s_E())).mul_p_power(-1)
-
-
-@dataclass(frozen=True)
-class BreuilFamilyModule:
-    """The S_{K0}-side of D(L): phi(e_i) = p^{n_i} e_i, N(e_i) = 0, and the
-    top filtration generated by (L_r e_1 + e_2) together with Fil^r S_{K0}."""
-
-    cfg: object
-    n1: int
-    n2: int
-    L: KElem
-    Lr: SK0Elem
-
-    @property
-    def r(self):
-        return self.n1 + self.n2
-
-    def fil_generator(self):
-        one = SK0Elem.from_strunc(self.cfg.s_one())
-        return (self.Lr, one)
-
-
-def to_breuil_family(params):
-    """Base change of the admissible family module to S_{K0}."""
-    if not params.is_admissible():
-        raise ValueError("inadmissible family parameters")
-    if params.r < 1:
-        raise ValueError("the family filtration needs r >= 1")
-    Lr = hermite_interpolant(params.L, params.r)
-    return BreuilFamilyModule(params.cfg, params.n1, params.n2, params.L, Lr)
-
-
-def fil_contains(module, vec, t):
-    """Membership of a vector (pair over S_{K0}) in Fil^t of the family
-    module, through the defining recursion on N and f_pi; t <= 2 only."""
-    if not 0 <= t <= 2:
-        raise ValueError("membership oracle implemented for t <= 2")
-    if t == 0:
-        return True
-    L = module.L
-    cur = vec
-    for _ in range(t):
-        f1 = cur[0].mod_E()
-        f2 = cur[1].mod_E()
-        if not (f1 - L * f2).is_zero():
-            return False
-        cur = (cur[0].monodromy(), cur[1].monodromy())
-    return True
-
-
-def fil2_decompose(module, vec):
-    """Write vec = A * (L_r e_1 + e_2) + (Fil^r S_{K0}) * (e_1, e_2); returns
-    (A, ok) where ok records that the remainder really lies in Fil^r."""
-    A = vec[1]
-    rem0 = vec[0] - A * module.Lr
-    rem1 = vec[1] - A
-    ok = rem0.val_E() >= module.r and rem1.val_E() >= module.r
-    return A, ok
+    if not PL2.derivative().mod_E().is_zero():
+        raise ArithmeticError("interpolant has a nonvanishing derivative")
+    return PL2, L1

@@ -7,9 +7,9 @@ import pytest
 from fractions import Fraction
 
 from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
-                           RingConfig, SK0Elem)
-from padicpolygons.oracle import (random_k_elem, random_strunc, random_witt,
-                                  tronc_difference_divisible)
+                           RingConfig)
+from padicpolygons.oracle import (random_k_elem, random_strunc, random_tilde,
+                                  random_witt, tronc_difference_divisible)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +114,18 @@ def test_phi_intertwines_E_multiplication(cfg7, rng):
 
 
 def test_monodromy_defining_relations(cfg7):
-    u = cfg7.s_u(1)
+    # N on k[u]/u^{ep}, which the classification's N-stability check uses
+    u = cfg7.tilde_u(1)
     assert u.monodromy() == -u
-    u3 = cfg7.s_u(3)
-    assert u3.monodromy() == u3.mul_w(-3)
-    assert cfg7.s([cfg7.w(11)]).monodromy().is_zero()
+    u3 = cfg7.tilde_u(3)
+    assert u3.monodromy() == u3 * -3
+    assert cfg7.tilde([(4, 5)]).monodromy().is_zero()
 
 
 def test_monodromy_leibniz(cfg7, rng):
     for _ in range(100):
-        x = random_strunc(cfg7, rng, 6)
-        y = random_strunc(cfg7, rng, 6)
+        x = random_tilde(cfg7, rng)
+        y = random_tilde(cfg7, rng)
         assert (x * y).monodromy() == x.monodromy() * y + x * y.monodromy()
 
 
@@ -267,13 +268,12 @@ def test_k_inverse(cfg7, rng):
 
 
 # ---------------------------------------------------------------------------
-# the num / p^pexp prefix of K0, K and S_{K0}
+# the num / p^pexp prefix of K0 and K
 
 
 _PREFIXED = {
     "K0": lambda cfg, num, pexp: K0Elem(cfg.witt, num, pexp),
     "K": lambda cfg, num, pexp: cfg.k_elem([num], pexp),
-    "SK0": lambda cfg, num, pexp: SK0Elem(cfg, cfg.s([num]), pexp),
 }
 
 

@@ -1,5 +1,5 @@
-"""Filtered modules, their polygons, weak admissibility, and the passage to
-the S_{K0}-side of the family."""
+"""Filtered modules, their polygons, weak admissibility, and the Hermite
+interpolant of the family."""
 
 import random
 from fractions import Fraction
@@ -8,12 +8,9 @@ import pytest
 
 from padicpolygons import (FamilyParams, K0Elem, RingConfig, from_slopes,
                            hermite_interpolant, hodge_polygon, lies_above,
-                           newton_polygon_phi, same_endpoint, t_numbers, t_pi,
-                           to_breuil_family, weakly_admissible_dim2)
-from padicpolygons.arith import SK0Elem
-from padicpolygons.fontaine import (FilteredModule, family_module,
-                                    fil2_decompose, fil_contains,
-                                    rank1_module)
+                           newton_polygon_phi, same_endpoint, t_numbers,
+                           weakly_admissible_dim2)
+from padicpolygons.fontaine import FilteredModule, family_module
 from padicpolygons.oracle import random_k_elem, random_witt
 
 
@@ -23,6 +20,13 @@ def _k0(cfg, n, pexp=0):
 
 def _x_plus_pi(cfg):
     return cfg.k_elem([cfg.teichmuller_generator()]) + cfg.pi()
+
+
+def rank1_module(cfg, alpha, jump):
+    """Rank-1 module with phi(e) = alpha * e and filtration jump at ``jump``."""
+    kone = cfg.k_one()
+    fil = [((kone,),) if t <= jump else () for t in range(cfg.r + 2)]
+    return FilteredModule(cfg, 1, ((alpha,),), ((_k0(cfg, 0),),), tuple(fil))
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +188,42 @@ def test_weak_admissibility_scalar_phi():
 # Hermite interpolation
 
 
+def _interpolates(L, PL2):
+    """(p L_2)(pi) = p L and (p L_2)'(pi) = 0."""
+    return (PL2.mod_E() - L.mul_p_power(1)).is_zero() and \
+        PL2.derivative().mod_E().is_zero()
+
+
 def test_hermite_constant(cfg7):
     a = cfg7.k_elem([cfg7.w(5)])
-    P = hermite_interpolant(a, 2)
-    assert (P.mod_E() - a).is_zero()
-    assert P.derivative().num.is_zero()
+    PL2, L1 = hermite_interpolant(a)
+    assert L1.is_zero()
+    assert PL2 == cfg7.s([cfg7.w(35)])
+    assert _interpolates(a, PL2)
 
 
 def test_hermite_closed_form_example(cfg7):
-    # e = 2, E = u^2 - p, L = pi: the interpolant is 3u/2 - u^3/(2p)
-    P = hermite_interpolant(cfg7.pi(), 2)
+    # e = 2, E = u^2 - p, L = pi: p L_2 = (3p/2) u - u^3/2, L_1 = -u/2
+    PL2, L1 = hermite_interpolant(cfg7.pi())
     inv2 = cfg7.w(2).unit_inverse()
-    num = cfg7.s([0, (cfg7.w(3) * inv2).scale_p(1), 0, -inv2])
-    assert (P - SK0Elem(cfg7, num, 1)).is_zero()
+    assert PL2 == cfg7.s([0, (cfg7.w(3) * inv2).scale_p(1), 0, -inv2])
+    assert L1 == cfg7.s([0, -inv2])
 
 
 def test_hermite_round_trip_random(cfg7, rng):
     for _ in range(10):
-        L = random_k_elem(cfg7, rng)
-        P = hermite_interpolant(L, 2)
-        images = t_pi(P, 2)
-        assert (images[0] - L).is_zero()
-        assert images[1].is_zero()
+        L = random_k_elem(cfg7, rng, pexp_max=0)
+        PL2, _ = hermite_interpolant(L)
+        assert _interpolates(L, PL2)
+
+
+def test_hermite_L1_is_the_E_quotient(cfg7, rng):
+    # p L_2 = p L_0 + L_1 E(u): L_1 is the quotient of p L_2 - p L_0 by E
+    for _ in range(10):
+        L = random_k_elem(cfg7, rng, pexp_max=0)
+        PL2, L1 = hermite_interpolant(L)
+        assert L1 == (PL2 - L.to_strunc().scale_p(1)).div_exact_E(1)
+        assert L1.degree() < cfg7.e
 
 
 def test_hermite_higher_ramification(rng):
@@ -213,10 +231,8 @@ def test_hermite_higher_ramification(rng):
     cfg = RingConfig(13, 1, 5, [-13, 0, 0, 0, 0, 1], prec=13, r=2)
     for _ in range(3):
         L = random_k_elem(cfg, rng, pexp_max=0)
-        P = hermite_interpolant(L, 2)
-        images = t_pi(P, 2)
-        assert (images[0] - L).is_zero()
-        assert all(img.is_zero() for img in images[1:])
+        PL2, _ = hermite_interpolant(L)
+        assert _interpolates(L, PL2)
 
 
 def test_hermite_linearity(cfg7, rng):
@@ -224,51 +240,8 @@ def test_hermite_linearity(cfg7, rng):
         L1 = random_k_elem(cfg7, rng, pexp_max=0)
         L2 = random_k_elem(cfg7, rng, pexp_max=0)
         a = random_witt(cfg7, rng)
-        P1 = hermite_interpolant(L1, 2)
-        P2 = hermite_interpolant(L2, 2)
-        P = hermite_interpolant(L1 * a + L2, 2)
-        assert (P - (P1 * a + P2)).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# the S_{K0}-side of the family
-
-
-def test_to_breuil_family_trivial_L():
-    cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=1)
-    mod = to_breuil_family(FamilyParams(cfg, 0, 1, cfg.k_zero()))
-    g = mod.fil_generator()
-    assert g[0].is_zero()
-    assert (g[1] - SK0Elem.from_strunc(cfg.s_one())).is_zero()
-
-
-def test_family_generator_membership(cfg7):
-    mod = to_breuil_family(FamilyParams(cfg7, 1, 1, _x_plus_pi(cfg7)))
-    g = mod.fil_generator()
-    assert fil_contains(mod, g, 2)
-    # eq-style cross-check: E * g lies in Fil^1 iff E^2 g lies in Fil^2
-    E = SK0Elem.from_strunc(cfg7.s_E())
-    Eg = (g[0] * E, g[1] * E)
-    EEg = (Eg[0] * E, Eg[1] * E)
-    assert fil_contains(mod, Eg, 1)
-    assert fil_contains(mod, EEg, 2)
-    # a vector outside the line is not in Fil^1
-    one = SK0Elem.from_strunc(cfg7.s_one())
-    zero = SK0Elem.from_strunc(cfg7.s_zero())
-    assert not fil_contains(mod, (one, zero), 1)
-
-
-def test_family_generator_generates(cfg7, rng):
-    mod = to_breuil_family(FamilyParams(cfg7, 1, 1, _x_plus_pi(cfg7)))
-    g = mod.fil_generator()
-    E2 = SK0Elem.from_strunc(cfg7.s_E() * cfg7.s_E())
-    for _ in range(5):
-        s = SK0Elem.from_strunc(cfg7.s([random_witt(cfg7, rng)
-                                        for _ in range(4)]))
-        w1 = SK0Elem.from_strunc(cfg7.s([random_witt(cfg7, rng)]))
-        w2 = SK0Elem.from_strunc(cfg7.s([random_witt(cfg7, rng)]))
-        vec = (g[0] * s + E2 * w1, g[1] * s + E2 * w2)
-        assert fil_contains(mod, vec, 2)
-        A, ok = fil2_decompose(mod, vec)
-        assert ok
-        assert (A - (g[1] * s + E2 * w2)).is_zero()
+        P1, Q1 = hermite_interpolant(L1)
+        P2, Q2 = hermite_interpolant(L2)
+        P, Q = hermite_interpolant(L1 * a + L2)
+        assert P == P1 * a + P2
+        assert Q == Q1 * a + Q2

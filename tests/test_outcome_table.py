@@ -18,7 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from padicpolygons import FamilyParams, RingConfig, analyze_family
+from padicpolygons import INF, FamilyParams, RingConfig, analyze_family
 from padicpolygons.cli import parse_L_expression
 
 GOLDEN = Path(__file__).parent / "golden" / "outcome_table.txt"
@@ -65,7 +65,7 @@ def outcome(cfg, spec):
     el = a.elements
     failed = [name for name, ok, _ in a.verdicts if not ok]
     head = "pass" if not failed else "verdict-fail " + ",".join(failed)
-    v = "inf" if el.v == float("inf") else str(el.v)
+    v = "inf" if el.v == INF else str(el.v)
     return (f"{head} case={el.case_tag} j={el.j} v={v} v_exact={el.v_exact}"
             f" shape={a.classification.shape} E_exps={list(a.exponents_E)}"
             f" u_exps={list(a.exponents_u)}")
