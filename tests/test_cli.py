@@ -255,6 +255,12 @@ CLI_CASES = {
                                      _family_doc(11, 2, 4, "pi^3+x")),
     "analyze_family_17_2_7_x+pi": (_ANALYZE + ["--prec", "17"],
                                    _family_doc(17, 2, 7, "x+pi")),
+    # a non-monomial Eisenstein E: the outcome table's seeded E at (11,2,4)
+    "analyze_family_11_2_4_seeded_E_x+pi": (
+        _ANALYZE + ["--prec", "11"],
+        _family_doc(11, 2, 4, "x+pi") | {"ring": {
+            "p": 11, "m": 2, "e": 4,
+            "E": [[-11, -990], [418, 242], [264, 869], [77, 99], [1, 0]]}}),
     # classification shape 2, adapted exponents [1, 3]
     "analyze_family_13_2_2_pi": (_ANALYZE + ["--prec", "13"],
                                  _family_doc(13, 2, 2, "pi")),
