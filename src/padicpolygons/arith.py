@@ -3,7 +3,10 @@
 The scalars are ``F_{p^m} = F_p[w]/(hbar)`` (``GFElem``) and
 ``W = W(F_{p^m})``, realized as Z_p[w]/(h) at a fixed absolute precision
 ``p^N`` (``WittElem``) with the Frobenius sigma lifting x -> x^p.  Both
-multiply coordinate tuples with one product mod (modulus, q).
+multiply coordinate tuples with one product mod (modulus, q).  ``WittRing``
+keeps only the two coordinate-tuple operations that ``WittElem`` calls, the
+product and the unit inverse; the Hensel root that defines sigma is found
+with ``WittElem`` arithmetic.
 
 Every other ring is built on one of two bases:
 
@@ -35,7 +38,8 @@ Every other ring is built on one of two bases:
       divided-power ring S in which every formula of the package is
       stated.  It adds phi, the u-derivative, troncation, the E-adic
       valuation and division, reduction to K and mod p, and unit
-      inversion.
+      inversion.  ``divrem_E`` returns its quotient and remainder as
+      elements of S, and ``div_exact_E`` returns that quotient.
     - ``_KNum``: a W-polynomial of degree < e reduced by E(u), the
       numerator of a K element.
 
@@ -370,56 +374,38 @@ class WittRing:
         self.gf = GF(p, m, self.modulus)
         self._frob_pows = self._hensel_frobenius()
 
-    # raw coordinate-tuple helpers (used before WittElem exists)
+    # coordinate-tuple arithmetic of WittElem
     def _mul(self, a, b):
         return _coord_mul(a, b, self.modulus, self.pc)
-
-    def _add(self, a, b):
-        return tuple((x + y) % self.pc for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        return tuple((x - y) % self.pc for x, y in zip(a, b))
 
     def _unit_inverse(self, a):
         res = self.gf.elem(tuple(c % self.p for c in a))
         y = tuple(c % self.pc for c in res.inverse().coords)
-        two = (2 % self.pc,) + (0,) * (self.m - 1)
         steps = max(1, self.cap.bit_length() + 1)
         for _ in range(steps):
-            y = self._mul(y, self._sub(two, self._mul(a, y)))
+            ay = self._mul(a, y)
+            y = self._mul(y, (2 - ay[0],) + tuple(-c for c in ay[1:]))
         return y
-
-    def _eval_intpoly(self, coeffs, x):
-        """Evaluate an integer-coefficient polynomial at a coordinate tuple."""
-        acc = (0,) * self.m
-        for c in reversed(coeffs):
-            acc = self._add(self._mul(acc, x), (c % self.pc,) + (0,) * (self.m - 1))
-        return acc
 
     def _hensel_frobenius(self):
         """Coordinates of sigma(w^i), i < m, where sigma(w) is the Hensel
-        root of the modulus congruent to w^p mod p."""
-        m = self.m
-        if m == 1:
-            return ((1 % self.pc,),)
-        w = tuple(1 if i == 1 else 0 for i in range(m))
-        # seed: w^p at full precision (its residue is the target root)
-        rho = _power(w, self.p, (1 % self.pc,) + (0,) * (m - 1), self._mul)
-        h = self.modulus
-        hp = tuple(i * h[i] for i in range(1, m + 1))
+        root of the modulus h congruent to w^p mod p: Newton's method from
+        w^p at full precision, with h and h' evaluated by Horner's rule."""
+        rho = self.gen() ** self.p
         for _ in range(self.cap + 2):
-            val = self._eval_intpoly(h, rho)
-            if all(v == 0 for v in val):
+            val = dval = self.zero()
+            for c in reversed(self.modulus):
+                val, dval = val * rho + c, dval * rho + val
+            if val.is_zero():
                 break
-            dval = self._eval_intpoly(hp, rho)
-            rho = self._sub(rho, self._mul(val, self._unit_inverse(dval)))
+            rho = rho - val * dval.unit_inverse()
         else:
             raise ConfigError("Frobenius root did not converge (modulus "
                               "not separable mod p?)")
-        pows = [(1 % self.pc,) + (0,) * (m - 1)]
-        for _ in range(m - 1):
-            pows.append(self._mul(pows[-1], rho))
-        return tuple(pows)
+        pows = [self.one()]
+        for _ in range(self.m - 1):
+            pows.append(pows[-1] * rho)
+        return tuple(x.coords for x in pows)
 
     def _val(self, coords, prec):
         """p-adic valuation of coordinates known mod p^prec, clamped at prec."""
@@ -700,9 +686,6 @@ class RingConfig:
     def s_one(self):
         return self.s([1])
 
-    def s_u(self, k=1):
-        return self.s([0] * k + [1])
-
     def s_E(self):
         """E(u) in S, built once so that its packed form is reused."""
         if self._s_E is None:
@@ -768,8 +751,8 @@ class RingConfig:
         while den % self.p == 0:
             den //= self.p
             vd += 1
-        w = self.witt.elem(num) * self.witt.elem(den).unit_inverse()
-        return K0Elem(self.witt, w, vd)
+        return self.k0(self.witt.elem(num) * self.witt.elem(den).unit_inverse(),
+                       vd)
 
     def teichmuller_generator(self):
         """Teichmuller lift of the residue-field generator wbar."""
@@ -1108,13 +1091,13 @@ class STrunc(_WPoly):
         return self.cfg.witt.canon(flat, precs), precs, kernel.d
 
     def divrem_E(self, s):
-        """Quotient and remainder by E(u)^s (monic of degree es), as lists
-        of WittElems."""
+        """Quotient and remainder by E(u)^s (monic of degree es), as
+        elements of S; the remainder has degree < es, above which it is
+        zeros known to full precision."""
         flat, precs, d = self._divrem(s)
-        cfg, m = self.cfg, self.cfg.m
-        quot = cfg._pad(flat[d * m:], precs[d:], len(precs))
-        return (list(cfg.witt.elems(*quot)),
-                list(cfg.witt.elems(flat[:d * m], precs[:d])))
+        cfg, m, n = self.cfg, self.cfg.m, len(precs)
+        return (STrunc(cfg, *cfg._pad(flat[d * m:], precs[d:], n)),
+                STrunc(cfg, *cfg._pad(flat[:d * m], precs[:d], n)))
 
     def tronc(self, s):
         """The degree-< es representative modulo E(u)^s."""
@@ -1147,9 +1130,9 @@ class STrunc(_WPoly):
         if s == 0:
             return self
         quot, rem = self.divrem_E(s)
-        if any(not c.is_zero() for c in rem):
+        if not rem.is_zero():
             raise DivisibilityError(f"not divisible by E(u)^{s}")
-        return self.cfg.s(quot)
+        return quot
 
     def val_p(self):
         witt, m, flat = self.cfg.witt, self.cfg.m, self.flat
@@ -1414,10 +1397,10 @@ class K0Elem(_PExp):
         if v == self.num.prec:
             raise ZeroDivisionError("zero at working precision")
         unit = self.num.div_exact_p(v).unit_inverse()
-        return K0Elem(self.ring, unit, 0).mul_p_power(self.pexp - v)
+        return self._new(unit, 0).mul_p_power(self.pexp - v)
 
     def frobenius(self):
-        return K0Elem(self.ring, self.num.frobenius(), self.pexp)
+        return self._new(self.num.frobenius(), self.pexp)
 
     def __repr__(self):
         return f"K0({self.num!r}/p^{self.pexp})"

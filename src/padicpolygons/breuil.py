@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import adapted, fontaine, polygons
-from .arith import (INF, DivisibilityError, K0Elem, KElem, PrecisionError,
-                    RingConfig, STrunc)
+from .arith import (INF, DivisibilityError, KElem, PrecisionError, RingConfig,
+                    STrunc)
 from .polygons import Polygon
 
 
@@ -39,14 +39,12 @@ class ClassificationError(ValueError):
 
 @dataclass
 class NormalizedL:
-    """L' = p^shift * (L + translate) landing in case (i) or (ii)."""
+    """L' = p^shift * (L + a), a in Q_p, landing in case (i) or (ii)."""
 
     L: KElem
     case_tag: str            # "i" or "ii"
     j: int                   # e * v_p(L) in case (ii), else 0
     shift: int
-    translate: K0Elem
-    log: list
 
 
 def normalize_L(L):
@@ -59,8 +57,6 @@ def normalize_L(L):
     """
     cfg = L.cfg
     shift = 0
-    translate = cfg.k0(0)
-    log = []
     cur = L
     for _ in range(cfg.e * cfg.prec + 2):
         v = cur.val_p()
@@ -70,22 +66,13 @@ def normalize_L(L):
         if k != 0:
             cur = cur.mul_p_power(-k)
             shift -= k
-            log.append(("scale", -k))
             v = v - k
         if 0 < v < 1:
-            return NormalizedL(cur, "ii", int(v * cfg.e), shift, translate, log)
+            return NormalizedL(cur, "ii", int(v * cfg.e), shift)
         res = cur.residue()
         if not res.in_prime_field():
-            return NormalizedL(cur, "i", 0, shift, translate, log)
-        c = res.coords[0] % cfg.p
-        # subtracting c now translates the original L by -c * p^{-shift}
-        if shift <= 0:
-            delta = K0Elem(cfg.witt, cfg.witt.elem(-c).scale_p(-shift), 0)
-        else:
-            delta = K0Elem(cfg.witt, cfg.witt.elem(-c), shift)
-        cur = cur - cfg.k_elem([c])
-        translate = translate + delta
-        log.append(("translate", -c))
+            return NormalizedL(cur, "i", 0, shift)
+        cur = cur - cfg.k_elem([res.coords[0] % cfg.p])
     raise ValueError("L lies in Q_p at working precision")
 
 
@@ -100,7 +87,6 @@ class FamilyElements:
     j: int
     v: object                # Fraction or INF
     v_exact: bool
-    L: KElem                 # normalized parameter
     L0: STrunc               # degree-< e representative of L
     L1: STrunc               # p L_2 = p L_0 + L_1 E(u), degree < e
     lam: object              # WittElem: constant term of L0
@@ -125,26 +111,25 @@ def build_elements(params, norm):
         raise ValueError(f"precision {cfg.prec} is too small for the lattice "
                          f"pipeline (need >= {params.r + 4})")
     warnings = []
-    L = norm.L
     case = norm.case_tag
-    L0 = L.to_strunc()
+    L0 = norm.L.to_strunc()
     lam = L0.constant_term()
     slam = lam.frobenius()
+    diff = L0 - slam                 # L_0 - sigma(lambda)
+    diff_pi = diff.mod_E()
 
     # L_2 = L_0 + (1/p) L_1 E(u) with L_1(pi) = -p L_0'(pi)/E'(pi)
-    PL2, L1 = fontaine.hermite_interpolant(L)
+    PL2, L1 = fontaine.hermite_interpolant(norm.L)
 
     if case == "i":
         if not (slam - lam).is_unit():
             raise VerificationError("case (i) needs sigma(lambda) - lambda "
                                     "to be a unit")
-        denom = L0.mul_w(-1) + slam          # sigma(lambda) - L_0, a unit of S
-        t = (L1 * denom.unit_inverse()).tronc(1)
+        t = (L1 * (-diff).unit_inverse()).tronc(1)   # -diff is a unit of S
     else:
-        denom_pi = (-L0.mod_E()) + slam
-        t = (L1.mod_E() * denom_pi.inverse()).to_strunc()
+        t = (L1.mod_E() * (-diff_pi).inverse()).to_strunc()
 
-    if ((L0.mul_w(-1) + slam) * t - L1).val_E() < 1:
+    if (diff * t + L1).val_E() < 1:
         raise VerificationError("t does not satisfy its defining congruence")
     one_plus_cphit = cfg.s_one() + cfg.c * t.phi()
     if not one_plus_cphit.is_unit():
@@ -175,8 +160,7 @@ def build_elements(params, norm):
         raise VerificationError("Z - sigma(lambda) is not in pS + Fil^2 S")
 
     # U (L_0 - sigma(lambda)) = p + V E(u), both of degree < e
-    diff = L0 + cfg.s([-slam])
-    U = diff.mod_E().inverse().mul_p_power(1).to_strunc()
+    U = diff_pi.inverse().mul_p_power(1).to_strunc()
     U_diff = U * diff
     V = (U_diff + cfg.s([-cfg.p])).div_exact_E(1).tronc(1)
     if not (U_diff - (cfg.s([cfg.p]) + V * cfg.s_E())).is_zero():
@@ -186,7 +170,7 @@ def build_elements(params, norm):
         if V.constant_term().residue() != -cfg.c0.residue().inverse():
             raise VerificationError("constant term of V is not -1/c_0 mod p")
 
-    return FamilyElements(cfg, case, norm.j, v, v_exact, L, L0, L1, lam,
+    return FamilyElements(cfg, case, norm.j, v, v_exact, L0, L1, lam,
                           t, Z, U, V, PL2, warnings)
 
 
@@ -202,7 +186,7 @@ class StrongLattice:
     cfg: object
     Z: STrunc
     fil_gens: list           # [(name, (A, B))], or (name, Exception)
-    elements: object = None  # FamilyElements when built from the family
+    elements: FamilyElements
 
     def e_coords(self, A, B):
         """(x, y) with A f_1 + B f_2 = x e_1 + y e_2."""
@@ -307,29 +291,21 @@ def _minor_is_unit(x, y):
 
 @dataclass
 class TildeObject:
-    """Rank-d object over k[u]/u^{ep}: filtration generators and their
+    """Rank-2 object over k[u]/u^{ep}: filtration generators and their
     divided Frobenius images.  N kills the basis, so N acts coordinatewise."""
 
     cfg: object
-    rank: int
     fil_gens: list           # list of coordinate tuples (TildePoly, ...)
     phi_images: list         # parallel list
 
-    def n_of(self, vec):
-        """Coordinatewise monodromy of a vector (N(e_i) = 0)."""
-        return tuple(c.monodromy() for c in vec)
 
-
-def reduce_mod_p(lat, report=None):
-    """The mod-p object of a verified lattice, with the case-dependent pair
-    of Fil^2 generators and both computations of their phi_2-images (direct
-    reduction and the C-formula), which must agree."""
+def reduce_mod_p(lat, report):
+    """The mod-p object of a lattice, from its verification ``report``
+    (``verify_strong_divisibility(lat)``), which must have passed.  It keeps
+    the case-dependent pair of Fil^2 generators, and both computations of
+    their phi_2-images (the report's direct reduction and the C-formula)
+    must agree."""
     elements = lat.elements
-    if elements is None:
-        raise ValueError("reduction needs the family elements")
-    cfg = lat.cfg
-    if report is None:
-        report = verify_strong_divisibility(lat)
     if not report.all_passed:
         raise VerificationError("cannot reduce an unverified lattice")
     direct = dict(report.phi2_images)
@@ -340,34 +316,35 @@ def reduce_mod_p(lat, report=None):
         if not all((a - b).is_zero() for a, b in zip(direct[name], formula)):
             raise VerificationError("direct phi_2 images disagree with the "
                                     "C-formula")
-    return TildeObject(cfg, 2,
+    return TildeObject(lat.cfg,
                        [tuple(c.reduce_mod_p() for c in gens[n]) for n in names],
                        [direct[n] for n in names])
 
 
 def ideal_membership(A, elements):
-    """Decompose A = s1 (p + tE) + s2 (U E) + Fil^2-part, or None.
+    """Whether A = s1 (p + tE) + s2 (U E) + Fil^2-part with s1, s2 in S.
 
-    Constructive membership in the premise ideal: tronc_1(A) must be
-    divisible by p, and the reduced E-coefficient divisible by U at pi.
+    tronc_1(A) must be divisible by p, which gives s1, and the remaining
+    E-coefficient divisible by U at pi, which gives s2.  False means that
+    one of these divisions failed or ran out of digits; the digits of s2
+    are read into S, so an s2 whose digits cannot be read raises.
     """
-    cfg = elements.cfg
     A2 = A.tronc(2)
     try:
-        A0 = A2.tronc(1).div_exact_p(1)
+        s1 = A2.tronc(1).div_exact_p(1)
     except (DivisibilityError, PrecisionError):
-        return None
-    A1cand = (A2 - A0.scale_p(1)).div_exact_E(1).tronc(1)
-    s1 = A0
-    A1prime = A1cand - (A0 * elements.t).tronc(1)
-    A1pi = A1prime.mod_E()
+        return False
+    A1 = (A2 - s1.scale_p(1)).div_exact_E(1).tronc(1) - \
+        (s1 * elements.t).tronc(1)
+    A1pi = A1.mod_E()
     if A1pi.is_zero():
-        return s1, cfg.s_zero()
+        return True
     ratio = A1pi * elements.U.mod_E().inverse()
     vr = ratio.val_p()
     if vr == INF or vr < 0:
-        return None
-    return s1, ratio.to_strunc()
+        return False
+    ratio.to_strunc()        # s2 in S: raises where its digits run out
+    return True
 
 
 def phi2_image(A, lat):
@@ -378,7 +355,7 @@ def phi2_image(A, lat):
              + sigma^2(lambda) phi(A - tronc_2(A))) / p^2.
     """
     elements = lat.elements
-    if ideal_membership(A, elements) is None:
+    if not ideal_membership(A, elements):
         raise ValueError("A is not in the premise ideal")
     term1 = (A * elements.PL2).tronc(2).phi().div_exact_p(1)
     phiA = A.phi()
@@ -444,9 +421,7 @@ class Classification:
     irreducible: bool
     slopes: tuple            # ascending pair of Fractions
     j: int = 0
-    sub_generator: object = None   # coordinate pair of the rank-1 sub-object
     sub_fil_exponent: object = None
-    checks: dict = field(default_factory=dict)
 
 
 def _unit_part_or_none(x):
@@ -458,9 +433,9 @@ def _normalize_generators(obj):
     normalized shapes; returns (shape, data) or raises."""
     cfg = obj.cfg
     e = cfg.e
-    if obj.rank != 2 or len(obj.fil_gens) != 2:
-        raise ClassificationError("normalization needs a rank-2 object with "
-                                  "two filtration generators")
+    if len(obj.fil_gens) != 2:
+        raise ClassificationError("normalization needs two filtration "
+                                  "generators")
     for first in (0, 1):
         second = 1 - first
         ga, ia = obj.fil_gens[first], obj.phi_images[first]
@@ -571,41 +546,36 @@ def _proportional_unit(a, b):
 def classify_rank2(obj):
     """Classify a rank-2 reduced object against the three normalized shapes.
 
-    Reducible cases return the rank-1 sub-object generator m with Fil^2 of
-    the sub-object equal to u^{sub_fil_exponent} times it; its membership,
-    the unit proportionality of phi_2, and N-stability are verified.
-    Unrecognized shapes raise (no guessing)."""
+    Reducible cases return the Fil^2 exponent of the rank-1 sub-object
+    generated by m: its Fil^2 is u^{sub_fil_exponent} times it.  Its
+    membership, the unit proportionality of phi_2, and N-stability are
+    verified.  Unrecognized shapes raise (no guessing)."""
     cfg = obj.cfg
     e = cfg.e
-    ep = cfg.e * cfg.p
     shape, data = _normalize_generators(obj)
     checks = {}
     if shape == "0":
         return Classification("0", True, (Fraction(0), Fraction(2)))
+    j = data["j"]
     if shape == "1":
-        j = data["j"]
         if j >= e:
             return Classification("1", True, (Fraction(0), Fraction(2)), j=j)
         X = solve_eqX(data["rho"], data["alpha"], data["mu"], e, j)
         checks["X_unit"] = X.is_unit()
-        qexp = cfg.p * (e - j)
-        m_vec = (X * cfg.tilde_u(qexp) if qexp < ep else cfg.tilde_zero(),
-                 cfg.tilde_one())
         sub_exp = e - j
         slopes = (1 - Fraction(j, e), 1 + Fraction(j, e))
     else:
-        j = data["j"]
-        qexp = cfg.p * (e - j)
-        if qexp >= ep or data["sigma"] is None:
+        # sigma is None exactly when p(e - j) >= ep
+        if data["sigma"] is None:
             X = cfg.tilde_zero()
         else:
             num = data["alpha"].phi() * data["sigma"] - \
                 data["gamma"].phi() * data["mu"]
             X = num * (data["rho"] * data["alpha"].phi()).unit_inverse()
-        m_vec = (X * cfg.tilde_u(qexp) if qexp < ep else cfg.tilde_zero(),
-                 cfg.tilde_one())
         sub_exp = e
         slopes = (Fraction(1), Fraction(1))
+    # u^{p(e-j)} X, which is 0 once p(e-j) >= ep
+    m_vec = (cfg.tilde_u(cfg.p * (e - j)) * X, cfg.tilde_one())
 
     # the sub-object: Fil^2 M' = u^{sub_exp} M', generated by u^{sub_exp} m
     gen_fil = tuple(c.shift_u(sub_exp) for c in m_vec)
@@ -618,16 +588,14 @@ def classify_rank2(obj):
     lam = _proportional_unit(img, m_vec) if img is not None else None
     checks["phi2_proportional_unit"] = lam is not None
     # N-stability through the commutation rule: phi_2(u^e N(u^{sub_exp} m)) = 0
-    nvec = obj.n_of(gen_fil)
-    nshift = tuple(c.shift_u(e) for c in nvec)
+    nshift = tuple(c.monodromy().shift_u(e) for c in gen_fil)
     nimg = _phi2_of_member(obj, solve, nshift)
     checks["n_stable"] = nimg is not None and nimg[0].is_zero() and \
         nimg[1].is_zero()
     if not all(checks.values()):
         raise ClassificationError(f"sub-object verification failed: {checks}")
     return Classification(shape, False, tuple(sorted(slopes)), j=j,
-                          sub_generator=m_vec, sub_fil_exponent=sub_exp,
-                          checks=checks)
+                          sub_fil_exponent=sub_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +609,6 @@ class FamilyAnalysis:
     norm: NormalizedL
     elements: FamilyElements
     lattice: StrongLattice
-    report: DivisibilityReport
-    tilde: TildeObject
     classification: Classification
     hodge_V: Polygon
     newton_V: Polygon
@@ -689,8 +655,7 @@ def analyze_family(params):
     elements = build_elements(params, norm)
     lat = strong_lattice(elements)
     report = verify_strong_divisibility(lat)
-    tilde = reduce_mod_p(lat, report)
-    classification = classify_rank2(tilde)
+    classification = classify_rank2(reduce_mod_p(lat, report))
     exps_E, exps_u = _family_exponents(cfg, lat)
     hodge_Mbar = polygons.from_slopes(
         adapted.hodge_weights(exps_u, 2, cfg.e))
@@ -754,10 +719,9 @@ def analyze_family(params):
         step_ok,
         f"e * {desc_E} against {desc_u}"))
 
-    return FamilyAnalysis(cfg, params, norm, elements, lat, report, tilde,
-                          classification, hodge_V, newton_V, hodge_Mbar,
-                          inertia, exps_E, exps_u, verdicts,
-                          list(elements.warnings))
+    return FamilyAnalysis(cfg, params, norm, elements, lat, classification,
+                          hodge_V, newton_V, hodge_Mbar, inertia, exps_E,
+                          exps_u, verdicts, list(elements.warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +781,9 @@ def pseudo_counterexample(n, p, prec=None):
     inertia_bound = hodge_Mbar
 
     # Newton polygon of the Frobenius matrix over K0 (u -> 0 sends c to c(0))
-    c0n_pn = K0Elem(cfg.witt, cpow.constant_term().scale_p(n), 0)
-    zero = K0Elem(cfg.witt, cfg.witt.zero(), 0)
-    minus_p = K0Elem(cfg.witt, cfg.witt.elem(-p), 0)
+    c0n_pn = cfg.k0(cpow.constant_term().scale_p(n))
+    zero = cfg.k0(0)
+    minus_p = cfg.k0(-p)
     phi = ((zero, c0n_pn), (c0n_pn, minus_p))
     coeffs = fontaine._charpoly_k0(cfg, phi, 2)
     newton = polygons.newton_polygon([c.val_p() for c in coeffs])

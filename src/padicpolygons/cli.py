@@ -7,6 +7,10 @@ strings or numbers, rationals are "num/den", p-adic coefficients are integer
 values mod p^prec.  Exit status: 0 when every verdict holds, 1 when some
 verdict fails, 2 on errors.
 
+In an L expression, ``x`` is the Teichmuller lift of the generator of the
+residue field.  On a ring with m = 1 that generator is 0, so ``x`` is 0
+there: ``x+pi`` is ``pi``, and ``x`` alone lies in Q_p.
+
 Rings are shared per process: every document with the same ring key (p, m,
 e, E, prec, r, modulus) gets the same ``RingConfig``, so E^p, its kernels,
 the table of u^{p i} mod E^p, c = phi(E)/p and the Frobenius lift are
@@ -24,8 +28,8 @@ import sys
 from fractions import Fraction
 
 from . import adapted, breuil, fontaine, oracle, polygons
-from .arith import (INF, ConfigError, DivisibilityError, K0Elem,
-                    PrecisionError, RingConfig)
+from .arith import (INF, ConfigError, DivisibilityError, PrecisionError,
+                    RingConfig)
 
 
 class DocError(ValueError):
@@ -128,8 +132,8 @@ def _parse_k0(cfg, value, path):
         return cfg.k0_from_fraction(fr)
     if isinstance(value, dict):
         w = _witt_of(cfg, value.get("w", 0), path)
-        return K0Elem(cfg.witt, w, _as_int(value.get("pexp", 0), path))
-    return K0Elem(cfg.witt, _witt_of(cfg, value, path), 0)
+        return cfg.k0(w, _as_int(value.get("pexp", 0), path))
+    return cfg.k0(_witt_of(cfg, value, path))
 
 
 def _parse_k_elem(cfg, value, path):
@@ -174,7 +178,9 @@ def _tokenize(text):
 
 def parse_L_expression(cfg, text):
     """Evaluate an L expression in K: integers, 'p', 'pi' (the class of u),
-    'x' (the Teichmuller lift of the residue generator), +, -, *, /, ^."""
+    'x' (the Teichmuller lift of the residue generator), +, -, *, /, ^.
+
+    With m = 1 the residue generator is 0, so 'x' is 0 and 'x+pi' is 'pi'."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -356,13 +362,18 @@ def cmd_analyze(doc, prec_override=None):
 
 
 def _parse_carrier_entry(cfg, carrier, value, path):
+    """A matrix entry: a W element over the p carrier, else a list of at
+    most ep coefficients, in S or reduced to k[u]/u^{ep}."""
     if carrier.name == "p":
         return _witt_of(cfg, value, path)
     if not isinstance(value, list):
         value = [value]
+    if len(value) > cfg.e * cfg.p:
+        raise DocError(path, f"at most ep = {cfg.e * cfg.p} coefficients")
+    coeffs = [_witt_of(cfg, c, path) for c in value]
     if carrier.name == "E":
-        return cfg.s([_witt_of(cfg, c, path) for c in value])
-    return cfg.tilde([_parse_witt_coord(c, path) for c in value])
+        return cfg.s(coeffs)
+    return cfg.tilde([c.residue() for c in coeffs])
 
 
 def _analyze_matrix(doc, prec_override):
@@ -396,7 +407,7 @@ def _analyze_filtered(doc, prec_override):
         raise DocError("filtered.phi", f"expected a square matrix, got "
                        f"{dim} x {len(phi[0])}")
     if flt.get("N") is None:
-        zero = K0Elem(cfg.witt, cfg.witt.zero(), 0)
+        zero = cfg.k0(0)
         nmat = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))
     else:
         nmat = _parse_k0_matrix(cfg, flt["N"], "filtered.N")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polygons
-from .arith import K0Elem, KElem
+from .arith import KElem
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class FilteredModule:
         if t >= len(self.fil):
             return 0
         return len(self.fil[t])
-
-
-def _k0_zero(cfg):
-    return K0Elem(cfg.witt, cfg.witt.zero(), 0)
-
-
-def _k0_one(cfg):
-    return K0Elem(cfg.witt, cfg.witt.one(), 0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def family_module(params):
     """The filtered module D(L) of the family."""
     cfg = params.cfg
     params.validate()
-    zero, one = _k0_zero(cfg), _k0_one(cfg)
+    zero, one = cfg.k0(0), cfg.k0(1)
     phi = ((one.mul_p_power(params.n1), zero),
            (zero, one.mul_p_power(params.n2)))
     nmat = ((zero, zero), (zero, zero))
@@ -121,8 +113,7 @@ def hodge_polygon(D):
 def _charpoly_k0(cfg, M, dim):
     """Coefficients (degree 0..dim) of det(X*I - M) over K0, by permutation
     expansion of polynomials with K0 coefficients."""
-    zero = _k0_zero(cfg)
-    one = _k0_one(cfg)
+    zero, one = cfg.k0(0), cfg.k0(1)
 
     def poly_mul(a, b):
         out = [zero] * (len(a) + len(b) - 1)
@@ -177,7 +168,7 @@ def t_numbers(D):
 def _sqrt_zp(cfg, x):
     """Square root of a K0 element, or None if there is none in Q_p."""
     if x.is_zero():
-        return _k0_zero(cfg)
+        return cfg.k0(0)
     num = x.num
     vnum = num.val()
     if (vnum - x.pexp) % 2 != 0:
@@ -209,12 +200,7 @@ def _sqrt_zp(cfg, x):
         return None
     half = (vnum - x.pexp) // 2
     w = y.scale_p(half) if half >= 0 else y
-    return K0Elem(cfg.witt, w, -half if half < 0 else 0)
-
-
-def _k0_to_k(cfg, x):
-    coeffs = (x.num,) + tuple(cfg.witt.zero() for _ in range(cfg.e - 1))
-    return cfg.k_elem(coeffs, x.pexp)
+    return cfg.k0(w, -half if half < 0 else 0)
 
 
 def _eigenlines_dim2(D):
@@ -225,7 +211,7 @@ def _eigenlines_dim2(D):
     c, d = D.phi[1]
     tr = a + d
     det = a * d - b * c
-    two_inv = K0Elem(cfg.witt, cfg.witt.elem(2).unit_inverse(), 0)
+    two_inv = cfg.k0(cfg.w(2).unit_inverse())
     disc = tr * tr - det * 4
     if disc.is_zero():
         roots = [tr * two_inv]
@@ -259,7 +245,7 @@ def _line_in_fil_t(cfg, w, fil_basis):
     if len(fil_basis) >= 2:
         return True
     g0, g1 = fil_basis[0]
-    w0, w1 = _k0_to_k(cfg, w[0]), _k0_to_k(cfg, w[1])
+    w0, w1 = (cfg.k_elem([x.num], x.pexp) for x in w)
     return (w0 * g1 - w1 * g0).is_zero()
 
 
@@ -277,12 +263,12 @@ def _k0_line_of_fil_line(cfg, g):
     """The K0-line inside the K-line K*g, if one exists."""
     g0, g1 = g
     if g1.is_zero():
-        return (_k0_one(cfg), _k0_zero(cfg))
+        return (cfg.k0(1), cfg.k0(0))
     ratio = g0 * g1.inverse()
     for c in ratio.coeffs[1:]:
         if not c.is_zero():
             return None
-    return (K0Elem(cfg.witt, ratio.coeffs[0], ratio.pexp), _k0_one(cfg))
+    return (cfg.k0(ratio.coeffs[0], ratio.pexp), cfg.k0(1))
 
 
 def weakly_admissible_dim2(D, family=None):

@@ -216,7 +216,7 @@ def _B(el):
     B_2 = u^e (1 + tronc_1(U (s - Z))/p)."""
     cfg = el.cfg
     slam = cfg.s([el.lam.frobenius()])
-    ue = cfg.s_u(cfg.e)
+    ue = cfg.s([0] * cfg.e + [1])
     B1 = el.L0 - slam + ue * (el.t * (slam - el.Z)).tronc(1).div_exact_p(1)
     B2 = ue * (cfg.s_one() + (el.U * (slam - el.Z)).tronc(1).div_exact_p(1))
     return B1.reduce_mod_p(), B2.reduce_mod_p()
@@ -227,7 +227,7 @@ def test_reduction_generators(cfg7, which):
     L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
     el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
     lat = strong_lattice(el)
-    obj = reduce_mod_p(lat)
+    obj = reduce_mod_p(lat, verify_strong_divisibility(lat))
     e = cfg7.e
     B1, B2 = _B(el)
     # g_1 = u^e tbar f_1 + B_1-bar f_2 (the f_2-coordinate reduces to B_1)
@@ -271,7 +271,7 @@ def test_case_i_structure_units(cfg7):
     el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7)),
                         normalize_L(_x(cfg7)))
     lat = strong_lattice(el)
-    obj = reduce_mod_p(lat)
+    obj = reduce_mod_p(lat, verify_strong_divisibility(lat))
     # both phi_2 coefficients are units in the normalized picture
     assert obj.phi_images[0][0].is_unit()
     assert obj.phi_images[1][1].is_unit()
@@ -288,7 +288,9 @@ def test_classify_family_cases(cfg7):
             (_x(cfg7), (0, 2), "0"),
             (_x(cfg7) + cfg7.pi(), (Fraction(1, 2), Fraction(3, 2)), "1")):
         el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
-        cls = classify_rank2(reduce_mod_p(strong_lattice(el)))
+        lat = strong_lattice(el)
+        cls = classify_rank2(reduce_mod_p(lat,
+                                          verify_strong_divisibility(lat)))
         assert cls.shape == shape
         assert cls.slopes == tuple(Fraction(s) for s in slopes)
 
@@ -302,7 +304,7 @@ def _synthetic_shape1(cfg, j, rng):
     g2 = (cfg.tilde_u(2 * e), cfg.tilde_zero())
     i1 = (mu, cfg.tilde_zero())
     i2 = (cfg.tilde_zero(), rho)
-    return TildeObject(cfg, 2, [g1, g2], [i1, i2])
+    return TildeObject(cfg, [g1, g2], [i1, i2])
 
 
 def test_classify_synthetic_shape1_irreducible(cfg7, rng):
@@ -327,7 +329,7 @@ def test_classify_rejects_unknown_shape(cfg7):
     i1 = (cfg7.tilde_one(), cfg7.tilde_zero())
     i2 = (cfg7.tilde_zero(), cfg7.tilde_one())
     with pytest.raises(ClassificationError):
-        classify_rank2(TildeObject(cfg7, 2, [g1, g2], [i1, i2]))
+        classify_rank2(TildeObject(cfg7, [g1, g2], [i1, i2]))
 
 
 # ---------------------------------------------------------------------------

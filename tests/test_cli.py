@@ -139,6 +139,14 @@ def test_L_division():
     assert cli.parse_L_expression(cfg, "2*x/x") == cfg.k_elem([2])
 
 
+def test_x_is_zero_when_m_is_1():
+    # the residue generator of F_p is 0, so its Teichmuller lift x is too
+    cfg = cli.parse_ring(_family_doc(13, 1, 5, None), prec_override=13)
+    x = cli.parse_L_expression(cfg, "x")
+    assert x.is_zero()
+    assert cli.parse_L_expression(cfg, "x+pi") == cfg.pi()
+
+
 def test_L_division_by_zero_exits_2(tmp_path, capsys):
     path = _write(tmp_path, json.dumps(_family_doc(7, 2, 2, "x/(p-p)")))
     assert cli.main(["analyze", "--input", path]) == 2
@@ -336,6 +344,14 @@ MALFORMED = {
         "filtered.N"),
     "entries_ragged": ("analyze", _matrix_doc("p", [[1, 2], [3]]),
                        "matrix.entries[1]"),
+    "u_entry_coordinates": ("analyze", _matrix_doc("u", [[1, [[1, 2, 3]]]]),
+                            "matrix.entries[0][1]"),
+    "E_entry_coordinates": ("analyze", _matrix_doc("E", [[[[1]], 1]]),
+                            "matrix.entries[0][0]"),
+    "u_entry_degree": ("analyze", _matrix_doc("u", [[[0] * 15]]),
+                       "matrix.entries[0][0]"),
+    "E_entry_degree": ("analyze", _matrix_doc("E", [[1], [[0] * 14 + [1]]]),
+                       "matrix.entries[1][0]"),
     "sweep_family_is_a_list": ("sweep", _sweep_doc(["x"]) | {"family": [1]},
                                "family"),
     "render_a_list": ("render", [1], "doc.json"),
