@@ -68,8 +68,11 @@ class UCarrier:
     name = "u"
 
     def __init__(self, cfg, n=None):
+        ep = cfg.e * cfg.p
+        if n is not None and not 1 <= n <= ep:
+            raise ValueError(f"k[u]/u^n needs 1 <= n <= ep = {ep}, got {n}")
         self.cfg = cfg
-        self.cap = cfg.e * cfg.p if n is None else n
+        self.cap = ep if n is None else n
 
     def zero(self):
         return self.cfg.tilde_zero().truncate(self.cap)

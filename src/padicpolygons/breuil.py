@@ -102,7 +102,10 @@ def build_elements(params, norm):
     """Construct t, Z, U, V for n1 = n2 = 1 and verify on the way:
     the three defining properties of t, the congruence Z = sigma(lambda)
     mod (p, Fil^2), and the case (ii) residue identities.  Any failure is a
-    hard error."""
+    hard error.
+
+    t and U have degree < e, so each is its value mod E, and reduction mod E
+    is a ring map: one K inverse of (L_0 - sigma(lambda))(pi) gives both."""
     cfg = params.cfg
     if (params.n1, params.n2) != (1, 1):
         raise ValueError("the lattice construction is implemented for "
@@ -121,13 +124,11 @@ def build_elements(params, norm):
     # L_2 = L_0 + (1/p) L_1 E(u) with L_1(pi) = -p L_0'(pi)/E'(pi)
     PL2, L1 = fontaine.hermite_interpolant(norm.L)
 
-    if case == "i":
-        if not (slam - lam).is_unit():
-            raise VerificationError("case (i) needs sigma(lambda) - lambda "
-                                    "to be a unit")
-        t = (L1 * (-diff).unit_inverse()).tronc(1)   # -diff is a unit of S
-    else:
-        t = (L1.mod_E() * (-diff_pi).inverse()).to_strunc()
+    if case == "i" and not (slam - lam).is_unit():
+        raise VerificationError("case (i) needs sigma(lambda) - lambda "
+                                "to be a unit")
+    inv = diff_pi.inverse()
+    t = -(L1.mod_E() * inv).to_strunc()
 
     if (diff * t + L1).val_E() < 1:
         raise VerificationError("t does not satisfy its defining congruence")
@@ -160,7 +161,7 @@ def build_elements(params, norm):
         raise VerificationError("Z - sigma(lambda) is not in pS + Fil^2 S")
 
     # U (L_0 - sigma(lambda)) = p + V E(u), both of degree < e
-    U = diff_pi.inverse().mul_p_power(1).to_strunc()
+    U = inv.mul_p_power(1).to_strunc()
     U_diff = U * diff
     V = (U_diff + cfg.s([-cfg.p])).div_exact_E(1).tronc(1)
     if not (U_diff - (cfg.s([cfg.p]) + V * cfg.s_E())).is_zero():
@@ -430,14 +431,17 @@ def _unit_part_or_none(x):
 
 def _normalize_generators(obj):
     """Unit-rescale and order the two Fil^2 generators to one of the
-    normalized shapes; returns (shape, data) or raises."""
+    normalized shapes; returns (shape, data) or raises.
+
+    phi reads u^{<e}, so shapes (0)/(1) invert their units in k[u]/u^e.
+    alpha, read through phi when j < e, is sa times ga_1's unit part mod
+    u^e, which is exact: ga_1 has u-valuation e + j < 2e <= ep - e."""
     cfg = obj.cfg
     e = cfg.e
     if len(obj.fil_gens) != 2:
         raise ClassificationError("normalization needs two filtration "
                                   "generators")
-    for first in (0, 1):
-        second = 1 - first
+    for first, second in ((0, 1), (1, 0)):
         ga, ia = obj.fil_gens[first], obj.phi_images[first]
         gb, ib = obj.fil_gens[second], obj.phi_images[second]
         # shapes (0)/(1): gb a unit multiple of u^{2e} e_1, ga_2 a unit
@@ -451,18 +455,16 @@ def _normalize_generators(obj):
                 continue
             if not ga[0].is_zero() and ga[0].u_val() <= e:
                 continue
-            sa = ga[1].unit_inverse()
+            sa = ga[1].truncate(e).unit_inverse()
             mu_ = ia[0] * sa.phi()
-            rho = ib[1] * gb[0].unit_part()[1].unit_inverse().phi()
+            rho = ib[1] * gb[0].unit_part()[1].truncate(e).unit_inverse().phi()
             if ga[0].is_zero():
                 return "0", {"mu": mu_, "rho": rho}
-            jv, aunit = (ga[0] * sa).unit_part()
-            return "1", {"mu": mu_, "rho": rho, "alpha": aunit, "j": jv - e}
+            jv, aunit = ga[0].unit_part()
+            return "1", {"mu": mu_, "rho": rho, "j": jv - e,
+                         "alpha": aunit.truncate(e) * sa}
         # shape (2): valuation pattern (e, j) and (2e-j, e) with j < e
-        pa0 = _unit_part_or_none(ga[0])
-        pa1 = _unit_part_or_none(ga[1])
-        pb0 = _unit_part_or_none(gb[0])
-        pb1 = _unit_part_or_none(gb[1])
+        pa0, pa1, pb0, pb1 = map(_unit_part_or_none, (*ga, *gb))
         if None in (pa0, pa1, pb0, pb1):
             continue
         if pa0[0] != e or pb1[0] != e:
@@ -625,22 +627,20 @@ class FamilyAnalysis:
 
 
 def _family_exponents(cfg, lat):
-    """Adapted exponents of Fil^2 on the E(u)-adic and u-adic carriers."""
-    ec = adapted.ECarrier(cfg)
+    """Adapted exponents of Fil^2 on the E(u)-adic and u-adic carriers.  The
+    reduced E^2 f_i are (u^{2e}, 0) and (0, u^{2e}), so every u-adic exponent
+    is at most 2e, and Smith reduction over k[u]/u^{2e+1} reads it exactly."""
     # (p L_2, p) spans the same K0[u]/E^p-submodule as the true generator
     E2 = dict(lat.fil_gens)["E^2*f1"][0]
-    cols_E = [
-        (lat.elements.PL2, cfg.s([cfg.p])),
-        (E2, cfg.s_zero()),
-        (cfg.s_zero(), E2),
-    ]
+    cols_E = [(lat.elements.PL2, cfg.s([cfg.p])), (E2, cfg.s_zero()),
+              (cfg.s_zero(), E2)]
     exps_E = adapted.divisor_exponents(
-        [[c[i] for c in cols_E] for i in range(2)], ec)
-    # E = u^e mod p: the reduced E^2 f_i are (u^{2e}, 0) and (0, u^{2e})
-    cols_u = [tuple(c.reduce_mod_p() for c in data)
+        [[c[i] for c in cols_E] for i in range(2)], adapted.ECarrier(cfg))
+    n = 2 * cfg.e + 1
+    cols_u = [tuple(c.reduce_mod_p().truncate(n) for c in data)
               for _, data in lat.fil_gens if not isinstance(data, Exception)]
     exps_u = adapted.divisor_exponents(
-        [[c[i] for c in cols_u] for i in range(2)], adapted.UCarrier(cfg))
+        [[c[i] for c in cols_u] for i in range(2)], adapted.UCarrier(cfg, n))
     return exps_E, exps_u
 
 

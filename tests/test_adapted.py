@@ -26,6 +26,15 @@ def test_identity_exponents(cfg7):
         assert minor_exponents(rows, carrier) == [0, 0, 0]
 
 
+def test_u_carrier_length_bounds(cfg7):
+    ep = cfg7.e * cfg7.p
+    assert UCarrier(cfg7).cap == UCarrier(cfg7, ep).cap == ep
+    assert UCarrier(cfg7, 1).one() == cfg7.tilde_one().truncate(1)
+    for n in (0, ep + 1):
+        with pytest.raises(ValueError, match=r"1 <= n <= ep = 14"):
+            UCarrier(cfg7, n)
+
+
 def test_pseudo_module_columns():
     # columns u^n e_1 and u^n e_2 over k[u]/u^{ep} with e = 1 give (n, n)
     cfg = RingConfig(7, 1, 1, [-7, 1], prec=7, r=4)

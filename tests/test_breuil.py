@@ -14,9 +14,13 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            sabotaged_lattice, solve_eqX, strong_lattice,
                            verify_strong_divisibility)
 from padicpolygons import adapted
-from padicpolygons.breuil import _minor_is_unit
+from padicpolygons.arith import STrunc, TildePoly
+from padicpolygons.breuil import (_family_exponents, _minor_is_unit,
+                                  _normalize_generators)
+from padicpolygons.cli import parse_L_expression
 from padicpolygons.oracle import (eqX_substitution, random_tilde,
                                   random_tilde_unit)
+from test_outcome_table import L_SPECS, monomial_E, seeded_E
 
 
 def _x(cfg):
@@ -25,6 +29,27 @@ def _x(cfg):
 
 def _analysis(cfg, L):
     return analyze_family(FamilyParams(cfg, 1, 1, L))
+
+
+@pytest.fixture(scope="module")
+def table_elements():
+    """(cfg, elements) of every outcome-table row with p <= 11, under both
+    E, whose L does not lie in Q_p."""
+    rows = []
+    for p in (7, 11):
+        for e in range(1, (p - 2) // 2 + 1):     # 2e < p - 1
+            for m in (1, 2):
+                for E in (monomial_E(p, e), seeded_E(p, m, e)):
+                    cfg = RingConfig(p, m, e, E, prec=p, r=2)
+                    for spec in L_SPECS:
+                        L = parse_L_expression(cfg, spec)
+                        try:
+                            norm = normalize_L(L)
+                        except ValueError:           # L lies in Q_p
+                            continue
+                        params = FamilyParams(cfg, 1, 1, L)
+                        rows.append((cfg, build_elements(params, norm)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +140,31 @@ def test_elements_defining_equations(cfg7):
         lhs = el.Z * (cfg7.s_one() + cfg7.c * el.t.phi())
         rhs = el.L0.phi() + cfg7.c * (el.t * cfg7.s([slam])).phi()
         assert lhs == rhs
+
+
+def _same(x, y):
+    return x.flat == y.flat and x.precs == y.precs
+
+
+def test_t_case_i_matches_the_inverse_in_S(table_elements):
+    """Case (i) once took t = tronc_1(L_1 (-(L_0 - sigma(lambda)))^{-1})
+    through a Newton inverse in S; the K inverse gives the same digits."""
+    case_i = [(cfg, el) for cfg, el in table_elements if el.case_tag == "i"]
+    assert len(case_i) == 26
+    for cfg, el in case_i:
+        diff = el.L0 - el.lam.frobenius()
+        assert _same(el.t, (el.L1 * (-diff).unit_inverse()).tronc(1))
+
+
+def test_t_and_U_match_two_K_inverses(table_elements):
+    """One K inverse of (L_0 - sigma(lambda))(pi) serves t and U; each
+    matches its own inverse."""
+    assert len(table_elements) == 57
+    for cfg, el in table_elements:
+        diff_pi = (el.L0 - el.lam.frobenius()).mod_E()
+        t = (el.L1.mod_E() * (-diff_pi).inverse()).to_strunc()
+        U = diff_pi.inverse().mul_p_power(1).to_strunc()
+        assert _same(el.t, t) and _same(el.U, U)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +373,29 @@ def test_classify_synthetic_shape1_reducible(cfg7, rng):
     assert cls.sub_fil_exponent == cfg7.e - 1
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_shape1_units_inverted_mod_u_e(cfg7, cfg13, rng, j):
+    """Shape (1) inverts its units in k[u]/u^e; mu, rho and phi(alpha)
+    equal the formulas over the full k[u]/u^{ep}, here on the synthetic
+    shape-1 objects with both generators rescaled by random units."""
+    for cfg in (cfg7, cfg13):
+        base = _synthetic_shape1(cfg, j, rng)
+        ua, ub = (random_tilde_unit(cfg, rng, cfg.e * cfg.p)
+                  for _ in range(2))
+        (a0, a1), (b0, b1) = base.fil_gens
+        ga, gb = (ua * a0, ua * a1), (ub * b0, ub * b1)
+        ia, ib = base.phi_images
+        shape, data = _normalize_generators(
+            TildeObject(cfg, [ga, gb], base.phi_images))
+        assert shape == "1" and data["j"] == j
+        sa = ga[1].unit_inverse()
+        assert data["mu"] == ia[0] * sa.phi()
+        assert data["rho"] == ib[1] * gb[0].unit_part()[1].unit_inverse().phi()
+        jv, aunit = (ga[0] * sa).unit_part()
+        assert jv - cfg.e == j
+        assert data["alpha"].phi() == aunit.phi()
+
+
 def test_classify_rejects_unknown_shape(cfg7):
     g1 = (cfg7.tilde_u(1), cfg7.tilde_zero())
     g2 = (cfg7.tilde_zero(), cfg7.tilde_u(1))
@@ -443,6 +516,46 @@ def test_u_exponents_need_no_extra_u2e_columns():
                 for _, g in a.lattice.fil_gens]
         assert a.exponents_u == exponents(cols) == \
             exponents(cols + [(u2e, zero), (zero, u2e)])
+
+
+def test_family_u_exponents_match_full_minors(table_elements):
+    """The u-adic step runs over k[u]/u^{2e+1}; the minors of the full
+    columns over k[u]/u^{ep} give the same exponents."""
+    for cfg, el in table_elements:
+        lat = strong_lattice(el)
+        cols = [tuple(c.reduce_mod_p() for c in g) for _, g in lat.fil_gens]
+        full = adapted.minor_exponents([[c[i] for c in cols]
+                                        for i in range(2)],
+                                       adapted.UCarrier(cfg))
+        assert _family_exponents(cfg, lat)[1] == full
+
+
+def _operand_lengths(monkeypatch, cls, name):
+    """Record len(coeffs) of the left operand of each cls.name call."""
+    seen = []
+    inner = getattr(cls, name)
+
+    def wrapped(self, *args):
+        seen.append(len(self.coeffs))
+        return inner(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapped)
+    return seen
+
+
+def test_family_steps_stay_in_small_rings(monkeypatch):
+    """At (11,2,4), L = x + pi: the u-adic exponents make no product in the
+    full k[u]/u^{ep}, and build_elements inverts in S once (for Z)."""
+    cfg = RingConfig(11, 2, 4, monomial_E(11, 4), prec=11, r=2)
+    L = _x(cfg) + cfg.pi()
+    norm = normalize_L(L)
+    inverses = _operand_lengths(monkeypatch, STrunc, "unit_inverse")
+    el = build_elements(FamilyParams(cfg, 1, 1, L), norm)
+    assert el.case_tag == "i" and len(inverses) == 1
+    lat = strong_lattice(el)
+    products = _operand_lengths(monkeypatch, TildePoly, "__mul__")
+    _family_exponents(cfg, lat)
+    assert products and set(products) == {2 * cfg.e + 1}
 
 
 def test_pseudo_counterexample_values():
