@@ -1,6 +1,6 @@
 """Elementary-divisor exponents over the three "principal" carriers, a
-linear solver over the same carriers, and the dictionary turning
-exponents into Hodge weights.
+linear solver over k[u]/u^n, and the dictionary turning exponents into
+Hodge weights.
 
 Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep}, or a
 shorter k[u]/u^n, with u; and W/p^N with p.  Each carrier's ``val``
@@ -13,6 +13,11 @@ matrix).  The production path is a Smith-style reduction with a
 minimal-valuation pivot; exhaustive minor enumeration is kept alongside as
 the independent oracle.  Only the exponents are read: the pipeline never
 needs the adapted basis itself.
+
+The reduction has two branches.  The E and p carriers, whose elements carry
+p-adic precision, reduce fraction-free, which spends no digit that the
+minors keep.  k[u]/u^n, where arithmetic is exact, normalizes each pivot to
+u^v: that is faster and is the branch that ``span_solver`` can track.
 """
 
 from __future__ import annotations
@@ -26,10 +31,8 @@ class ECarrier:
     """(W/p^N)[u]/E(u)^p with maximal element E(u); valuations clamp at p.
 
     Cofactors of E-valuation 0 (such as p + tE) are units of K0[u]/E^p but
-    not of this integral model, and their inverses have p-denominators that
-    grow with the E-degree, so reductions over this carrier are done
-    fraction-free: rows are cross-multiplied by unit cofactors, which leaves
-    every minor's E-valuation unchanged and costs no p-adic precision.
+    not of this integral model (their inverses have p-denominators that
+    grow with the E-degree), so pivots here are never normalized.
     """
 
     name = "E"
@@ -56,16 +59,13 @@ class ECarrier:
             return self.cfg.s_zero()
         return self.cfg.s(list(self.cfg._E_power(n)))
 
-    def unit_inverse(self, x):
-        # only honest units of the integral model invert exactly
-        return x.unit_inverse()
-
 
 class UCarrier:
     """k[u]/u^n with maximal element u, n = ep unless given (1 <= n <= ep);
     valuations clamp at n, the cap, and elements have length n."""
 
     name = "u"
+    fraction_free = False
 
     def __init__(self, cfg, n=None):
         ep = cfg.e * cfg.p
@@ -89,20 +89,14 @@ class UCarrier:
     def pi_power(self, n):
         return self.cfg.tilde_u(n).truncate(self.cap)
 
-    def unit_inverse(self, x):
-        return x.unit_inverse()
-
 
 class PCarrier:
-    """W/p^N with maximal element p; valuations clamp at the precision.
-
-    An element that vanishes at its own (possibly reduced) precision counts
-    as zero: that keeps the reduction path consistent with full-precision
-    minors, because clearing against a valuation-v pivot costs exactly v
-    digits, the same v that a minor through that pivot absorbs.
-    """
+    """W/p^N with maximal element p; valuations clamp at the precision, and
+    an element that vanishes at its own (possibly reduced) precision counts
+    as zero."""
 
     name = "p"
+    fraction_free = True
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -125,9 +119,6 @@ class PCarrier:
         if n >= self.cap:
             return self.cfg.witt.zero()
         return self.cfg.witt.elem(self.cfg.p ** n)
-
-    def unit_inverse(self, x):
-        return x.unit_inverse()
 
 
 def carrier_by_name(cfg, name):
@@ -180,14 +171,17 @@ def smith_reduce(rows, carrier, track=False):
     set, the row transform T and the column transform C with
     T * M * C = diag(pi^{pivot_vals}); otherwise T and C are None.
 
-    Fraction-free carriers are cleared by cross-multiplication (the pivot's
-    unit cofactor scales the target row), which preserves all minor
-    valuations but admits no transform tracking.
+    Fraction-free carriers (E and p) are cleared by cross-multiplication:
+    the target row or column is scaled by the pivot's cofactor w_s, so each
+    remaining entry w_s*a - w_i*b is a 2 x 2 minor divided by pi^v and keeps
+    that minor's digits less v.  Normalizing the pivot row to pi^v would
+    instead spend v digits on the scaling and v more on clearing columns
+    through the zeros it has just made.  This branch admits no transform
+    tracking.  k[u]/u^n loses no digit either way, so it normalizes.
     """
     d = len(rows)
     D = len(rows[0]) if d else 0
-    fraction_free = getattr(carrier, "fraction_free", False)
-    if track and fraction_free:
+    if track and carrier.fraction_free:
         raise ValueError(f"carrier {carrier.name!r} does not support "
                          "transform tracking")
     M = [list(r) for r in rows]
@@ -218,7 +212,7 @@ def smith_reduce(rows, carrier, track=False):
                 for row in C:
                     row[s], row[bj] = row[bj], row[s]
         v = best
-        if fraction_free:
+        if carrier.fraction_free:
             ws = carrier.shift_div(M[s][s], v)
             for i in range(d):
                 if i == s or carrier.val(M[i][s]) >= carrier.cap:
@@ -234,7 +228,7 @@ def smith_reduce(rows, carrier, track=False):
                     M[i][j] = ws * M[i][j] - wj * M[i][s]
             pivot_vals.append(v)
             continue
-        unit = carrier.unit_inverse(carrier.shift_div(M[s][s], v))
+        unit = carrier.shift_div(M[s][s], v).unit_inverse()
         # normalize the pivot row so the pivot is exactly pi^v
         for j in range(D):
             M[s][j] = M[s][j] * unit
@@ -279,9 +273,10 @@ def span_solver(columns, carrier, rank):
     ``solve(target)``, coefficients x with sum(x_j * columns[j]) = target,
     or None.
 
-    Linear solve over the local carrier ring; membership fails when a
-    division is inexact or a cleared row of the target is nonzero.  Over
-    k[u]/u^n a solution is fixed only mod u^{n - v} in the coordinate of a
+    Linear solve over k[u]/u^n, the one carrier whose reduction is tracked
+    (the fraction-free E and p carriers raise ``ValueError``); membership
+    fails when a division is inexact or a cleared row of the target is
+    nonzero.  A solution is fixed only mod u^{n - v} in the coordinate of a
     pivot u^v: any x + C w with u^{v_i} w_i = 0 solves as well.
     """
     n = len(columns)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polygons
-from .arith import KElem
+from .arith import KElem, det
 
 
 @dataclass(frozen=True)
@@ -111,40 +111,16 @@ def hodge_polygon(D):
 
 
 def _charpoly_k0(cfg, M, dim):
-    """Coefficients (degree 0..dim) of det(X*I - M) over K0, by permutation
-    expansion of polynomials with K0 coefficients."""
-    zero, one = cfg.k0(0), cfg.k0(1)
-
-    def poly_mul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
-
-    acc = [zero] * (dim + 1)
-    for perm in itertools.permutations(range(dim)):
-        sign = 1
-        seen = [False] * dim
-        for i in range(dim):
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = [one if sign == 1 else -one]
-        for i in range(dim):
-            entry = M[i][perm[i]]
-            if i == perm[i]:
-                term = poly_mul(term, [-entry, one])
-            else:
-                term = poly_mul(term, [-entry])
-        for k, coeff in enumerate(term):
-            acc[k] = acc[k] + coeff
-    return acc
+    """Coefficients (degree 0..dim) of det(X*I - M) over K0: the degree
+    dim - k coefficient is (-1)^k times the sum of the k x k principal
+    minors of M."""
+    coeffs = [cfg.k0(1)]
+    for k in range(1, dim + 1):
+        total = cfg.k0(0)
+        for sel in itertools.combinations(range(dim), k):
+            total = total + det([[M[i][j] for j in sel] for i in sel])
+        coeffs.append(-total if k % 2 else total)
+    return coeffs[::-1]
 
 
 def newton_polygon_phi(D):

@@ -119,20 +119,36 @@ def _unimodular(cfg, carrier, rng, n):
     return _matmul(carrier, low, up)
 
 
+def _planted_matrix(cfg, carrier, rng, exps):
+    """U diag(pi^exps) V with U, V invertible, of shape d x (d + 1)."""
+    d, D = len(exps), len(exps) + 1
+    return _matmul(carrier, _unimodular(cfg, carrier, rng, d),
+                   _matmul(carrier, _diag(carrier, exps, d, D),
+                           _unimodular(cfg, carrier, rng, D)))
+
+
 def test_tracked_smith_transforms(cfg7, rng):
-    # planted M = U diag(pi^n) V: T M C = diag(pi^v)
-    for carrier in (UCarrier(cfg7), PCarrier(cfg7)):
-        for exps in ((0, 2), (1, 2), (0, 1, 2), (1, 1, 2)):
-            d, D = len(exps), len(exps) + 1
-            for _ in range(3):
-                M = _matmul(carrier, _unimodular(cfg7, carrier, rng, d),
-                            _matmul(carrier, _diag(carrier, exps, d, D),
-                                    _unimodular(cfg7, carrier, rng, D)))
-                vals, T, C = smith_reduce([list(r) for r in M], carrier,
-                                          track=True)
-                assert sorted(vals) == list(exps)
-                assert _matmul(carrier, _matmul(carrier, T, M), C) == \
-                    _diag(carrier, vals, d, D)
+    # planted M = U diag(u^n) V over k[u]/u^{ep}: T M C = diag(u^v)
+    uc = UCarrier(cfg7)
+    for exps in ((0, 2), (1, 2), (0, 1, 2), (1, 1, 2)):
+        d, D = len(exps), len(exps) + 1
+        for _ in range(3):
+            M = _planted_matrix(cfg7, uc, rng, exps)
+            vals, T, C = smith_reduce([list(r) for r in M], uc, track=True)
+            assert sorted(vals) == list(exps)
+            assert _matmul(uc, _matmul(uc, T, M), C) == \
+                _diag(uc, vals, d, D)
+
+
+def test_p_carrier_reads_planted_exponents(cfg7, rng):
+    # the matrix-solve p patterns on which a unit-normalizing reduction
+    # runs out of digits and reports the cap 7; fraction-free, each entry
+    # keeps the digits of the minor it stands for
+    pc = PCarrier(cfg7)
+    for exps in ((1, 5), (2, 3), (0, 2, 4), (1, 2, 3)):
+        for _ in range(3):
+            M = _planted_matrix(cfg7, pc, rng, exps)
+            assert divisor_exponents(M, pc) == list(exps)
 
 
 def _combination(carrier, columns, x):
@@ -243,19 +259,20 @@ def test_adapted_basis_invariance_under_base_change(cfg7, rng):
 
 def test_tracked_smith_exponents_match_divisor_exponents(cfg7, rng):
     # tracking the transforms does not change the pivot valuations
-    for carrier in (UCarrier(cfg7), PCarrier(cfg7)):
-        for _ in range(10):
-            rows = random_matrix(cfg7, carrier, rng, 2, 3, 3)
-            vals, _, _ = smith_reduce(rows, carrier, track=True)
-            assert sorted(vals) == divisor_exponents(rows, carrier)
+    uc = UCarrier(cfg7)
+    for _ in range(10):
+        rows = random_matrix(cfg7, uc, rng, 2, 3, 3)
+        vals, _, _ = smith_reduce(rows, uc, track=True)
+        assert sorted(vals) == divisor_exponents(rows, uc)
 
 
-def test_smith_reduce_not_tracked_over_E(cfg7):
-    ec = ECarrier(cfg7)
-    rows = [[cfg7.s_one(), cfg7.s_zero()], [cfg7.s_zero(), cfg7.s_one()]]
-    with pytest.raises(ValueError):
-        smith_reduce(rows, ec, track=True)
-    assert smith_reduce(rows, ec)[0] == [0, 0]
+def test_smith_reduce_not_tracked_over_W(cfg7):
+    # the carriers with p-adic digits reduce fraction-free, untracked
+    for carrier in (ECarrier(cfg7), PCarrier(cfg7)):
+        rows = _identity(carrier, 2)
+        with pytest.raises(ValueError, match="does not support transform"):
+            smith_reduce(rows, carrier, track=True)
+        assert smith_reduce(rows, carrier)[0] == [0, 0]
 
 
 def test_hodge_weights_examples():

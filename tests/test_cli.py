@@ -30,13 +30,15 @@ def test_oracle_subcommand_passes(capsys):
 
 
 def test_oracle_fail_line_names_its_first_case(capsys):
-    # A known defect, pinned as it stands: seed 2 draws a p-carrier matrix
-    # whose Smith reduction runs out of digits and reports the cap 7
-    assert cli.main(["oracle", "--seed", "2"]) == 1
+    # A known defect, pinned as it stands: seed 3 draws an E-carrier matrix
+    # whose exponents sum past p; the reduction reports its raw last pivot
+    # 3, the minors clamp it to the cap 7, and which is right is a question
+    # of specification
+    assert cli.main(["oracle", "--seed", "3"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "[PASS] tronc_remainder_divisible",
         "[FAIL] divisor_exponents_paths_agree: "
-        "p carrier: reduction [1, 1, 7] vs minors [1, 1, 3]",
+        "E carrier: reduction [2, 2, 3] vs minors [2, 2, 7]",
         "[PASS] newton_and_merge_formulas",
         "[PASS] eqX_substitution",
     ]
