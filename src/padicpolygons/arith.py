@@ -27,12 +27,13 @@ Every other ring is built on one of two bases:
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
     that builds ``WittElem``s on each read.  A product is one
     Kronecker-packed bigint product over (u, w), whose packed operands are
-    kept on the elements, and a reduction that loops over the nonzero
-    coefficients of the monic modulus; both stop at the top nonzero
-    coefficient, so the work follows operand degree.  It supplies +, -,
-    negation, the zero test, multiplication and exact division by p^k,
-    multiplication by a scalar of W, the reduced product and, for the
-    multiplication matrix of K, the product by u.  Two rings use it:
+    kept on the elements, and a reduction by the monic modulus, through a
+    fold table or a loop over its nonzero coefficients; both stop at the
+    top nonzero coefficient, so the work follows operand degree.  It
+    supplies +, -, negation, the zero test, multiplication and exact
+    division by p^k, multiplication by a scalar of W, the reduced product
+    and, for the multiplication matrix of K, the product by u.  Two rings
+    use it:
 
     - ``STrunc``: ``S/Fil^p S ~ (W/p^N)[u]/E(u)^p``, the truncation of the
       divided-power ring S in which every formula of the package is
@@ -58,9 +59,11 @@ Coefficient-wise operations report ``min`` of the input precisions,
 multiplication by p gains one digit, and exact division by p costs one.
 The product, the division by a monic modulus (the reduction of a product,
 and ``divrem_E``) and phi follow the rules stated in ``_Kernel.mul``,
-``_Kernel.reduce`` and ``STrunc.phi``.  A zero coefficient above the values
-of a division is known to its own precision P, and from degree d up caps
-all below it at P plus the least valuation of the modulus' lower
+``_Kernel.reduce`` and ``STrunc.phi``; a product whose operands each have
+one precision reduces through the kernel's fold table, the packed
+w^t (u^(d+k) mod M), to the same result.  A zero coefficient above the
+values of a division is known to its own precision P, and from degree d up
+caps all below it at P plus the least valuation of the modulus' lower
 coefficients.  Predicates (zero tests, unit tests, valuations) answer for
 the element *as known*; an element with no significant digits left raises
 ``PrecisionError`` instead of guessing.
@@ -71,9 +74,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 INF = math.inf
+_WORD_SLOTS = (8, 16) if sys.byteorder == "little" else ()
 
 
 class PrecisionError(ArithmeticError):
@@ -167,7 +172,12 @@ def _unpack(x, count, m, W, h):
     slots of a coefficient are taken off, from the top."""
     size = count * (2 * m - 1) * W
     buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
+    if W in _WORD_SLOTS:    # slots of one or two native 64-bit words
+        s = memoryview(buf).cast("Q").tolist()
+        if W == 16:
+            s = [lo | hi << 64 for lo, hi in zip(s[::2], s[1::2])]
+    else:
+        s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
     if m == 1:
         return s
     for top in range(2 * m - 2, len(s), 2 * m - 1):
@@ -442,8 +452,12 @@ class WittRing:
     def canon(self, flat, precs):
         """Flat coordinates (coefficient k at flat[k*m:(k+1)*m]), each
         reduced mod p^prec of its coefficient; zeros where flat is short."""
-        qs = [self.ppow[P] if P > 0 else 1 for P in precs]
         pad = [0] * (len(precs) * self.m - len(flat))
+        P = precs[0] if precs else 0
+        if precs.count(P) == len(precs):     # one modulus
+            q = self.ppow[P] if P > 0 else 1
+            return [c % q for c in flat] + pad
+        qs = [self.ppow[P] if P > 0 else 1 for P in precs]
         if self.m == 1:
             return [c % q for c, q in zip(flat, qs)] + pad
         return [c % qs[k // self.m] for k, c in enumerate(flat)] + pad
@@ -629,7 +643,7 @@ class RingConfig:
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
         self._E_powers = {1: self.E}
         self._kernels = {}
-        self._c = self._s_E = self._Eprime = None
+        self._c = self._s_E = self._Eprime = self._teichmuller = None
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
@@ -755,8 +769,10 @@ class RingConfig:
                        vd)
 
     def teichmuller_generator(self):
-        """Teichmuller lift of the residue-field generator wbar."""
-        return self.witt.teichmuller(self.gf.gen())
+        """Teichmuller lift of the residue-field generator wbar, built once."""
+        if self._teichmuller is None:
+            self._teichmuller = self.witt.teichmuller(self.gf.gen())
+        return self._teichmuller
 
     def __repr__(self):
         return (f"RingConfig(p={self.p}, m={self.m}, e={self.e}, r={self.r}, "
@@ -806,7 +822,8 @@ class _Kernel:
     ``flat[k*m:(k+1)*m]``, with a separate list of precisions.  Operands of
     a product are canonical (``WittRing.canon``); the lists ``reduce`` works
     on need not be.  A product is one Kronecker-packed bigint product over
-    (u, w); the reduction by M loops over the nonzero coefficients of M.
+    (u, w), reduced by M through the fold table when each operand has one
+    precision (``mul``), else by ``reduce``, a loop over M's nonzero terms.
     The work follows the degree of the operands: only the coefficients up
     to the top nonzero one are packed, unpacked and reduced.  A zero above
     them is known to its own precision P; from degree d up it caps all
@@ -817,16 +834,19 @@ class _Kernel:
         self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
         self.d = len(coeffs) - 1
         self.mv = min(c.val() for c in coeffs[:-1])
+        self.units = [tuple(int(r == t) for r in range(self.m))
+                      for t in range(self.m)]     # the w^t, t < m
         # terms[t]: (offset, v) pairs; coordinate t of a quotient coefficient
         # c at u^j adds c_t * v to flat[j*m + offset]
         self.terms = [[(i * self.m + s, v) for i, c in enumerate(coeffs[:-1])
                        for s, v in enumerate(_coord_mul(
-                           tuple(int(r == t) for r in range(self.m)), c.coords,
-                           witt.modulus, self.pc)) if v]
-                      for t in range(self.m)]
-        # bytes per packed slot: a slot sums at most d*m terms below pc^2
-        self.W = (self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
-        self._powers = None
+                           wt, c.coords, witt.modulus, self.pc)) if v]
+                      for wt in self.units]
+        # bytes per packed slot: a product and its fold sum (d*m terms below
+        # pc^2 each) stay below 2*d*m*pc^2; whole words up to 16 bytes
+        W = (2 * self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
+        self.W = -(-W // 8) * 8 if W <= 16 else W
+        self._powers = self._fold = None
 
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
@@ -878,12 +898,31 @@ class _Kernel:
         Raw coefficient k knows the least precision among the pairs i + j = k
         whose a_i is not zero as known, over all 2d - 1 raw coefficients
         (zeros of b included); a zero a_i known to fewer than N digits caps
-        the product at its precision plus the least valuation of b."""
-        N, m, d = self.N, self.m, self.d
+        the product at its precision plus the least valuation of b.
+
+        For a of one precision Pa >= 1, b of one precision Pb >= 1 and a_0
+        nonzero as known, that is the exact remainder mod p^P, P = min(Pa,
+        Pb), at P: (1) each raw coefficient up to la + d - 2 is reached, so
+        knows P, and only degrees >= d keep N; (2) a's zeros cap at Pa or
+        more; (3) each cap ``reduce`` lowers is a running precision plus
+        mv >= 1 (p divides E^s's lower coefficients); (4) a skipped quotient
+        coefficient is 0 mod p^P, and taking it off moves the lower ones by
+        multiples of p^(P+1).  So the raw x_{k,t} of degree d + k, mod p^N,
+        are folded in as sum x_{k,t} F[k,t] (``fold``), with no ``reduce``."""
+        N, m, d, pc = self.N, self.m, self.d, self.pc
         fa, pa, fb, pb = a.flat, a.precs, b.flat, b.precs
         if min(pa) < 1:
             raise PrecisionError("element has no significant digits")
         (xa, la), (xb, lb) = a._packed_by(self), b._packed_by(self)
+        if (any(fa[:m]) and pb[0] >= 1 and pa.count(pa[0]) == len(pa)
+                and pb.count(pb[0]) == len(pb)):
+            x, W, h, n = xa * xb, self.W, self.witt.modulus, la + lb - 1
+            if n > d:
+                hi = _unpack(x >> 8 * W * (2 * m - 1) * d, n - d, m, W, h)
+                x += sum(map(operator.mul, [c % pc for c in hi], self.fold()))
+            precs = [min(pa[0], pb[0])] * d
+            flat = _unpack(x, min(n, d), m, W, h)
+            return self.witt.canon(flat, precs), precs
         nz = [i for i in range(la) if any(fa[i * m:i * m + m])]
         mask = sum(1 << i for i in nz)
         low = min([P for i, P in enumerate(pa) if P < N and not mask >> i & 1],
@@ -908,6 +947,21 @@ class _Kernel:
                 precs[k], bits = P, bits ^ 1 << k
         flat, precs = self.reduce(flat, precs, cap)
         return self.witt.canon(flat[:d * m], precs[:d]), precs[:d]
+
+    def fold(self):
+        """The fold table: F[k*m + t] is w^t (u^(d+k) mod M), packed and
+        canonical at full precision, k < d - 1 (built once)."""
+        if self._fold is None:
+            N, d, m, pc, h = self.N, self.d, self.m, self.pc, self.witt.modulus
+            vec, fold = [0] * (d * m - m) + [1] + [0] * (m - 1), []
+            for _ in range(d - 1):
+                vec = [c % pc for c in self.reduce(
+                    [0] * m + vec, [N] * (d + 1), N)[0][:d * m]]
+                fold += [_pack([c for i in range(0, d * m, m) for c in
+                                _coord_mul(wt, vec[i:i + m], h, pc)],
+                               m, self.W) for wt in self.units]
+            self._fold = fold
+        return self._fold
 
     def powers(self):
         """Packed u^(p*i) mod M at full precision, i < d (built once)."""
@@ -962,8 +1016,9 @@ class _WPoly(_Poly):
         return self.cfg.witt.elems(self.flat, self.precs)
 
     def _zip(self, other, op):
-        return self._map(list(map(op, self.flat, other.flat)),
-                         list(map(min, self.precs, other.precs)))
+        precs = self.precs if self.precs == other.precs else list(
+            map(min, self.precs, other.precs))
+        return self._map(list(map(op, self.flat, other.flat)), precs)
 
     def __neg__(self):
         return self._map([-c for c in self.flat], self.precs)
@@ -1169,10 +1224,10 @@ class STrunc(_WPoly):
         """Image in k[u]/u^{ep}."""
         if min(self.precs) < 1:
             raise PrecisionError("no digits to read a residue from")
-        gf, m, p, flat = self.cfg.gf, self.cfg.m, self.cfg.p, self.flat
-        return TildePoly(self.cfg, tuple(
-            GFElem(gf, tuple(c % p for c in flat[k:k + m]))
-            for k in range(0, len(flat), m)))
+        gf, m, p = self.cfg.gf, self.cfg.m, self.cfg.p
+        r = [c % p for c in self.flat]
+        return TildePoly(self.cfg, tuple(GFElem(gf, c) for c in zip(
+            *(r[t::m] for t in range(m)))))
 
     def degree(self):
         for i in range(len(self.precs) - 1, -1, -1):

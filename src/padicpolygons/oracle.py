@@ -46,11 +46,6 @@ def random_tilde_unit(cfg, rng, max_deg=None):
     return cfg.tilde(coeffs)
 
 
-def random_k_elem(cfg, rng, pexp_max=1):
-    coeffs = [random_witt(cfg, rng) for _ in range(cfg.e)]
-    return cfg.k_elem(coeffs, rng.randrange(pexp_max + 1))
-
-
 def random_matrix(cfg, carrier, rng, d, D, vmax):
     """A d x D carrier matrix: random elements times pi^v, v <= vmax."""
     draw = {"E": lambda: random_strunc(cfg, rng, 4),

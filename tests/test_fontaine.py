@@ -11,7 +11,12 @@ from padicpolygons import (FamilyParams, K0Elem, RingConfig, from_slopes,
                            newton_polygon_phi, same_endpoint, t_numbers,
                            weakly_admissible_dim2)
 from padicpolygons.fontaine import FilteredModule, family_module
-from padicpolygons.oracle import random_k_elem, random_witt
+from padicpolygons.oracle import random_witt
+
+
+def random_k_elem(cfg, rng, pexp_max=1):
+    coeffs = [random_witt(cfg, rng) for _ in range(cfg.e)]
+    return cfg.k_elem(coeffs, rng.randrange(pexp_max + 1))
 
 
 def _k0(cfg, n, pexp=0):

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from padicpolygons import DivisibilityError, PrecisionError, RingConfig
-from padicpolygons.arith import KElem, STrunc, TildePoly, det
+from padicpolygons.arith import KElem, STrunc, TildePoly, _pack, _unpack, det
 from padicpolygons.oracle import random_tilde, random_tilde_unit
 
 RINGS = {
@@ -308,6 +308,13 @@ def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):
     assert cfg.Eprime_pi() is cfg.Eprime_pi()
 
 
+def test_cached_teichmuller_generator_is_a_fresh_lift(cfg):
+    x = cfg.teichmuller_generator()
+    fresh = cfg.witt.teichmuller(cfg.gf.gen())
+    assert (x.coords, x.prec) == (fresh.coords, fresh.prec)
+    assert cfg.teichmuller_generator() is x
+
+
 def test_k_products_match_reference(cfg):
     for x, y in rough_pairs(cfg, rough_k, 60, 4):
         same(lambda: (x * y).num, lambda: ref_mul(x.num, y.num))
@@ -345,6 +352,122 @@ def test_products_raise_where_the_reference_raises(cfg):
     same(lambda: y * x, lambda: ref_mul(y, x))
     same(y.phi, lambda: ref_phi(y))
     same(cfg.s([1, empty]).phi, lambda: ref_phi(cfg.s([1, empty])))
+    # one precision on each side, but none known on the right
+    blank, z = cfg.s([empty] * (cfg.e * cfg.p)), cfg.s([1, 1])
+    same(lambda: z * blank, lambda: ref_mul(z, blank))
+
+
+# ---------------------------------------------------------------------------
+# products of operands of one precision each: the fold-table reduction
+
+
+def uniform_poly(cfg, rng, make, n, P, zero_constant=False):
+    """An element of n coefficients all known to P digits, of random degree,
+    with zeros and p-divisible values among them; a_0 is nonzero as known
+    unless zero_constant."""
+    q, top = cfg.p ** cfg.prec, rng.randrange(1, n + 1)
+
+    def coeff():
+        pv = 0 if rng.random() < 0.2 else cfg.p ** rng.randrange(P)
+        return cfg.w(tuple(rng.randrange(q) * pv for _ in range(cfg.m)), P)
+
+    coeffs = [coeff() for _ in range(top)] + [cfg.w(0, P)] * (n - top)
+    coeffs[0] = cfg.w(0, P) if zero_constant else cfg.w(
+        (rng.randrange(1, cfg.p),) + (0,) * (cfg.m - 1), P)
+    return make(coeffs)
+
+
+def uniform_pairs(cfg, seed, count):
+    """Pairs over P = N on both sides, P < N on either side, a zero constant
+    term on the left, and a right operand with one coefficient known to
+    fewer digits than the rest, for S and for K numerators."""
+    rng, N = random.Random(seed), cfg.prec
+    pairs = []
+    for make, n in ((cfg.s, cfg.e * cfg.p),
+                    (lambda cs: cfg.k_elem(cs).num, cfg.e)):
+        for _ in range(count):
+            low = rng.randrange(1, N)
+            for Pa, Pb, zero in ((N, N, False), (low, N, False),
+                                 (N, low, False), (N, low, True)):
+                pairs.append((uniform_poly(cfg, rng, make, n, Pa, zero),
+                              uniform_poly(cfg, rng, make, n, Pb)))
+            y = list(uniform_poly(cfg, rng, make, n, N).coeffs)
+            k = rng.randrange(n)
+            y[k] = cfg.w(y[k].coords, low)
+            pairs.append((pairs[-4][0], make(y)))
+    return pairs
+
+
+NON_MONOMIAL = {(7, 2, 2): ([-7, 14, 1], 7), (11, 1, 3): ([22, -11, 33, 1], 9)}
+
+
+@pytest.fixture(params=sorted(NON_MONOMIAL), ids=lambda key: "%d-%d-%d" % key)
+def cfg_nm(request):
+    """Non-monomial Eisenstein E on an m = 2 and an m = 1 ring."""
+    E, prec = NON_MONOMIAL[request.param]
+    return RingConfig(*request.param, E, prec=prec, r=2)
+
+
+def check_uniform_products(cfg, count, monkeypatch):
+    """Each product matches ref_mul; it skips reduce exactly when each
+    operand has one precision P >= 1 and a_0 is nonzero as known."""
+    for kernel in (cfg._kernel(cfg.p), cfg._kernel(1)):
+        kernel.fold()       # built here, so that it runs no reduce below
+        slot_bound = 2 * kernel.d * kernel.m * kernel.pc ** 2
+        assert slot_bound < 1 << 8 * kernel.W
+        assert kernel.W % 8 == 0 or kernel.W > 16
+    calls = []
+    for kernel in (cfg._kernel(cfg.p), cfg._kernel(1)):
+        monkeypatch.setattr(kernel, "reduce", lambda *args, _r=kernel.reduce:
+                            calls.append(1) or _r(*args))
+    for x, y in uniform_pairs(cfg, 21, count):
+        folded = len(set(x.precs)) == len(set(y.precs)) == 1 and any(
+            x.flat[:cfg.m])
+        del calls[:]
+        assert digits(x * y) == digits(ref_mul(x, y))
+        assert not calls if folded else calls
+        if folded:
+            assert set((x * y).precs) == {min(x.precs[0], y.precs[0])}
+
+
+def test_uniform_products_match_reference(cfg, monkeypatch):
+    check_uniform_products(cfg, trials(cfg, 8, 2), monkeypatch)
+
+
+def test_uniform_products_on_non_monomial_E(cfg_nm, monkeypatch):
+    check_uniform_products(cfg_nm, 8, monkeypatch)
+
+
+def ref_unpack(x, count, m, W, h):
+    """Slots read one by one with int.from_bytes; each coefficient's
+    2m - 1 slots reduced by the monic h through long division."""
+    size, n = 2 * m - 1, count * (2 * m - 1) * W
+    buf = (x % (1 << 8 * n)).to_bytes(n, "little")
+    slots = [int.from_bytes(buf[k:k + W], "little") for k in range(0, n, W)]
+    out = []
+    for i in range(0, len(slots), size):
+        c = slots[i:i + size]
+        for k in range(size - 1, m - 1, -1):
+            for r in range(m):
+                c[k - m + r] -= c[k] * h[r]
+        out += c[:m]
+    return out
+
+
+@pytest.mark.parametrize("W", [8, 16, 19, 5])
+@pytest.mark.parametrize("h", [(0, 1), (3, 6, 1), (2, 0, 5, 1)])
+def test_unpack_reads_slots_as_from_bytes(W, h):
+    """Word-wide reads (W = 8, 16) and byte reads of other widths give the
+    slots that int.from_bytes gives, top bits of every slot set included."""
+    rng, m = random.Random(W), len(h) - 1
+    for count in (0, 1, 7):
+        slots = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
+                 for _ in range(count * (2 * m - 1))]
+        x = sum(s << 8 * W * k for k, s in enumerate(slots))
+        extra = x + (rng.getrandbits(64) << 8 * W * len(slots))
+        assert _unpack(extra, count, m, W, h) == ref_unpack(x, count, m, W, h)
+    flat = [rng.randrange(1 << 30) for _ in range(3 * m)]
+    assert _unpack(_pack(flat, m, W), 3, m, W, h) == flat
 
 
 # ---------------------------------------------------------------------------
