@@ -11,7 +11,8 @@ with ``WittElem`` arithmetic.
 Every other ring is built on one of two bases:
 
 * ``_Poly``, a fixed-length polynomial over W or k.  It owns the coercion
-  of constants, the reflected operators and ==.
+  of constants, the reflected operators and == (``TildePoly`` compares
+  coefficients, since k[u]/u^n is exact).
 
   - ``TildePoly``: ``k[u]/u^n``, a tuple of n ``GFElem`` coefficients; the
     ring builds n = ep, the mod-p residue of ``STrunc``, and ``truncate``
@@ -75,6 +76,7 @@ import itertools
 import math
 import operator
 import sys
+from array import array
 from fractions import Fraction
 
 INF = math.inf
@@ -158,7 +160,23 @@ def _coord_mul(a, b, modulus, q):
 def _pack(flat, m, W):
     """Kronecker packing: nonnegative coordinates, m per coefficient, as one
     int of W-byte slots, 2m-1 slots per coefficient, so that a product of
-    packed ints is the packed product over (u, w) before reduction by h."""
+    packed ints is the packed product over (u, w) before reduction by h.
+    Slots of one or two native 64-bit words are written column by column
+    into one array of words, a 16-byte slot as its low word, then its high
+    word."""
+    if W in _WORD_SLOTS:
+        words = W // 8
+        step = words * (2 * m - 1)
+        a = array("Q", [0]) * (step * (len(flat) // m))
+        for t in range(m):
+            col = flat[t::m]
+            if words == 1:
+                a[t::step] = array("Q", col)
+            else:
+                a[2 * t::step] = array("Q", [c & 0xFFFFFFFFFFFFFFFF
+                                             for c in col])
+                a[2 * t + 1::step] = array("Q", [c >> 64 for c in col])
+        return int.from_bytes(a, "little")
     b = [c.to_bytes(W, "little") for c in flat]
     if m > 1:
         z = bytes(W * (m - 1))
@@ -168,8 +186,8 @@ def _pack(flat, m, W):
 
 def _unpack(x, count, m, W, h):
     """The first count coefficients of a packed int (the rest truncated),
-    each reduced by the monic modulus h of degree m: only the m - 1 high
-    slots of a coefficient are taken off, from the top."""
+    each reduced by the monic modulus h of degree m: the m - 1 high slot
+    columns are taken off, from the top."""
     size = count * (2 * m - 1) * W
     buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     if W in _WORD_SLOTS:    # slots of one or two native 64-bit words
@@ -180,14 +198,14 @@ def _unpack(x, count, m, W, h):
         s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
     if m == 1:
         return s
-    for top in range(2 * m - 2, len(s), 2 * m - 1):
-        for k in range(top, top - m + 1, -1):
-            if s[k]:
-                for r in range(m):
-                    s[k - m + r] -= s[k] * h[r]
-    for w in range(2 * m - 1, m, -1):   # drop the high slots, top first
-        del s[w - 1::w]
-    return s
+    cols = [s[k::2 * m - 1] for k in range(2 * m - 1)]
+    for k in range(2 * m - 2, m - 1, -1):
+        top = cols[k]
+        for r, hr in enumerate(h[:m]):
+            if hr:
+                cols[k - m + r] = [c - t * hr for c, t in
+                                   zip(cols[k - m + r], top)]
+    return [c for coeff in zip(*cols[:m]) for c in coeff]
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +661,8 @@ class RingConfig:
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
         self._E_powers = {1: self.E}
         self._kernels = {}
-        self._c = self._s_E = self._Eprime = self._teichmuller = None
+        self._c = self._s_E = self._s_E2 = None
+        self._Eprime = self._teichmuller = None
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
@@ -705,6 +724,12 @@ class RingConfig:
         if self._s_E is None:
             self._s_E = self.s(self.E)
         return self._s_E
+
+    def s_E2(self):
+        """E(u)^2 in S, from the coefficients of E^2, built once."""
+        if self._s_E2 is None:
+            self._s_E2 = self.s(self._E_power(2))
+        return self._s_E2
 
     @property
     def c(self):
@@ -823,11 +848,14 @@ class _Kernel:
     a product are canonical (``WittRing.canon``); the lists ``reduce`` works
     on need not be.  A product is one Kronecker-packed bigint product over
     (u, w), reduced by M through the fold table when each operand has one
-    precision (``mul``), else by ``reduce``, a loop over M's nonzero terms.
-    The work follows the degree of the operands: only the coefficients up
-    to the top nonzero one are packed, unpacked and reduced.  A zero above
-    them is known to its own precision P; from degree d up it caps all
-    below it at P + mv."""
+    precision (``mul``), else by ``reduce``, a loop over M's nonzero terms;
+    a zero operand is neither packed nor multiplied.  The work follows the
+    degree of the operands: only the coefficients up to the top nonzero one
+    are packed, unpacked and reduced.  A zero above them is known to its
+    own precision P; from degree d up it caps all below it at P + mv.
+
+    Two packed tables are built on first use, never with the ring: the
+    fold table of ``mul`` and the phi table of ``STrunc.phi``."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
@@ -846,7 +874,7 @@ class _Kernel:
         # pc^2 each) stay below 2*d*m*pc^2; whole words up to 16 bytes
         W = (2 * self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
         self.W = -(-W // 8) * 8 if W <= 16 else W
-        self._powers = self._fold = None
+        self._phi = self._fold = None
 
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
@@ -908,15 +936,22 @@ class _Kernel:
         mv >= 1 (p divides E^s's lower coefficients); (4) a skipped quotient
         coefficient is 0 mod p^P, and taking it off moves the lower ones by
         multiples of p^(P+1).  So the raw x_{k,t} of degree d + k, mod p^N,
-        are folded in as sum x_{k,t} F[k,t] (``fold``), with no ``reduce``."""
+        are folded in as sum x_{k,t} F[k,t] (``fold``), with no ``reduce``.
+
+        A zero operand gives raw zeros: ``reduce`` then runs on an empty
+        flat, which it reads as zeros, so every precision is as above."""
         N, m, d, pc = self.N, self.m, self.d, self.pc
         fa, pa, fb, pb = a.flat, a.precs, b.flat, b.precs
         if min(pa) < 1:
             raise PrecisionError("element has no significant digits")
-        (xa, la), (xb, lb) = a._packed_by(self), b._packed_by(self)
+        la, lb = a._top(), b._top()
+        if la and lb:
+            x, n = a._packed_by(self) * b._packed_by(self), la + lb - 1
+        else:
+            x = n = 0
         if (any(fa[:m]) and pb[0] >= 1 and pa.count(pa[0]) == len(pa)
                 and pb.count(pb[0]) == len(pb)):
-            x, W, h, n = xa * xb, self.W, self.witt.modulus, la + lb - 1
+            W, h = self.W, self.witt.modulus
             if n > d:
                 hi = _unpack(x >> 8 * W * (2 * m - 1) * d, n - d, m, W, h)
                 x += sum(map(operator.mul, [c % pc for c in hi], self.fold()))
@@ -930,8 +965,7 @@ class _Kernel:
         cap = N if low >= N else min(N, low + min([self.witt._val(
             fb[j * m:j * m + m], Q) for j, Q in enumerate(pb[:lb])] + [
             self.witt._val((), min(pb[lb:], default=N))]))  # b's top zeros
-        flat = _unpack(xa * xb, max(la + lb - 1, 0), m, self.W,
-                       self.witt.modulus)
+        flat = _unpack(x, n, m, self.W, self.witt.modulus)
         # each precision below N marks the raw coefficients it reaches;
         # the least one marking a coefficient is its precision
         reach = {}
@@ -963,17 +997,22 @@ class _Kernel:
             self._fold = fold
         return self._fold
 
-    def powers(self):
-        """Packed u^(p*i) mod M at full precision, i < d (built once)."""
-        if self._powers is None:
-            N, d, m, p = self.N, self.d, self.m, self.witt.p
-            vec, self._powers = [1] + [0] * (d * m - 1), []
+    def phi_table(self):
+        """The phi table: T[k*m + t] is sigma(w^t) (u^(p*k) mod M), packed
+        and canonical at full precision, k < d (built once).  sigma is
+        Z_p-linear, so phi of sum_k x_k u^k, x_k = sum_t x_{k,t} w^t, is
+        sum x_{k,t} T[k*m + t]; T[m] is u^p mod M."""
+        if self._phi is None:
+            N, d, m, p, pc = self.N, self.d, self.m, self.witt.p, self.pc
+            h, vec, table = self.witt.modulus, [1] + [0] * (d * m - 1), []
             for _ in range(d):
-                self._powers.append(_pack([c % self.pc for c in vec], m,
-                                          self.W))
-                vec = self.reduce([0] * (p * m) + vec, [N] * (d + p),
-                                  N)[0][:d * m]
-        return self._powers
+                table += [_pack([c for i in range(0, d * m, m) for c in
+                                 _coord_mul(st, vec[i:i + m], h, pc)],
+                                m, self.W) for st in self.witt._frob_pows]
+                vec = [c % pc for c in self.reduce(
+                    [0] * (p * m) + vec, [N] * (d + p), N)[0][:d * m]]
+            self._phi = table
+        return self._phi
 
 
 class _WPoly(_Poly):
@@ -996,20 +1035,24 @@ class _WPoly(_Poly):
         """A new element from coordinates not yet reduced mod p^prec."""
         return self._new(self.cfg.witt.canon(flat, precs), precs)
 
-    def _sig(self):
-        """The flat coordinates up to the top nonzero coefficient (_len)."""
+    def _top(self):
+        """The number of coefficients up to the top nonzero one."""
         if self._len is None:
             k = len(self.flat)
             while k and not self.flat[k - 1]:
                 k -= 1
             self._len = -(-k // self.cfg.m)
-        return self.flat[:self._len * self.cfg.m]
+        return self._len
+
+    def _sig(self):
+        """The flat coordinates up to the top nonzero coefficient."""
+        return self.flat[:self._top() * self.cfg.m]
 
     def _packed_by(self, kernel):
-        """The packed coefficients up to the top nonzero one, and _len."""
+        """The packed coefficients up to the top nonzero one."""
         if self._packed is None:
             self._packed = _pack(self._sig(), kernel.m, kernel.W)
-        return self._packed, self._len
+        return self._packed
 
     @property
     def coeffs(self):
@@ -1101,22 +1144,25 @@ class STrunc(_WPoly):
     def phi(self):
         """The semilinear Frobenius: sigma on W, u -> u^p.
 
-        The value is sum_i sigma(a_i) (u^{p i} mod E^p), from the kernel's
-        table; the digits are those Horner's rule over the product knows.
-        For e >= 2, u^p is a monomial, so each Horner step spreads the
-        precision of its constant term to every coefficient, or caps them
-        all at it.  For e = 1, u^p mod E^p is p^2 times a polynomial, and
-        the zero skips grant digits that depend on each partial sum, so
-        Horner's rule runs on the kernel."""
+        The value is sum_i sigma(a_i) (u^{p i} mod E^p); the digits are
+        those Horner's rule over the product knows.  For e >= 2, u^p is a
+        monomial, so each Horner step spreads the precision of its constant
+        term to every coefficient, or caps them all at it.  The value is
+        then one sum of packed ints, sum a_{i,t} T[i*m + t] over the raw
+        coordinates a_i = sum_t a_{i,t} w^t, where T[i*m + t] =
+        sigma(w^t) (u^{p i} mod E^p) is the kernel's phi table.  For e = 1,
+        u^p mod E^p is p^2 times a polynomial, and the zero skips grant
+        digits that depend on each partial sum, so Horner's rule runs on
+        the kernel."""
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
         m, n, N, W = kernel.m, kernel.d, kernel.N, kernel.W
         flat, precs, h = self._sig(), self.precs, cfg.witt.modulus
-        sig = [c for k in range(0, len(flat), m)
-               for c in cfg.witt._frobenius(flat[k:k + m])]
-        powers = kernel.powers()
+        table = kernel.phi_table()
         if cfg.e == 1:
-            up = self._map(_unpack(powers[1], n, m, W, h), [N] * n)
+            sig = [c for k in range(0, len(flat), m)
+                   for c in cfg.witt._frobenius(flat[k:k + m])]
+            up = self._map(_unpack(table[m], n, m, W, h), [N] * n)
             acc = cfg.s_zero()
             for k in range(n - 1, -1, -1):
                 acc = acc._mul_mod(up, kernel) + self._map(
@@ -1125,11 +1171,8 @@ class STrunc(_WPoly):
         low = min(precs[1:])
         if low < 1:
             raise PrecisionError("element has no significant digits")
-        total = 0
-        for k, (P, power) in enumerate(zip(precs[:self._len], powers)):
-            if P > 0 and any(flat[k * m:k * m + m]):
-                total += _pack(sig[k * m:k * m + m], m, W) * power
-        return self._map(_unpack(total, n, m, W, h),
+        return self._map(_unpack(sum(map(operator.mul, flat, table)),
+                                 n, m, W, h),
                          [min(low, precs[0])] + [low] * (n - 1))
 
     def derivative(self):
@@ -1262,6 +1305,14 @@ class TildePoly(_Poly):
         if len(other.coeffs) != len(self.coeffs):
             raise self._length_error(other)
         return TildePoly(self.cfg, tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __eq__(self, other):
+        """k[u]/u^n is exact: equal elements have equal coefficients."""
+        if not isinstance(other, TildePoly):
+            return NotImplemented
+        if len(other.coeffs) != len(self.coeffs):
+            raise self._length_error(other)
+        return self.coeffs == other.coeffs
 
     def __neg__(self):
         return TildePoly(self.cfg, tuple(-a for a in self.coeffs))

@@ -210,8 +210,7 @@ def _lattice(elements, Z, failures=()):
     m(p + tE), m(UE), E^2 f_1 and E^2 f_2.  An m(A) whose construction
     raises one of ``failures`` is recorded as that exception."""
     cfg = elements.cfg
-    E = cfg.s_E()
-    E2 = E * E
+    E, E2 = cfg.s_E(), cfg.s_E2()
     gens = []
     for name, A in (("m(p+tE)", cfg.s([cfg.p]) + elements.t * E),
                     ("m(UE)", elements.U * E)):
@@ -314,7 +313,7 @@ def reduce_mod_p(lat, report):
     names = ("m(p+tE)", "E^2*f1" if elements.case_tag == "i" else "m(UE)")
     for name in names:
         formula = phi2_image(gens[name][0], lat)
-        if not all((a - b).is_zero() for a, b in zip(direct[name], formula)):
+        if direct[name] != formula:
             raise VerificationError("direct phi_2 images disagree with the "
                                     "C-formula")
     return TildeObject(lat.cfg,
@@ -373,14 +372,20 @@ def phi2_image(A, lat):
 def solve_eqX(rho, alpha, mu, e, j):
     """The unique X in k[u]/u^{ep} with
 
-        rho X (-phi(alpha) + phi(X) u^{p((p+1)(e-j)-2e)}) = mu.
+        rho X (-phi(alpha) + phi(X) u^q) = mu,  q = p((p+1)(e-j) - 2e).
 
-    rho, alpha, mu must be units and j < e; the correction term has strictly
-    positive u-valuation, so fixed-point iteration stabilizes within ep
-    steps, and the result is rechecked by substitution.  The constant term
-    of X is that of -mu/(rho phi(alpha))."""
+    rho, alpha, mu must be units and j < e, with q > 0.  X is mu over
+    rho (-phi(alpha) + phi(X) u^q), and phi reads X mod u^e only, so the
+    fixed-point iteration runs on the truncations Y = X mod u^e, in
+    k[u]/u^e, until Y repeats: two Y that agree mod u^k have images that
+    agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed point is reached
+    within e // q + 1 steps and seen to repeat one step later.  One step at
+    full length then gives X, and the result is rechecked by substitution.
+    The constant term of X is that of -mu/(rho phi(alpha)).  The factor
+    -phi(alpha) + phi(X) u^q has at most 2e nonzero terms, so it goes on the
+    left of products, which loop over the left operand's nonzero terms."""
     cfg = rho.cfg
-    ep = cfg.e * cfg.p
+    n = cfg.e                # phi reads u^{<n}
     if not (rho.is_unit() and alpha.is_unit() and mu.is_unit()):
         raise ValueError("rho, alpha, mu must be units")
     if j >= e:
@@ -389,18 +394,16 @@ def solve_eqX(rho, alpha, mu, e, j):
     if q <= 0:
         raise ValueError("the correction exponent must be positive")
     phialpha = alpha.phi()
-    X = -(mu * (rho * phialpha).unit_inverse())
-    if q < ep:
-        uq = cfg.tilde_u(q)
-        for _ in range(ep // q + 2):
-            Xn = mu * (rho * (-phialpha + X.phi() * uq)).unit_inverse()
-            if (Xn - X).is_zero():
-                break
-            X = Xn
-        check = rho * X * (-phialpha + X.phi() * uq)
-    else:
-        check = rho * X * (-phialpha)
-    if not (check - mu).is_zero():
+    phialpha_n, rho_n, mu_n = (x.truncate(n) for x in (phialpha, rho, mu))
+    Y = cfg.tilde_zero().truncate(n)
+    for _ in range(n // q + 2):
+        Yn = mu_n * ((Y.phi().truncate(n).shift_u(q) - phialpha_n)
+                     * rho_n).unit_inverse()
+        if Yn == Y:
+            break
+        Y = Yn
+    X = mu * ((Y.phi().shift_u(q) - phialpha) * rho).unit_inverse()
+    if (X.phi().shift_u(q) - phialpha) * (rho * X) != mu:
         raise ArithmeticError("fixed point failed to satisfy the equation")
     return X
 
@@ -456,8 +459,8 @@ def _normalize_generators(obj):
             if not ga[0].is_zero() and ga[0].u_val() <= e:
                 continue
             sa = ga[1].truncate(e).unit_inverse()
-            mu_ = ia[0] * sa.phi()
-            rho = ib[1] * gb[0].unit_part()[1].truncate(e).unit_inverse().phi()
+            mu_ = sa.phi() * ia[0]
+            rho = gb[0].unit_part()[1].truncate(e).unit_inverse().phi() * ib[1]
             if ga[0].is_zero():
                 return "0", {"mu": mu_, "rho": rho}
             jv, aunit = ga[0].unit_part()
@@ -535,16 +538,6 @@ def _phi2_of_member(obj, solve, vec):
     return tuple(out)
 
 
-def _proportional_unit(a, b):
-    """Unit lambda with a = lambda * b, or None."""
-    if (a[0] * b[1] - a[1] * b[0]).is_zero():
-        for i in (0, 1):
-            if b[i].is_unit():
-                lam = a[i] * b[i].unit_inverse()
-                return lam if lam.is_unit() else None
-    return None
-
-
 def classify_rank2(obj):
     """Classify a rank-2 reduced object against the three normalized shapes.
 
@@ -571,13 +564,13 @@ def classify_rank2(obj):
         if data["sigma"] is None:
             X = cfg.tilde_zero()
         else:
-            num = data["alpha"].phi() * data["sigma"] - \
-                data["gamma"].phi() * data["mu"]
-            X = num * (data["rho"] * data["alpha"].phi()).unit_inverse()
+            phialpha = data["alpha"].phi()
+            num = phialpha * data["sigma"] - data["gamma"].phi() * data["mu"]
+            X = num * (phialpha * data["rho"]).unit_inverse()
         sub_exp = e
         slopes = (Fraction(1), Fraction(1))
     # u^{p(e-j)} X, which is 0 once p(e-j) >= ep
-    m_vec = (cfg.tilde_u(cfg.p * (e - j)) * X, cfg.tilde_one())
+    m_vec = (X.shift_u(cfg.p * (e - j)), cfg.tilde_one())
 
     # the sub-object: Fil^2 M' = u^{sub_exp} M', generated by u^{sub_exp} m
     gen_fil = tuple(c.shift_u(sub_exp) for c in m_vec)
@@ -587,8 +580,9 @@ def classify_rank2(obj):
     solve = _fil2_solver(cfg, obj.fil_gens)
     img = _phi2_of_member(obj, solve, gen_fil)
     checks["fil_member"] = img is not None
-    lam = _proportional_unit(img, m_vec) if img is not None else None
-    checks["phi2_proportional_unit"] = lam is not None
+    # m_vec[1] = 1, so the unit of proportionality can only be img[1]
+    checks["phi2_proportional_unit"] = img is not None and \
+        img[1].is_unit() and img[0] == m_vec[0] * img[1]
     # N-stability through the commutation rule: phi_2(u^e N(u^{sub_exp} m)) = 0
     nshift = tuple(c.monodromy().shift_u(e) for c in gen_fil)
     nimg = _phi2_of_member(obj, solve, nshift)

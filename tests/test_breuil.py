@@ -13,7 +13,7 @@ from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
                            phi2_image, pseudo_counterexample, reduce_mod_p,
                            sabotaged_lattice, solve_eqX, strong_lattice,
                            verify_strong_divisibility)
-from padicpolygons import adapted
+from padicpolygons import adapted, breuil
 from padicpolygons.arith import STrunc, TildePoly
 from padicpolygons.breuil import (_family_exponents, _minor_is_unit,
                                   _normalize_generators)
@@ -373,6 +373,19 @@ def test_classify_synthetic_shape1_reducible(cfg7, rng):
     assert cls.sub_fil_exponent == cfg7.e - 1
 
 
+def test_classify_reports_a_phi2_image_not_proportional(cfg7, rng,
+                                                        monkeypatch):
+    """With X off by 1, u^{e-j} m stays in Fil^2, but its phi_2 image is no
+    longer a unit multiple of m."""
+    obj = _synthetic_shape1(cfg7, 1, rng)
+    monkeypatch.setattr(breuil, "solve_eqX",
+                        lambda *args, _s=solve_eqX: _s(*args) + 1)
+    with pytest.raises(ClassificationError) as info:
+        classify_rank2(obj)
+    assert "{'X_unit': True, 'fil_member': True, 'phi2_proportional_unit': " \
+        "False, 'n_stable': True}" in str(info.value)
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_shape1_units_inverted_mod_u_e(cfg7, cfg13, rng, j):
     """Shape (1) inverts its units in k[u]/u^e; mu, rho and phi(alpha)
@@ -431,6 +444,44 @@ def test_solve_eqX_mu_matching(cfg7m1):
     mu = -(rho * alpha.phi())
     X = solve_eqX(rho, alpha, mu, 2, 1)
     assert (X - cfg7m1.tilde_one()).is_zero()
+
+
+def ref_solve_eqX(rho, alpha, mu, e, j):
+    """The fixed-point loop at full length, from X = -mu/(rho phi(alpha)),
+    for at most ep // q + 2 steps, kept here as the reference."""
+    cfg = rho.cfg
+    ep = cfg.e * cfg.p
+    q = cfg.p * ((cfg.p + 1) * (e - j) - 2 * e)
+    phialpha = alpha.phi()
+    X = -(mu * (rho * phialpha).unit_inverse())
+    if q < ep:
+        uq = cfg.tilde_u(q)
+        for _ in range(ep // q + 2):
+            Xn = mu * (rho * (-phialpha + X.phi() * uq)).unit_inverse()
+            if (Xn - X).is_zero():
+                break
+            X = Xn
+    return X, q
+
+
+@pytest.mark.parametrize("ring, js", [
+    ((13, 1, 5, [-13, 0, 0, 0, 0, 1], 8, 2), (3, 4)),    # q = 234, 52
+    ((7, 2, 2, [-7, 0, 1], 7, 2), (0, 1)),               # q >= ep
+    ((3, 2, 24, [-3] + [0] * 23 + [1], 3, 0), (10, 11)),  # q = 24, 12
+], ids=["13-1-5", "7-2-2", "3-2-24-r0"])
+def test_solve_eqX_matches_the_full_length_loop(ring, js):
+    """The u^e iteration against the full-length loop, including q < e at
+    (3,2,24) with r = 0, where phi(X) mod u^e reads more than X_0."""
+    p, m, e, E, prec, r = ring
+    cfg = RingConfig(p, m, e, E, prec=prec, r=r)
+    rng = random.Random(17)
+    for j in js:
+        for _ in range(2):
+            rho, alpha, mu = (random_tilde_unit(cfg, rng) for _ in range(3))
+            want, q = ref_solve_eqX(rho, alpha, mu, e, j)
+            assert rho * want * (-alpha.phi() + want.phi() * cfg.tilde_u(q)) \
+                == mu
+            assert solve_eqX(rho, alpha, mu, e, j).coeffs == want.coeffs
 
 
 def test_solve_eqX_rejects_nonunits(cfg7m1):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from padicpolygons import DivisibilityError, PrecisionError, RingConfig
+from padicpolygons import DivisibilityError, PrecisionError, RingConfig, arith
 from padicpolygons.arith import KElem, STrunc, TildePoly, _pack, _unpack, det
 from padicpolygons.oracle import random_tilde, random_tilde_unit
 
@@ -249,9 +249,18 @@ def test_mul_u_matches_reference(cfg):
         same(lambda: x._mul_u_mod(kernel), lambda: ref_mul_u(x))
 
 
-def test_phi_matches_horner(cfg):
-    for x, _ in rough_pairs(cfg, rough_strunc, trials(cfg, 40, 3), 3):
+def check_phi(cfg, count):
+    """phi against Horner's rule on rough elements, and on one whose
+    constant term is known to no digits."""
+    xs = [x for x, _ in rough_pairs(cfg, rough_strunc, count, 3)]
+    coeffs = list(xs[0].coeffs)
+    coeffs[0] = cfg.w(0, prec=0)
+    for x in xs + [cfg.s(coeffs)]:
         same(x.phi, lambda: ref_phi(x))
+
+
+def test_phi_matches_horner(cfg):
+    check_phi(cfg, trials(cfg, 40, 3))
 
 
 def test_unit_inverse_matches_fixed_step_newton(cfg):
@@ -306,6 +315,25 @@ def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):
         assert (inv.num.flat, inv.num.precs, inv.pexp) == \
             (y.num.flat, y.num.precs, y.pexp)
     assert cfg.Eprime_pi() is cfg.Eprime_pi()
+
+
+def test_cached_E2_is_the_product_in_S(cfg):
+    E2 = cfg.s_E2()
+    assert digits(E2) == digits(cfg.s_E() * cfg.s_E())
+    assert cfg.s_E2() is E2
+
+
+@pytest.mark.parametrize("key", sorted(RINGS),
+                         ids=lambda key: "%d-%d-%d" % key)
+def test_a_new_ring_builds_no_packed_table(key):
+    """The fold and phi tables are built on first use, not with the ring."""
+    E, prec = RINGS[key]
+    cfg = RingConfig(*key, E, prec=prec, r=2)
+    for s in (1, cfg.p):
+        assert cfg._kernel(s)._fold is None and cfg._kernel(s)._phi is None
+    cfg.s_E().phi()
+    assert cfg._kernel(cfg.p)._phi is not None
+    assert cfg._kernel(cfg.p)._fold is None
 
 
 def test_cached_teichmuller_generator_is_a_fresh_lift(cfg):
@@ -438,6 +466,35 @@ def test_uniform_products_on_non_monomial_E(cfg_nm, monkeypatch):
     check_uniform_products(cfg_nm, 8, monkeypatch)
 
 
+def test_phi_and_E2_on_non_monomial_E(cfg_nm):
+    check_phi(cfg_nm, 10)
+    assert digits(cfg_nm.s_E2()) == digits(cfg_nm.s_E() * cfg_nm.s_E())
+
+
+def test_zero_operands_match_reference(cfg, monkeypatch):
+    """A zero operand, of one precision or of mixed ones, on either side of
+    an S or K product: the reference digits, and nothing is packed."""
+    rng, N = random.Random(22), cfg.prec
+    packed = []
+    monkeypatch.setattr(arith, "_pack", lambda *args, _p=_pack:
+                        packed.append(1) or _p(*args))
+    for make, n, rough in ((cfg.s, cfg.e * cfg.p, rough_strunc),
+                           (lambda cs: cfg.k_elem(cs).num, cfg.e,
+                            lambda cfg, rng: rough_k(cfg, rng).num)):
+        for _ in range(trials(cfg, 4, 2)):
+            P = rng.randrange(1, N + 1)
+            zeros = (make([cfg.w(0, P)] * n),
+                     make([cfg.w(0, rng.randrange(1, N + 1))
+                           for _ in range(n)]))
+            others = (uniform_poly(cfg, rng, make, n, P), rough(cfg, rng))
+            for z in zeros:
+                for x, y in [(z, o) for o in others] + \
+                        [(o, z) for o in others] + [(z, z)]:
+                    del packed[:]
+                    same(lambda: x * y, lambda: ref_mul(x, y))
+                    assert not packed
+
+
 def ref_unpack(x, count, m, W, h):
     """Slots read one by one with int.from_bytes; each coefficient's
     2m - 1 slots reduced by the monic h through long division."""
@@ -466,7 +523,9 @@ def test_unpack_reads_slots_as_from_bytes(W, h):
         x = sum(s << 8 * W * k for k, s in enumerate(slots))
         extra = x + (rng.getrandbits(64) << 8 * W * len(slots))
         assert _unpack(extra, count, m, W, h) == ref_unpack(x, count, m, W, h)
-    flat = [rng.randrange(1 << 30) for _ in range(3 * m)]
+    # _pack writes full-width slots: the word pass at W = 8 and 16
+    flat = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
+            for _ in range(3 * m)]
     assert _unpack(_pack(flat, m, W), 3, m, W, h) == flat
 
 
