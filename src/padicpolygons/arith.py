@@ -20,9 +20,9 @@ Every other ring is built on one of two bases:
     length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e,
     the u-valuation and division, and unit inversion.  The inverse runs on
     packed F_p[w] coordinates (``_pack``/``_unpack``, the one packer, shared
-    with ``_Kernel``); the product, truncated at u^n, is still a loop of
-    ``GFElem`` products until the benchmark's per-operation records are
-    folded (ROADMAP item 4).
+    with ``_Kernel``, in one format of whole 64-bit-word slots); the
+    product, truncated at u^n, is still a loop of ``GFElem`` products until
+    the benchmark's per-operation records are folded (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -52,7 +52,7 @@ Every other ring is built on one of two bases:
 
   - ``K0Elem``: ``K0 = Frac(W)``, numerator a ``WittElem``.
   - ``KElem``: ``K = K0[u]/E(u)``, numerator a ``_KNum``; it adds the
-    norm, the valuation and the inverse.
+    valuation and the inverse, both through the norm to W.
 
 Precision model: every Witt coefficient carries an absolute precision
 (number of significant p-digits) capped by the ring precision N.
@@ -80,7 +80,8 @@ from array import array
 from fractions import Fraction
 
 INF = math.inf
-_WORD_SLOTS = (8, 16) if sys.byteorder == "little" else ()
+_WORD = (1 << 64) - 1
+_SWAP = sys.byteorder == "big"  # packed words are little-endian
 
 
 class PrecisionError(ArithmeticError):
@@ -157,45 +158,44 @@ def _coord_mul(a, b, modulus, q):
     return tuple(prod[:m])
 
 
+def _slot_bytes(bound):
+    """Bytes per packed slot for values below bound: whole 64-bit words."""
+    return 8 * (bound.bit_length() // 64 + 1)
+
+
 def _pack(flat, m, W):
     """Kronecker packing: nonnegative coordinates, m per coefficient, as one
-    int of W-byte slots, 2m-1 slots per coefficient, so that a product of
-    packed ints is the packed product over (u, w) before reduction by h.
-    Slots of one or two native 64-bit words are written column by column
-    into one array of words, a 16-byte slot as its low word, then its high
-    word."""
-    if W in _WORD_SLOTS:
-        words = W // 8
-        step = words * (2 * m - 1)
-        a = array("Q", [0]) * (step * (len(flat) // m))
-        for t in range(m):
-            col = flat[t::m]
-            if words == 1:
-                a[t::step] = array("Q", col)
-            else:
-                a[2 * t::step] = array("Q", [c & 0xFFFFFFFFFFFFFFFF
-                                             for c in col])
-                a[2 * t + 1::step] = array("Q", [c >> 64 for c in col])
-        return int.from_bytes(a, "little")
-    b = [c.to_bytes(W, "little") for c in flat]
-    if m > 1:
-        z = bytes(W * (m - 1))
-        b = [x for k in range(0, len(b), m) for x in (*b[k:k + m], z)]
-    return int.from_bytes(b"".join(b), "little")
+    int of W-byte slots (``_slot_bytes``), 2m - 1 slots per coefficient, so
+    that a product of packed ints is the packed product over (u, w) before
+    reduction by h.  Slots are written column by column into one array of
+    little-endian 64-bit words, each slot from its low word up."""
+    words = W // 8
+    step = words * (2 * m - 1)
+    a = array("Q", [0]) * (step * (len(flat) // m))
+    for t in range(m):
+        col = flat[t::m]
+        for k in range(words * t, words * t + words - 1):
+            a[k::step] = array("Q", [c & _WORD for c in col])
+            col = [c >> 64 for c in col]
+        a[words * t + words - 1::step] = array("Q", col)
+    if _SWAP:
+        a.byteswap()
+    return int.from_bytes(a, "little")
 
 
 def _unpack(x, count, m, W, h):
     """The first count coefficients of a packed int (the rest truncated),
     each reduced by the monic modulus h of degree m: the m - 1 high slot
     columns are taken off, from the top."""
+    words = W // 8
     size = count * (2 * m - 1) * W
-    buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    if W in _WORD_SLOTS:    # slots of one or two native 64-bit words
-        s = memoryview(buf).cast("Q").tolist()
-        if W == 16:
-            s = [lo | hi << 64 for lo, hi in zip(s[::2], s[1::2])]
-    else:
-        s = [int.from_bytes(buf[k:k + W], "little") for k in range(0, size, W)]
+    a = array("Q", (x & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+    if _SWAP:
+        a.byteswap()
+    a = a.tolist()
+    s = a[::words]
+    for k in range(1, words):
+        s = [lo | hi << 64 * k for lo, hi in zip(s, a[k::words])]
     if m == 1:
         return s
     cols = [s[k::2 * m - 1] for k in range(2 * m - 1)]
@@ -212,64 +212,24 @@ def _unpack(x, count, m, W, h):
 # F_{p^m} = F_p[w]/(hbar)
 
 
-def _gfp_poly_gcd(a, b, p):
-    """Monic gcd of dense coefficient lists over F_p."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def deg(f):
-        d = len(f) - 1
-        while d >= 0 and f[d] == 0:
-            d -= 1
-        return d
-
-    while True:
-        db = deg(b)
-        if db < 0:
-            da = deg(a)
-            if da < 0:
-                return [0]
-            inv = pow(a[da], -1, p)
-            return [(c * inv) % p for c in a[: da + 1]]
-        da = deg(a)
-        while da >= db:
-            c = (a[da] * pow(b[db], -1, p)) % p
-            if c:
-                for i in range(db + 1):
-                    a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-            da = deg(a)
-        a, b = b, a
-
-
-def _gfp_poly_powmod_x(q, modulus, p):
-    """x^q mod the monic modulus, as a coefficient tuple."""
-    m = len(modulus) - 1
-    base = tuple(1 if i == 1 else 0 for i in range(m)) if m > 1 else \
-        ((-modulus[0]) % p,)
-    return _power(base, q, (1,) + (0,) * (m - 1),
-                  lambda a, b: _coord_mul(a, b, modulus, p))
-
-
 def _gfp_is_irreducible(modulus, p):
-    """Rabin test for a monic degree-m polynomial over F_p."""
+    """Rabin's test for a monic polynomial f of degree m over F_p, run in
+    F_p[x]/(f): x^(p^m) = x, and for each prime q | m, x^(p^(m/q)) - x is a
+    unit, (x^(p^(m/q)) - x)^(p^m - 1) = 1.  Exact: once x^(p^m) = x, f is
+    squarefree with factors of degree dividing m, and F_p[x]/(f) is a
+    product of fields whose unit groups have orders dividing p^m - 1."""
     m = len(modulus) - 1
-    if m < 1:
-        return False
-    # x^{p^m} == x mod f
-    xqm = _gfp_poly_powmod_x(p ** m, modulus, p)
-    xpoly = tuple(1 if i == 1 else 0 for i in range(m)) if m > 1 else \
-        ((-modulus[0]) % p,)
-    if xqm != xpoly:
-        return False
-    # gcd(x^{p^{m/q}} - x, f) == 1 for every prime divisor q of m
-    for q in (q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)):
-        xq = list(_gfp_poly_powmod_x(p ** (m // q), modulus, p))
-        sub = list(xpoly)
-        diff = [(a - b) % p for a, b in zip(xq + [0] * m, sub + [0] * m)]
-        g = _gfp_poly_gcd(diff, list(modulus), p)
-        if len(g) != 1:
-            return False
-    return True
+    one = (1,) + (0,) * (m - 1)
+
+    def power(a, n):
+        return _power(a, n, one, lambda a, b: _coord_mul(a, b, modulus, p))
+
+    # x for m > 1; for m = 1 every element of F_p passes, and f is linear
+    x = tuple(int(i == 1) for i in range(m))
+    return m >= 1 and power(x, p ** m) == x and all(
+        power(tuple((a - b) % p for a, b in zip(power(x, p ** (m // q)), x)),
+              p ** m - 1) == one
+        for q in range(2, m + 1) if m % q == 0 and _is_prime(q))
 
 
 def default_modulus(p, m):
@@ -277,8 +237,6 @@ def default_modulus(p, m):
 
     For m = 1 the modulus is X itself (w = 0, W = Z_p).
     """
-    if m == 1:
-        return (0, 1)
     # enumerate lower coefficient tuples in counting order
     for code in range(p ** m):
         mod = tuple(code // p ** i % p for i in range(m)) + (1,)
@@ -292,8 +250,6 @@ class GF:
 
     def __init__(self, p, m, modulus):
         self.p, self.m, self.modulus = p, m, tuple(c % p for c in modulus)
-        if len(self.modulus) != m + 1 or self.modulus[m] != 1:
-            raise ConfigError("residue modulus must be monic of degree m")
         if not _gfp_is_irreducible(self.modulus, p):
             raise ConfigError("residue modulus is reducible (or inseparable) mod p")
         self.zero = GFElem(self, (0,) * m)
@@ -308,8 +264,6 @@ class GF:
         return GFElem(self, coords)
 
     def gen(self):
-        if self.m == 1:
-            return self.zero
         return GFElem(self, tuple(1 if i == 1 else 0 for i in range(self.m)))
 
     def __eq__(self, other):
@@ -854,8 +808,10 @@ class _Kernel:
     are packed, unpacked and reduced.  A zero above them is known to its
     own precision P; from degree d up it caps all below it at P + mv.
 
-    Two packed tables are built on first use, never with the ring: the
-    fold table of ``mul`` and the phi table of ``STrunc.phi``."""
+    Packed slots are whole 64-bit words (``_slot_bytes``).  Two packed
+    tables are built on first use, never with the ring, by one walk
+    (``_table``): the fold table of ``mul`` and the phi table of
+    ``STrunc.phi``."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
@@ -870,10 +826,9 @@ class _Kernel:
                        for s, v in enumerate(_coord_mul(
                            wt, c.coords, witt.modulus, self.pc)) if v]
                       for wt in self.units]
-        # bytes per packed slot: a product and its fold sum (d*m terms below
-        # pc^2 each) stay below 2*d*m*pc^2; whole words up to 16 bytes
-        W = (2 * self.d * self.m * self.pc ** 2).bit_length() // 8 + 1
-        self.W = -(-W // 8) * 8 if W <= 16 else W
+        # a product and its fold sum (d*m terms below pc^2 each) stay below
+        # 2*d*m*pc^2
+        self.W = _slot_bytes(2 * self.d * self.m * self.pc ** 2)
         self._phi = self._fold = None
 
     def reduce(self, flat, precs, cap):
@@ -982,36 +937,38 @@ class _Kernel:
         flat, precs = self.reduce(flat, precs, cap)
         return self.witt.canon(flat[:d * m], precs[:d]), precs[:d]
 
-    def fold(self):
-        """The fold table: F[k*m + t] is w^t (u^(d+k) mod M), packed and
-        canonical at full precision, k < d - 1 (built once)."""
-        if self._fold is None:
-            N, d, m, pc, h = self.N, self.d, self.m, self.pc, self.witt.modulus
-            vec, fold = [0] * (d * m - m) + [1] + [0] * (m - 1), []
-            for _ in range(d - 1):
+    def _table(self, vec, step, count, basis):
+        """Packed b (u^(step*k) vec mod M), canonical at full precision, at
+        index k*len(basis) + t for b = basis[t], k < count."""
+        N, d, m, pc, h = self.N, self.d, self.m, self.pc, self.witt.modulus
+        table = []
+        for k in range(count):
+            if k:
                 vec = [c % pc for c in self.reduce(
-                    [0] * m + vec, [N] * (d + 1), N)[0][:d * m]]
-                fold += [_pack([c for i in range(0, d * m, m) for c in
-                                _coord_mul(wt, vec[i:i + m], h, pc)],
-                               m, self.W) for wt in self.units]
-            self._fold = fold
+                    [0] * (step * m) + vec, [N] * (d + step), N)[0][:d * m]]
+            table += [_pack([c for i in range(0, d * m, m) for c in
+                             _coord_mul(b, vec[i:i + m], h, pc)], m, self.W)
+                      for b in basis]
+        return table
+
+    def fold(self):
+        """The fold table: F[k*m + t] is w^t (u^(d+k) mod M), k < d - 1
+        (built once)."""
+        if self._fold is None:
+            d, m = self.d, self.m
+            top = [0] * (d * m - m) + [1] + [0] * (m - 1)     # u^(d-1)
+            self._fold = self._table(top, 1, d, self.units)[m:]
         return self._fold
 
     def phi_table(self):
-        """The phi table: T[k*m + t] is sigma(w^t) (u^(p*k) mod M), packed
-        and canonical at full precision, k < d (built once).  sigma is
-        Z_p-linear, so phi of sum_k x_k u^k, x_k = sum_t x_{k,t} w^t, is
-        sum x_{k,t} T[k*m + t]; T[m] is u^p mod M."""
+        """The phi table: T[k*m + t] is sigma(w^t) (u^(p*k) mod M), k < d
+        (built once).  sigma is Z_p-linear, so phi of sum_k x_k u^k,
+        x_k = sum_t x_{k,t} w^t, is sum x_{k,t} T[k*m + t]; T[m] is u^p mod
+        M."""
         if self._phi is None:
-            N, d, m, p, pc = self.N, self.d, self.m, self.witt.p, self.pc
-            h, vec, table = self.witt.modulus, [1] + [0] * (d * m - 1), []
-            for _ in range(d):
-                table += [_pack([c for i in range(0, d * m, m) for c in
-                                 _coord_mul(st, vec[i:i + m], h, pc)],
-                                m, self.W) for st in self.witt._frob_pows]
-                vec = [c % pc for c in self.reduce(
-                    [0] * (p * m) + vec, [N] * (d + p), N)[0][:d * m]]
-            self._phi = table
+            one = [1] + [0] * (self.d * self.m - 1)
+            self._phi = self._table(one, self.witt.p, self.d,
+                                    self.witt._frob_pows)
         return self._phi
 
 
@@ -1379,7 +1336,7 @@ class TildePoly(_Poly):
             raise DivisibilityError(f"not a unit of k[u]/u^{len(self.coeffs)}")
         cfg, gf, m, p = self.cfg, self.cfg.gf, self.cfg.m, self.cfg.p
         n = len(self.coeffs)
-        W = (n * m * p * p).bit_length() // 8 + 1
+        W = _slot_bytes(n * m * p * p)
 
         def mul(a, b, k):
             return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W),
@@ -1505,9 +1462,6 @@ class K0Elem(_PExp):
         unit = self.num.div_exact_p(v).unit_inverse()
         return self._new(unit, 0).mul_p_power(self.pexp - v)
 
-    def frobenius(self):
-        return self._new(self.num.frobenius(), self.pexp)
-
     def __repr__(self):
         return f"K0({self.num!r}/p^{self.pexp})"
 
@@ -1553,15 +1507,13 @@ class KElem(_PExp):
         cols = [c.coeffs for c in cols]
         return [[cols[j][i] for j in range(cfg.e)] for i in range(cfg.e)]
 
-    def norm(self):
-        """Norm of the numerator down to W (determinant of multiplication)."""
-        return det(self._mult_matrix())
-
     def val_p(self):
-        """Valuation in (1/e)Z, or INF when zero at working precision."""
+        """Valuation in (1/e)Z, or INF when zero at working precision: that
+        of the numerator's norm down to W (the determinant of
+        multiplication), over e, less pexp."""
         if self.is_zero():
             return INF
-        n = self.norm()
+        n = det(self._mult_matrix())
         v = n.val()
         if v == n.prec:
             return INF

@@ -779,8 +779,7 @@ def pseudo_counterexample(n, p, prec=None):
     zero = cfg.k0(0)
     minus_p = cfg.k0(-p)
     phi = ((zero, c0n_pn), (c0n_pn, minus_p))
-    coeffs = fontaine._charpoly_k0(cfg, phi, 2)
-    newton = polygons.newton_polygon([c.val_p() for c in coeffs])
+    newton = fontaine.phi_newton_polygon(cfg, phi, 2)
 
     # strong divisibility of the two main filtration generators
     cnpn = cpow.scale_p(n)

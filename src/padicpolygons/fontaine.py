@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polygons
-from .arith import KElem, det
+from .arith import INF, KElem, PrecisionError, det
 
 
 @dataclass(frozen=True)
@@ -110,28 +110,29 @@ def hodge_polygon(D):
     return polygons.from_slopes(slopes)
 
 
-def _charpoly_k0(cfg, M, dim):
-    """Coefficients (degree 0..dim) of det(X*I - M) over K0: the degree
-    dim - k coefficient is (-1)^k times the sum of the k x k principal
-    minors of M."""
-    coeffs = [cfg.k0(1)]
-    for k in range(1, dim + 1):
+def phi_newton_polygon(cfg, phi, dim):
+    """Newton polygon of det(X*I - phi) over K0 for a dim x dim matrix phi.
+
+    The degree dim - k coefficient is (-1)^k times the sum of the k x k
+    principal minors; only valuations enter, so neither the sign nor the
+    sigma-semilinearity of phi for m > 1 affects the result.  A constant
+    term det(phi) that is zero at working precision raises PrecisionError.
+    """
+    vals = [0]                      # degree dim: the leading 1
+    for k in range(1, dim + 1):     # degree dim - k, prepended
         total = cfg.k0(0)
         for sel in itertools.combinations(range(dim), k):
-            total = total + det([[M[i][j] for j in sel] for i in sel])
-        coeffs.append(-total if k % 2 else total)
-    return coeffs[::-1]
+            total = total + det([[phi[i][j] for j in sel] for i in sel])
+        vals.insert(0, total.val_p())
+    if vals[0] == INF:
+        raise PrecisionError("Newton polygon of phi: det(phi) is zero at "
+                             "working precision")
+    return polygons.newton_polygon(vals)
 
 
 def newton_polygon_phi(D):
-    """Newton polygon of the characteristic polynomial of the phi-matrix.
-
-    Only coefficient valuations enter, so the sigma-semilinearity of phi for
-    m > 1 does not affect the result.
-    """
-    coeffs = _charpoly_k0(D.cfg, D.phi, D.dim)
-    vals = [c.val_p() for c in coeffs]
-    return polygons.newton_polygon(vals)
+    """Newton polygon of the characteristic polynomial of the phi-matrix."""
+    return phi_newton_polygon(D.cfg, D.phi, D.dim)
 
 
 def t_numbers(D):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
                            RingConfig)
+from padicpolygons.arith import _gfp_is_irreducible, _is_prime, default_modulus
 from padicpolygons.oracle import (random_strunc, random_tilde, random_witt,
                                   tronc_difference_divisible)
 
@@ -63,6 +64,42 @@ def test_inseparable_modulus_rejected():
     # x^2 reducible mod 7
     with pytest.raises(Exception):
         RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=2, modulus=[0, 0, 1])
+
+
+def _mobius(n):
+    if any(n % (d * d) == 0 for d in range(2, n + 1)):
+        return 0
+    return (-1) ** sum(1 for d in range(2, n + 1)
+                       if n % d == 0 and _is_prime(d))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_irreducibility_test_counts_gauss(p, m):
+    # the monic irreducibles of degree m over F_p number
+    # (1/m) sum_{d | m} mu(d) p^(m/d)
+    accepted = sum(_gfp_is_irreducible(
+        tuple(code // p ** i % p for i in range(m)) + (1,), p)
+        for code in range(p ** m))
+    assert m * accepted == sum(_mobius(d) * p ** (m // d)
+                               for d in range(1, m + 1) if m % d == 0)
+
+
+# default_modulus(p, m), m = 1..4, as the gcd form of Rabin's test chose
+# them
+DEFAULT_MODULI = {
+    3: [(0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 1, 0, 0, 1)],
+    5: [(0, 1), (2, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0, 1)],
+    7: [(0, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 0, 1)],
+    11: [(0, 1), (1, 0, 1), (4, 1, 0, 1), (2, 1, 0, 0, 1)],
+    13: [(0, 1), (2, 0, 1), (2, 0, 0, 1), (2, 0, 0, 0, 1)],
+    17: [(0, 1), (3, 0, 1), (3, 1, 0, 1), (3, 0, 0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(DEFAULT_MODULI))
+def test_default_modulus_table(p):
+    assert [default_modulus(p, m) for m in (1, 2, 3, 4)] == DEFAULT_MODULI[p]
 
 
 def test_witt_precision_ledger(cfg7):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from padicpolygons import (INF, ClassificationError, FamilyParams, RingConfig,
-                           TildeObject, VerificationError, analyze_family,
-                           build_elements, classify_rank2, from_slopes,
-                           hodge_weights, inertia_polygon, normalize_L,
+from padicpolygons import (INF, ClassificationError, FamilyParams,
+                           PrecisionError, RingConfig, TildeObject,
+                           VerificationError, analyze_family, build_elements,
+                           classify_rank2, from_slopes, hodge_weights,
+                           inertia_polygon, normalize_L,
                            phi2_image, pseudo_counterexample, reduce_mod_p,
                            sabotaged_lattice, solve_eqX, strong_lattice,
                            verify_strong_divisibility)
@@ -619,6 +620,12 @@ def test_pseudo_counterexample_values():
     assert b.newton == from_slopes([1, 3])
     c = pseudo_counterexample(1, 7)
     assert c.coincide and not c.strict_at_1 and c.all_passed
+
+
+def test_pseudo_counterexample_names_exhausted_digits():
+    # det(phi) = -c0^4 p^4 is zero as known at prec 4
+    with pytest.raises(PrecisionError, match="^Newton polygon of phi: "):
+        pseudo_counterexample(2, 11, prec=4)
 
 
 def test_pseudo_counterexample_rejects_large_r():

@@ -77,6 +77,15 @@ def test_analyze_premise_ideal_failure_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: A is not in the premise ideal\n"
 
 
+def test_analyze_exhausted_det_phi_is_a_precision_error(tmp_path, capsys):
+    path = _write(tmp_path, json.dumps(_family_doc(7, 2, 2, "x+pi")))
+    assert cli.main(["analyze", "--input", path, "--prec", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precision error: Newton polygon of phi: "
+                            "det(phi) is zero at working precision\n")
+
+
 def test_analyze_twice_in_one_process_prints_the_golden_both_times(
         tmp_path, capsys):
     path = _write(tmp_path, json.dumps(_family_doc(7, 2, 2, "x+pi")))

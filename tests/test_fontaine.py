@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from padicpolygons import (FamilyParams, K0Elem, RingConfig, from_slopes,
-                           hermite_interpolant, hodge_polygon, lies_above,
-                           newton_polygon_phi, same_endpoint, t_numbers,
-                           weakly_admissible_dim2)
+from padicpolygons import (FamilyParams, K0Elem, PrecisionError, RingConfig,
+                           from_slopes, hermite_interpolant, hodge_polygon,
+                           lies_above, newton_polygon_phi, same_endpoint,
+                           t_numbers, weakly_admissible_dim2)
 from padicpolygons.fontaine import FilteredModule, family_module
 from padicpolygons.oracle import random_witt
 
@@ -67,6 +67,16 @@ def test_full_flag_rank3():
 def test_family_newton_polygon(cfg7):
     D = family_module(FamilyParams(cfg7, 1, 1, _x_plus_pi(cfg7)))
     assert newton_polygon_phi(D) == from_slopes([1, 1])
+
+
+def test_newton_polygon_phi_names_exhausted_digits():
+    # det(phi) = p^2 is zero as known at prec 2: the digits ran out, which
+    # says nothing about infinite slopes
+    cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=2, r=2)
+    D = family_module(FamilyParams(cfg, 1, 1, _x_plus_pi(cfg)))
+    with pytest.raises(PrecisionError, match=r"^Newton polygon of phi: "
+                       r"det\(phi\) is zero at working precision$"):
+        newton_polygon_phi(D)
 
 
 def test_identity_phi_newton():

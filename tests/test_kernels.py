@@ -443,7 +443,7 @@ def check_uniform_products(cfg, count, monkeypatch):
         kernel.fold()       # built here, so that it runs no reduce below
         slot_bound = 2 * kernel.d * kernel.m * kernel.pc ** 2
         assert slot_bound < 1 << 8 * kernel.W
-        assert kernel.W % 8 == 0 or kernel.W > 16
+        assert kernel.W % 8 == 0
     calls = []
     for kernel in (cfg._kernel(cfg.p), cfg._kernel(1)):
         monkeypatch.setattr(kernel, "reduce", lambda *args, _r=kernel.reduce:
@@ -511,11 +511,11 @@ def ref_unpack(x, count, m, W, h):
     return out
 
 
-@pytest.mark.parametrize("W", [8, 16, 19, 5])
+@pytest.mark.parametrize("W", [8, 16, 24])
 @pytest.mark.parametrize("h", [(0, 1), (3, 6, 1), (2, 0, 5, 1)])
 def test_unpack_reads_slots_as_from_bytes(W, h):
-    """Word-wide reads (W = 8, 16) and byte reads of other widths give the
-    slots that int.from_bytes gives, top bits of every slot set included."""
+    """Slots of one, two and three words read as int.from_bytes reads them,
+    top bits of every slot set included."""
     rng, m = random.Random(W), len(h) - 1
     for count in (0, 1, 7):
         slots = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
@@ -523,7 +523,7 @@ def test_unpack_reads_slots_as_from_bytes(W, h):
         x = sum(s << 8 * W * k for k, s in enumerate(slots))
         extra = x + (rng.getrandbits(64) << 8 * W * len(slots))
         assert _unpack(extra, count, m, W, h) == ref_unpack(x, count, m, W, h)
-    # _pack writes full-width slots: the word pass at W = 8 and 16
+    # _pack writes full-width slots, word by word
     flat = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
             for _ in range(3 * m)]
     assert _unpack(_pack(flat, m, W), 3, m, W, h) == flat
