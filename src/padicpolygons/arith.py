@@ -18,11 +18,11 @@ Every other ring is built on one of two bases:
     ring builds n = ep, the mod-p residue of ``STrunc``, and ``truncate``
     maps it onto a shorter k[u]/u^n.  Operands of one operation have one
     length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e,
-    the u-valuation and division, and unit inversion.  The inverse runs on
-    packed F_p[w] coordinates (``_pack``/``_unpack``, the one packer, shared
-    with ``_Kernel``, in one format of whole 64-bit-word slots); the
-    product, truncated at u^n, is still a loop of ``GFElem`` products until
-    the benchmark's per-operation records are folded (ROADMAP item 4).
+    the u-valuation and division, unit inversion and exact division by a
+    unit, both on packed F_p[w] coordinates (``_pack``/``_unpack``, shared
+    with ``_Kernel``).  The product, truncated at u^n, stays a loop of
+    ``GFElem`` products: packed, it would push the memory of the benchmark's
+    per-operation records past its bound (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -1328,10 +1328,22 @@ class TildePoly(_Poly):
         return not self.coeffs[0].is_zero()
 
     def unit_inverse(self):
-        """Newton iteration y <- y (2 - x y) mod u^k, k doubling up to the
-        length n, from the inverse of the constant term.  Each product is
+        """1 / self, for a unit self."""
+        return self._over(None)
+
+    def __truediv__(self, other):
+        """self / other for a unit other of the same length."""
+        other = self._coerce(other)
+        if len(other.coeffs) != len(self.coeffs):
+            raise self._length_error(other)
+        return other._over(self)
+
+    def _over(self, num):
+        """num / self (1 / self for num None): Newton iteration
+        y <- y (2 - x y) mod u^k, k doubling up to the length n, from the
+        inverse of the constant term, then y times num.  Each product is
         one packed bigint product of F_p[w] coordinates, reduced by hbar and
-        mod p."""
+        mod p; only the result is built as ``GFElem``s."""
         if not self.is_unit():
             raise DivisibilityError(f"not a unit of k[u]/u^{len(self.coeffs)}")
         cfg, gf, m, p = self.cfg, self.cfg.gf, self.cfg.m, self.cfg.p
@@ -1349,6 +1361,8 @@ class TildePoly(_Poly):
             t = [-c % p for c in mul(x[:k * m], y, k)]
             t[0] = (t[0] + 2) % p
             y = mul(y, t, k)
+        if num is not None:
+            y = mul([c for a in num.coeffs for c in a.coords], y, n)
         return TildePoly(cfg, tuple(GFElem(gf, tuple(y[i:i + m]))
                                     for i in range(0, n * m, m)))
 

@@ -374,16 +374,17 @@ def solve_eqX(rho, alpha, mu, e, j):
 
         rho X (-phi(alpha) + phi(X) u^q) = mu,  q = p((p+1)(e-j) - 2e).
 
-    rho, alpha, mu must be units and j < e, with q > 0.  X is mu over
-    rho (-phi(alpha) + phi(X) u^q), and phi reads X mod u^e only, so the
+    rho, alpha, mu must be units and j < e, with q > 0.  With
+    D(X) = phi(X) u^q - phi(alpha), a unit formed with no product, the
+    equation reads X D(X) = mu/rho, so X is (mu/rho) / D(X); every step is
+    an exact division in k[u]/u^n.  phi reads X mod u^e only, so the
     fixed-point iteration runs on the truncations Y = X mod u^e, in
     k[u]/u^e, until Y repeats: two Y that agree mod u^k have images that
     agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed point is reached
     within e // q + 1 steps and seen to repeat one step later.  One step at
-    full length then gives X, and the result is rechecked by substitution.
-    The constant term of X is that of -mu/(rho phi(alpha)).  The factor
-    -phi(alpha) + phi(X) u^q has at most 2e nonzero terms, so it goes on the
-    left of products, which loop over the left operand's nonzero terms."""
+    full length then gives X, and the result is rechecked by substitution:
+    (mu/rho) / X = D(X), which is rho X D(X) = mu since rho, X and D(X) are
+    units.  The constant term of X is that of -mu/(rho phi(alpha))."""
     cfg = rho.cfg
     n = cfg.e                # phi reads u^{<n}
     if not (rho.is_unit() and alpha.is_unit() and mu.is_unit()):
@@ -394,16 +395,16 @@ def solve_eqX(rho, alpha, mu, e, j):
     if q <= 0:
         raise ValueError("the correction exponent must be positive")
     phialpha = alpha.phi()
-    phialpha_n, rho_n, mu_n = (x.truncate(n) for x in (phialpha, rho, mu))
+    ratio = mu / rho
+    phialpha_n, ratio_n = phialpha.truncate(n), ratio.truncate(n)
     Y = cfg.tilde_zero().truncate(n)
     for _ in range(n // q + 2):
-        Yn = mu_n * ((Y.phi().truncate(n).shift_u(q) - phialpha_n)
-                     * rho_n).unit_inverse()
+        Yn = ratio_n / (Y.phi().truncate(n).shift_u(q) - phialpha_n)
         if Yn == Y:
             break
         Y = Yn
-    X = mu * ((Y.phi().shift_u(q) - phialpha) * rho).unit_inverse()
-    if (X.phi().shift_u(q) - phialpha) * (rho * X) != mu:
+    X = ratio / (Y.phi().shift_u(q) - phialpha)
+    if ratio / X != X.phi().shift_u(q) - phialpha:
         raise ArithmeticError("fixed point failed to satisfy the equation")
     return X
 
@@ -566,7 +567,7 @@ def classify_rank2(obj):
         else:
             phialpha = data["alpha"].phi()
             num = phialpha * data["sigma"] - data["gamma"].phi() * data["mu"]
-            X = num * (phialpha * data["rho"]).unit_inverse()
+            X = num / (phialpha * data["rho"])
         sub_exp = e
         slopes = (Fraction(1), Fraction(1))
     # u^{p(e-j)} X, which is 0 once p(e-j) >= ep

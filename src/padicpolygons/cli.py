@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -134,6 +135,48 @@ def _parse_k0(cfg, value, path):
         w = _witt_of(cfg, value.get("w", 0), path)
         return cfg.k0(w, _as_int(value.get("pexp", 0), path))
     return cfg.k0(_witt_of(cfg, value, path))
+
+
+def _exact_k0(cfg, value, path):
+    """The exact value of a K0 entry that ``_parse_k0`` accepts: its
+    w-coordinates, as Fractions."""
+    if isinstance(value, str) and "/" in value:
+        num, den = value.split("/", 1)
+        return (Fraction(int(num), int(den)),) + (0,) * (cfg.m - 1)
+    scale = 1
+    if isinstance(value, dict):
+        scale = Fraction(cfg.p) ** -_as_int(value.get("pexp", 0), path)
+        value = value.get("w", 0)
+    coord = _parse_witt_coord(value, path)
+    if not isinstance(coord, tuple):
+        coord = (coord,) + (0,) * (cfg.m - 1)
+    return tuple(scale * c for c in coord)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exactly_singular(h, rows):
+    """Whether det(rows) = 0 in Q[w]/(h), for entries given as rational
+    w-coordinates: the Leibniz sum in Q[w], then one reduction by the monic
+    h.  h is irreducible mod p, so over Q, and Q[w]/(h) is a subfield of
+    K0: det is 0 there exactly when it is 0 in K0."""
+    m = len(h) - 1
+    det = [0] * (len(rows) * (m - 1) + 1)
+    for perm in itertools.permutations(range(len(rows))):
+        term = [(-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))]
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, rows[i][j])
+        det = [a + b for a, b in zip(det, term)]
+    for k in range(len(det) - 1, m - 1, -1):
+        top = det[k]
+        det[k - m:k + 1] = [a - top * c for a, c in zip(det[k - m:k + 1], h)]
+    return not any(det[:m])
 
 
 def _parse_k_elem(cfg, value, path):
@@ -406,6 +449,11 @@ def _analyze_filtered(doc, prec_override):
     if len(phi[0]) != dim:
         raise DocError("filtered.phi", f"expected a square matrix, got "
                        f"{dim} x {len(phi[0])}")
+    exact = [[_exact_k0(cfg, v, "filtered.phi") for v in row]
+             for row in flt["phi"]]
+    if _exactly_singular(cfg.witt.modulus, exact):
+        raise DocError("filtered.phi", "det(phi) is 0: a filtered "
+                       "phi-module needs phi bijective")
     if flt.get("N") is None:
         zero = cfg.k0(0)
         nmat = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))

@@ -485,6 +485,33 @@ def test_solve_eqX_matches_the_full_length_loop(ring, js):
             assert solve_eqX(rho, alpha, mu, e, j).coeffs == want.coeffs
 
 
+@pytest.mark.parametrize("ring, js", [
+    ((13, 1, 5, [-13, 0, 0, 0, 0, 1], 8, 2), (3, 4)),
+    ((7, 2, 2, [-7, 0, 1], 7, 2), (0, 1)),
+], ids=["13-1-5", "7-2-2"])
+def test_solve_eqX_check_fires_on_a_wrong_quotient(ring, js, monkeypatch):
+    """With every full-length quotient off by u^{ep-1}, the check
+    (mu/rho) / X = D(X) fails.  The three errors cancel in it only when
+    mu_0 / rho_0 = phi(alpha)_0^2, which these units avoid."""
+    p, m, e, E, prec, r = ring
+    cfg = RingConfig(p, m, e, E, prec=prec, r=r)
+    ep = cfg.e * cfg.p
+    rng = random.Random(18)
+    units = [[random_tilde_unit(cfg, rng) for _ in range(3)] for _ in js]
+    inner = TildePoly.__truediv__
+
+    def off(self, other):
+        out = inner(self, other)
+        return out + cfg.tilde_u(ep - 1) if len(out.coeffs) == ep else out
+
+    monkeypatch.setattr(TildePoly, "__truediv__", off)
+    for j, (rho, alpha, mu) in zip(js, units):
+        assert mu.coeffs[0] * rho.coeffs[0].inverse() != \
+            alpha.phi().coeffs[0] ** 2
+        with pytest.raises(ArithmeticError, match="fixed point failed"):
+            solve_eqX(rho, alpha, mu, e, j)
+
+
 def test_solve_eqX_rejects_nonunits(cfg7m1):
     with pytest.raises(ValueError):
         solve_eqX(cfg7m1.tilde_u(1), cfg7m1.tilde_one(), cfg7m1.tilde_one(),

@@ -401,3 +401,37 @@ def test_malformed_document_exits_2(case, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
+
+
+# phi-matrices over (7,2,2), where the residue modulus is w^2 + 1: each is
+# singular as written, not only at working precision
+SINGULAR_PHI = {
+    "zero_row": [[0, 0], [0, 1]],
+    "w_squared_is_minus_1": [[[0, 1], -1], [1, [0, 1]]],
+    "pexp_and_fraction": [[{"w": 1, "pexp": 1}, "1/7"], [7, 7]],
+    "negative_pexp": [[{"w": [1, 0], "pexp": -1}, 7], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_PHI))
+def test_filtered_rejects_a_singular_phi(case, tmp_path, capsys):
+    path = _write(tmp_path, json.dumps(_filtered_doc(_RING_7_2_2, {
+        "phi": SINGULAR_PHI[case], "jumps": _FILTERED_JUMPS})))
+    assert cli.main(["analyze", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: filtered.phi: det(phi) is 0")
+
+
+def test_filtered_phi_singular_only_at_working_precision(tmp_path, capsys):
+    """det(phi) = p^7 is nonzero but zero at prec 7: the document is
+    accepted and the digits run out; det(phi) = 1/7 is accepted too."""
+    for phi, code in (([[7 ** 7, 0], [0, 1]], 2),
+                      ([[{"w": 1, "pexp": 1}, "1/7"], [7, 8]], 1)):
+        path = _write(tmp_path, json.dumps(_filtered_doc(_RING_7_2_2, {
+            "phi": phi, "jumps": _FILTERED_JUMPS})))
+        assert cli.main(["analyze", "--input", path]) == code
+        err = capsys.readouterr().err
+        assert "filtered.phi" not in err
+        if code == 2:
+            assert err.startswith("precision error: Newton polygon of phi: ")

@@ -923,3 +923,66 @@ def test_mixed_lengths_raise(cfg):
         x.truncate(ep + 1)
     # the full length is the identity
     assert coords(x.truncate(ep)) == coords(x)
+
+
+# (p, m, e) -> (E, prec); the last E is not monomial
+DIVISION_RINGS = {
+    (7, 2, 2): ([-7, 0, 1], 7),
+    (13, 1, 5): ([-13, 0, 0, 0, 0, 1], 8),
+    (11, 2, 4): ([-11, 0, 0, 0, 1], 6),
+    (11, 1, 3): ([22, -11, 33, 1], 9),
+}
+
+
+def divisors(cfg, rng, n):
+    """A nonzero constant, sparse units c0 + c u^k and dense units of
+    k[u]/u^n."""
+    def nonzero():
+        c = cfg.gf.elem(tuple(rng.randrange(cfg.p) for _ in range(cfg.m)))
+        return nonzero() if c.is_zero() else c
+
+    one = cfg.tilde_one().truncate(n)
+    out = [one * nonzero()]
+    for _ in range(2):
+        out.append(one * nonzero() +
+                   cfg.tilde_u(rng.randrange(1, max(n, 2))).truncate(n)
+                   * nonzero())
+        out.append(cfg.tilde([nonzero() for _ in range(n)]).truncate(n))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(DIVISION_RINGS),
+                         ids=lambda key: "%d-%d-%d" % key)
+def test_tilde_division_is_exact(key):
+    E, prec = DIVISION_RINGS[key]
+    cfg = RingConfig(*key, E, prec=prec, r=2)
+    rng = random.Random(36)
+    e, ep = cfg.e, cfg.e * cfg.p
+    for n in (1, e, 2 * e + 1, 3 * e, ep):
+        one = cfg.tilde_one().truncate(n)
+        nums = [random_tilde(cfg, rng).truncate(n) for _ in range(3)]
+        nums += [one, cfg.tilde_zero().truncate(n)]
+        for b in divisors(cfg, rng, n):
+            inverse = b.unit_inverse()
+            assert coords(inverse) == coords(one / b)
+            for a in nums:
+                quotient = a / b
+                assert len(quotient.coeffs) == n
+                assert quotient * b == a
+                assert quotient == a * inverse
+        c = cfg.gf.gen() + cfg.gf.one
+        assert coords(nums[0] / c) == coords(nums[0] * c.inverse())
+
+
+def test_tilde_division_raises_on_a_non_unit_or_a_mixed_length(cfg):
+    rng = random.Random(37)
+    ep = cfg.e * cfg.p
+    a, b = random_tilde(cfg, rng), random_tilde_unit(cfg, rng)
+    for bad in (cfg.tilde_zero(), cfg.tilde_u(1), b * cfg.tilde_u(ep - 1)):
+        with pytest.raises(DivisibilityError):
+            a / bad
+    for n in (1, cfg.e, ep - 1):
+        with pytest.raises(ValueError):
+            a / b.truncate(n)
+        with pytest.raises(ValueError):
+            a.truncate(n) / b
