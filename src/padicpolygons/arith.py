@@ -17,12 +17,17 @@ Every other ring is built on one of two bases:
   - ``TildePoly``: ``k[u]/u^n``, a tuple of n ``GFElem`` coefficients; the
     ring builds n = ep, the mod-p residue of ``STrunc``, and ``truncate``
     maps it onto a shorter k[u]/u^n.  Operands of one operation have one
-    length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e,
-    the u-valuation and division, unit inversion and exact division by a
-    unit, both on packed F_p[w] coordinates (``_pack``/``_unpack``, shared
-    with ``_Kernel``).  The product, truncated at u^n, stays a loop of
-    ``GFElem`` products: packed, it would push the memory of the benchmark's
-    per-operation records past its bound (ROADMAP item 4).
+    length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e
+    (Frobenius on k reads the field's table of sigma(w^t)), and the
+    u-valuation and division.  Four operations run on the flat F_p[w]
+    coordinates, m per coefficient, through one packed product
+    (``_tilde_mul``, on ``_pack``/``_unpack`` shared with ``_Kernel``) and
+    its Newton inverse (``_tilde_inverse``): unit inversion, division by a
+    product of units (``over``; ``/`` divides by one), and the product
+    check ``is_product``; only a returned element is built as ``GFElem``s.
+    ``*`` stays a loop of ``GFElem`` products: it serves the u-carrier
+    Smith reduction, and packed it would push the memory of the
+    benchmark's per-operation records past its bound (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -208,6 +213,33 @@ def _unpack(x, count, m, W, h):
     return [c for coeff in zip(*cols[:m]) for c in coeff]
 
 
+def _tilde_mul(a, b, n, gf):
+    """The product in k[u]/u^n of two elements given as flat F_p[w]
+    coordinates, m per coefficient, at most n coefficients each: one packed
+    bigint product, reduced by hbar and mod p.  A coefficient below u^n sums
+    at most n m products of coordinates below p, which sets the slots."""
+    m, p = gf.m, gf.p
+    W = _slot_bytes(n * m * p * p)
+    return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W), n, m, W,
+                                   gf.modulus)]
+
+
+def _tilde_inverse(x, n, gf):
+    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: Newton
+    iteration y <- y (2 - x y) mod u^k, k doubling up to n, from the inverse
+    of the constant term."""
+    m, p = gf.m, gf.p
+    if not any(x[:m]):
+        raise DivisibilityError(f"not a unit of k[u]/u^{n}")
+    y, k = list(GFElem(gf, tuple(x[:m])).inverse().coords), 1
+    while k < n:
+        k = min(2 * k, n)
+        t = [-c % p for c in _tilde_mul(x[:k * m], y, k, gf)]
+        t[0] = (t[0] + 2) % p
+        y = _tilde_mul(y, t, k, gf)
+    return y
+
+
 # ---------------------------------------------------------------------------
 # F_{p^m} = F_p[w]/(hbar)
 
@@ -254,6 +286,8 @@ class GF:
             raise ConfigError("residue modulus is reducible (or inseparable) mod p")
         self.zero = GFElem(self, (0,) * m)
         self.one = GFElem(self, (1,) + (0,) * (m - 1))
+        # the coordinates of sigma(w^t) = (w^t)^p, t < m (GFElem.frobenius)
+        self.sigma = tuple(((self.gen() ** t) ** p).coords for t in range(m))
 
     def elem(self, coords):
         if isinstance(coords, int):
@@ -323,7 +357,16 @@ class GFElem:
         return self ** (q - 2)
 
     def frobenius(self):
-        return self ** self.field.p
+        """x -> x^p.  It fixes F_p, so it is the sum of the coordinates times
+        the field's table of sigma(w^t); for m = 1 it is the identity."""
+        field = self.field
+        if field.m == 1:
+            return self
+        out = [0] * field.m
+        for c, row in zip(self.coords, field.sigma):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return GFElem(field, tuple(o % field.p for o in out))
 
     def in_prime_field(self):
         return self.frobenius() == self
@@ -1327,44 +1370,49 @@ class TildePoly(_Poly):
     def is_unit(self):
         return not self.coeffs[0].is_zero()
 
+    def _coords(self):
+        """The flat F_p[w] coordinates, m per coefficient."""
+        return [c for a in self.coeffs for c in a.coords]
+
+    def _of(self, flat):
+        """The element of k[u]/u^n with flat coordinates ``flat``."""
+        gf, m = self.cfg.gf, self.cfg.m
+        return TildePoly(self.cfg, tuple(GFElem(gf, tuple(flat[i:i + m]))
+                                         for i in range(0, len(flat), m)))
+
+    def _product(self, factors):
+        """The flat coordinates of the product of factors, each of self's
+        length, by packed products."""
+        n = len(self.coeffs)
+        out = None
+        for f in factors:
+            if len(f.coeffs) != n:
+                raise self._length_error(f)
+            out = f._coords() if out is None else \
+                _tilde_mul(out, f._coords(), n, self.cfg.gf)
+        return out
+
     def unit_inverse(self):
         """1 / self, for a unit self."""
-        return self._over(None)
+        return self._of(_tilde_inverse(self._coords(), len(self.coeffs),
+                                       self.cfg.gf))
 
     def __truediv__(self, other):
         """self / other for a unit other of the same length."""
-        other = self._coerce(other)
-        if len(other.coeffs) != len(self.coeffs):
-            raise self._length_error(other)
-        return other._over(self)
+        return self.over(other)
 
-    def _over(self, num):
-        """num / self (1 / self for num None): Newton iteration
-        y <- y (2 - x y) mod u^k, k doubling up to the length n, from the
-        inverse of the constant term, then y times num.  Each product is
-        one packed bigint product of F_p[w] coordinates, reduced by hbar and
-        mod p; only the result is built as ``GFElem``s."""
-        if not self.is_unit():
-            raise DivisibilityError(f"not a unit of k[u]/u^{len(self.coeffs)}")
-        cfg, gf, m, p = self.cfg, self.cfg.gf, self.cfg.m, self.cfg.p
-        n = len(self.coeffs)
-        W = _slot_bytes(n * m * p * p)
+    def over(self, *divisors):
+        """self / (d_1 d_2 ...), for units d_i of self's length: the
+        divisors multiplied packed, one Newton inversion and one product by
+        self; only the quotient is built as ``GFElem``s."""
+        n, gf = len(self.coeffs), self.cfg.gf
+        y = _tilde_inverse(self._product(map(self._coerce, divisors)), n, gf)
+        return self._of(_tilde_mul(self._coords(), y, n, gf))
 
-        def mul(a, b, k):
-            return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W),
-                                           k, m, W, gf.modulus)]
-
-        x = [c for a in self.coeffs for c in a.coords]
-        y, k = list(self.coeffs[0].inverse().coords), 1
-        while k < n:
-            k = min(2 * k, n)
-            t = [-c % p for c in mul(x[:k * m], y, k)]
-            t[0] = (t[0] + 2) % p
-            y = mul(y, t, k)
-        if num is not None:
-            y = mul([c for a in num.coeffs for c in a.coords], y, n)
-        return TildePoly(cfg, tuple(GFElem(gf, tuple(y[i:i + m]))
-                                    for i in range(0, n * m, m)))
+    def is_product(self, *factors):
+        """self == f_1 f_2 ..., for factors of self's length: packed
+        products compared on coordinates, with no ``GFElem`` built."""
+        return self._coords() == self._product(factors)
 
     def phi(self):
         """Frobenius: x -> x^p on k, u -> u^p, into k[u]/u^{ep}; it reads

@@ -374,17 +374,17 @@ def solve_eqX(rho, alpha, mu, e, j):
 
         rho X (-phi(alpha) + phi(X) u^q) = mu,  q = p((p+1)(e-j) - 2e).
 
-    rho, alpha, mu must be units and j < e, with q > 0.  With
-    D(X) = phi(X) u^q - phi(alpha), a unit formed with no product, the
-    equation reads X D(X) = mu/rho, so X is (mu/rho) / D(X); every step is
-    an exact division in k[u]/u^n.  phi reads X mod u^e only, so the
-    fixed-point iteration runs on the truncations Y = X mod u^e, in
-    k[u]/u^e, until Y repeats: two Y that agree mod u^k have images that
-    agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed point is reached
-    within e // q + 1 steps and seen to repeat one step later.  One step at
-    full length then gives X, and the result is rechecked by substitution:
-    (mu/rho) / X = D(X), which is rho X D(X) = mu since rho, X and D(X) are
-    units.  The constant term of X is that of -mu/(rho phi(alpha))."""
+    rho, alpha, mu must be units, rho and mu of one length, and j < e, with
+    q > 0.  p divides q, so D(X) = phi(X) u^q - phi(alpha) is
+    phi(u^{q/p} X - alpha): one phi of a unit of k[u]/u^e, formed with no
+    product, since phi reads u^{<e} only.  The equation reads
+    X = mu / (rho D(X)).  The fixed-point iteration runs on the truncations
+    Y = X mod u^e, in k[u]/u^e, until Y repeats: two Y that agree mod u^k
+    have images that agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed
+    point is reached within e // q + 1 steps and seen to repeat one step
+    later.  Then X = mu / (rho D(Y)) is the one full-length division, and
+    the check is the equation itself, rho X D(X) == mu, with D(X) formed
+    again from X.  The constant term of X is that of -mu/(rho phi(alpha))."""
     cfg = rho.cfg
     n = cfg.e                # phi reads u^{<n}
     if not (rho.is_unit() and alpha.is_unit() and mu.is_unit()):
@@ -394,17 +394,21 @@ def solve_eqX(rho, alpha, mu, e, j):
     q = cfg.p * ((cfg.p + 1) * (e - j) - 2 * e)
     if q <= 0:
         raise ValueError("the correction exponent must be positive")
-    phialpha = alpha.phi()
-    ratio = mu / rho
-    phialpha_n, ratio_n = phialpha.truncate(n), ratio.truncate(n)
+    alpha_n = alpha.truncate(n)
+
+    def D(Z):
+        return (Z.truncate(n).shift_u(q // cfg.p) - alpha_n).phi()
+
+    ratio_n = mu.truncate(n) / rho.truncate(n)
     Y = cfg.tilde_zero().truncate(n)
     for _ in range(n // q + 2):
-        Yn = ratio_n / (Y.phi().truncate(n).shift_u(q) - phialpha_n)
+        DY = D(Y)
+        Yn = ratio_n / DY.truncate(n)
         if Yn == Y:
             break
         Y = Yn
-    X = ratio / (Y.phi().shift_u(q) - phialpha)
-    if ratio / X != X.phi().shift_u(q) - phialpha:
+    X = mu.over(rho, DY)
+    if not mu.is_product(rho, X, D(X)):
         raise ArithmeticError("fixed point failed to satisfy the equation")
     return X
 

@@ -490,21 +490,23 @@ def test_solve_eqX_matches_the_full_length_loop(ring, js):
     ((7, 2, 2, [-7, 0, 1], 7, 2), (0, 1)),
 ], ids=["13-1-5", "7-2-2"])
 def test_solve_eqX_check_fires_on_a_wrong_quotient(ring, js, monkeypatch):
-    """With every full-length quotient off by u^{ep-1}, the check
-    (mu/rho) / X = D(X) fails.  The three errors cancel in it only when
-    mu_0 / rho_0 = phi(alpha)_0^2, which these units avoid."""
+    """With the full-length quotient X = mu / (rho D(Y)) off by u^{ep-1},
+    the check rho X D(X) == mu fails: D(X) reads X mod u^e only, so the two
+    sides differ by rho_0 D(X)_0 u^{ep-1}.  The units also avoid
+    mu_0 / rho_0 = phi(alpha)_0^2, where the errors of the earlier check
+    (mu/rho) / X = D(X), with three wrong quotients, cancelled."""
     p, m, e, E, prec, r = ring
     cfg = RingConfig(p, m, e, E, prec=prec, r=r)
     ep = cfg.e * cfg.p
     rng = random.Random(18)
     units = [[random_tilde_unit(cfg, rng) for _ in range(3)] for _ in js]
-    inner = TildePoly.__truediv__
+    inner = TildePoly.over
 
-    def off(self, other):
-        out = inner(self, other)
+    def off(self, *divisors):
+        out = inner(self, *divisors)
         return out + cfg.tilde_u(ep - 1) if len(out.coeffs) == ep else out
 
-    monkeypatch.setattr(TildePoly, "__truediv__", off)
+    monkeypatch.setattr(TildePoly, "over", off)
     for j, (rho, alpha, mu) in zip(js, units):
         assert mu.coeffs[0] * rho.coeffs[0].inverse() != \
             alpha.phi().coeffs[0] ** 2
@@ -516,6 +518,20 @@ def test_solve_eqX_rejects_nonunits(cfg7m1):
     with pytest.raises(ValueError):
         solve_eqX(cfg7m1.tilde_u(1), cfg7m1.tilde_one(), cfg7m1.tilde_one(),
                   2, 1)
+
+
+@pytest.mark.parametrize("short", ["rho", "mu"])
+def test_solve_eqX_rejects_operands_of_different_lengths(cfg13, short):
+    """rho and mu are units of one k[u]/u^n: a shorter one is refused,
+    whether or not the solver's full-length step divides by it."""
+    rng = random.Random(19)
+    ep = cfg13.e * cfg13.p
+    units = dict(zip(("rho", "alpha", "mu"),
+                     (random_tilde_unit(cfg13, rng) for _ in range(3))))
+    for n in (cfg13.e, ep - 1):
+        args = dict(units, **{short: units[short].truncate(n)})
+        with pytest.raises(ValueError):
+            solve_eqX(args["rho"], args["alpha"], args["mu"], 5, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The int kernels of S/Fil^p S and K against the coefficient-object loops
-they replaced, which are kept here as reference implementations only, and
-the memoized determinant and the K inverse against the recursive cofactor
-expansion.
+"""The int kernels of S/Fil^p S and K, and the packed k[u]/u^n operations,
+against the coefficient-object loops they replaced, which are kept here as
+reference implementations only, and the memoized determinant and the K
+inverse against the recursive cofactor expansion.
 
 Inputs have coefficients of reduced precision and coefficients that are
 zero as known, so every precision rule of the kernels is exercised: the
 raw product, the zero skips and their caps, the reduction by a monic
 modulus, and Horner's rule for phi."""
 
+import itertools
 import operator
 import random
 
@@ -981,8 +982,60 @@ def test_tilde_division_raises_on_a_non_unit_or_a_mixed_length(cfg):
     for bad in (cfg.tilde_zero(), cfg.tilde_u(1), b * cfg.tilde_u(ep - 1)):
         with pytest.raises(DivisibilityError):
             a / bad
+        with pytest.raises(DivisibilityError):
+            a.over(b, bad)
     for n in (1, cfg.e, ep - 1):
         with pytest.raises(ValueError):
             a / b.truncate(n)
         with pytest.raises(ValueError):
             a.truncate(n) / b
+        with pytest.raises(ValueError):
+            a.over(b, b.truncate(n))
+        with pytest.raises(ValueError):
+            a.is_product(b, b.truncate(n))
+        with pytest.raises(ValueError):
+            a.truncate(n).is_product(b)
+
+
+# the packed k[u]/u^n product, its quotient and product check, and the
+# sigma table of F_{p^m}, against the GFElem loop of TildePoly.__mul__ and
+# GFElem ** p
+
+
+def check_packed_products(cfg, seed):
+    rng = random.Random(seed)
+    xs = tilde_samples(cfg, rng)
+    e, ep = cfg.e, cfg.e * cfg.p
+    for n in sorted({1, e, 2 * e + 1, ep}):
+        for x in xs:
+            xn, yn, zn = (t.truncate(n) for t in (x, rng.choice(xs),
+                                                  rng.choice(xs)))
+            loop = xn * yn
+            assert arith._tilde_mul(xn._coords(), yn._coords(), n,
+                                    cfg.gf) == loop._coords()
+            assert (loop * zn).is_product(xn, yn, zn)
+            assert not (loop * zn + cfg.tilde_u(n - 1).truncate(n)) \
+                .is_product(xn, yn, zn)
+            if yn.is_unit() and zn.is_unit():
+                assert xn.over(yn, zn) * (yn * zn) == xn
+            if n >= e:
+                want = [cfg.gf.zero] * ep
+                for i, a in enumerate(xn.coeffs[:e]):
+                    want[i * cfg.p] = a ** cfg.p
+                assert xn.phi().coeffs == tuple(want)
+
+
+def test_packed_products_match_the_loop(cfg):
+    check_packed_products(cfg, 38)
+
+
+def test_packed_products_on_non_monomial_E(cfg_nm):
+    check_packed_products(cfg_nm, 39)
+
+
+def test_frobenius_reads_the_sigma_table(cfg):
+    gf = cfg.gf
+    assert len(gf.sigma) == cfg.m
+    for c in itertools.product(range(cfg.p), repeat=cfg.m):
+        x = gf.elem(c)
+        assert x.frobenius() == x ** cfg.p
