@@ -16,8 +16,7 @@ from .breuil import (Classification, ClassificationError, FamilyElements,
                      StrongLattice, TildeObject, VerificationError,
                      analyze_family, build_elements, classify_rank2,
                      inertia_polygon, normalize_L, phi2_image,
-                     pseudo_counterexample, reduce_mod_p,
-                     sabotaged_lattice, solve_eqX, strong_lattice,
-                     verify_strong_divisibility)
+                     pseudo_counterexample, reduce_mod_p, solve_eqX,
+                     strong_lattice, verify_strong_divisibility)
 
 __version__ = "0.1.0"

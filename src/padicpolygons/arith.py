@@ -19,14 +19,14 @@ Every other ring is built on one of two bases:
     maps it onto a shorter k[u]/u^n.  Operands of one operation have one
     length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e
     (Frobenius on k reads the field's table of sigma(w^t)), and the
-    u-valuation and division.  Four operations run on the flat F_p[w]
+    u-valuation and division.  Three operations run on the flat F_p[w]
     coordinates, m per coefficient, through one packed product
     (``_tilde_mul``, on ``_pack``/``_unpack`` shared with ``_Kernel``) and
     its Newton inverse (``_tilde_inverse``): unit inversion, division by a
-    product of units (``over``; ``/`` divides by one), and the product
-    check ``is_product``; only a returned element is built as ``GFElem``s.
-    ``*`` stays a loop of ``GFElem`` products: it serves the u-carrier
-    Smith reduction, and packed it would push the memory of the
+    product of units (``over``, the one quotient: there is no ``/``), and
+    the product check ``is_product``; only a returned element is built as
+    ``GFElem``s.  ``*`` stays a loop of ``GFElem`` products: it serves the
+    u-carrier Smith reduction, and packed it would push the memory of the
     benchmark's per-operation records past its bound (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
@@ -1396,10 +1396,6 @@ class TildePoly(_Poly):
         """1 / self, for a unit self."""
         return self._of(_tilde_inverse(self._coords(), len(self.coeffs),
                                        self.cfg.gf))
-
-    def __truediv__(self, other):
-        """self / other for a unit other of the same length."""
-        return self.over(other)
 
     def over(self, *divisors):
         """self / (d_1 d_2 ...), for units d_i of self's length: the

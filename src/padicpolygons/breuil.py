@@ -98,11 +98,11 @@ class FamilyElements:
     warnings: list = field(default_factory=list)
 
 
-def build_elements(params, norm):
-    """Construct t, Z, U, V for n1 = n2 = 1 and verify on the way:
-    the three defining properties of t, the congruence Z = sigma(lambda)
-    mod (p, Fil^2), and the case (ii) residue identities.  Any failure is a
-    hard error.
+def build_elements(params):
+    """Construct t, Z, U, V for n1 = n2 = 1 from the normalized L
+    (``params.normalized``) and verify on the way: the three defining
+    properties of t, the congruence Z = sigma(lambda) mod (p, Fil^2), and
+    the case (ii) residue identities.  Any failure is a hard error.
 
     t and U have degree < e, so each is its value mod E, and reduction mod E
     is a ring map: one K inverse of (L_0 - sigma(lambda))(pi) gives both."""
@@ -114,6 +114,7 @@ def build_elements(params, norm):
         raise ValueError(f"precision {cfg.prec} is too small for the lattice "
                          f"pipeline (need >= {params.r + 4})")
     warnings = []
+    norm = params.normalized
     case = norm.case_tag
     L0 = norm.L.to_strunc()
     lam = L0.constant_term()
@@ -182,11 +183,12 @@ def build_elements(params, norm):
 @dataclass
 class StrongLattice:
     """Lattice spanned by f_1 = Z e_1 + e_2 and f_2 = p e_1 (n1 = n2 = 1),
-    with its Fil^2 generators stored as (f_1, f_2)-coordinate pairs."""
+    with its Fil^2 generators stored as (f_1, f_2)-coordinate pairs (A, B);
+    a generator that cannot be built raises in ``strong_lattice``."""
 
     cfg: object
     Z: STrunc
-    fil_gens: list           # [(name, (A, B))], or (name, Exception)
+    fil_gens: list           # [(name, (A, B))]
     elements: FamilyElements
 
     def e_coords(self, A, B):
@@ -205,35 +207,17 @@ def _m_of(elements, A, Z):
     return (A, B)
 
 
-def _lattice(elements, Z, failures=()):
-    """The lattice on f_1 = Z e_1 + e_2, f_2 = p e_1 with Fil^2 generators
-    m(p + tE), m(UE), E^2 f_1 and E^2 f_2.  An m(A) whose construction
-    raises one of ``failures`` is recorded as that exception."""
-    cfg = elements.cfg
-    E, E2 = cfg.s_E(), cfg.s_E2()
-    gens = []
-    for name, A in (("m(p+tE)", cfg.s([cfg.p]) + elements.t * E),
-                    ("m(UE)", elements.U * E)):
-        try:
-            gens.append((name, _m_of(elements, A, Z)))
-        except failures as exc:
-            gens.append((name, exc))
-    gens.append(("E^2*f1", (E2, cfg.s_zero())))
-    gens.append(("E^2*f2", (cfg.s_zero(), E2)))
-    return StrongLattice(cfg, Z, gens, elements)
-
-
 def strong_lattice(elements):
-    """The strongly divisible lattice for n1 = n2 = 1 (so n = 1)."""
-    return _lattice(elements, elements.Z)
-
-
-def sabotaged_lattice(elements):
-    """Negative control: the same construction with Z replaced by Z + 1.
-    The m(A) division by p may fail; a failed generator is recorded and
-    counts as a verification failure."""
-    return _lattice(elements, elements.Z + elements.cfg.s_one(),
-                    (DivisibilityError, PrecisionError))
+    """The strongly divisible lattice for n1 = n2 = 1 (so n = 1), on
+    f_1 = Z e_1 + e_2, f_2 = p e_1 with Fil^2 generators m(p + tE), m(UE),
+    E^2 f_1 and E^2 f_2."""
+    cfg, Z = elements.cfg, elements.Z
+    E, E2 = cfg.s_E(), cfg.s_E2()
+    return StrongLattice(cfg, Z, [
+        ("m(p+tE)", _m_of(elements, cfg.s([cfg.p]) + elements.t * E, Z)),
+        ("m(UE)", _m_of(elements, elements.U * E, Z)),
+        ("E^2*f1", (E2, cfg.s_zero())),
+        ("E^2*f2", (cfg.s_zero(), E2))], elements)
 
 
 @dataclass
@@ -252,11 +236,7 @@ def verify_strong_divisibility(lat):
     images generate the reduction mod p."""
     entries = []
     images = []
-    for name, data in lat.fil_gens:
-        if isinstance(data, Exception):
-            entries.append((name, False, f"construction failed: {data}"))
-            continue
-        A, B = data
+    for name, (A, B) in lat.fil_gens:
         x, y = lat.e_coords(A, B)
         try:
             fA, fB = lat.f_coords(x.phi().scale_p(1), y.phi().scale_p(1))
@@ -378,7 +358,8 @@ def solve_eqX(rho, alpha, mu, e, j):
     q > 0.  p divides q, so D(X) = phi(X) u^q - phi(alpha) is
     phi(u^{q/p} X - alpha): one phi of a unit of k[u]/u^e, formed with no
     product, since phi reads u^{<e} only.  The equation reads
-    X = mu / (rho D(X)).  The fixed-point iteration runs on the truncations
+    X = mu / (rho D(X)), and every quotient is one ``over``: a division by
+    the product rho D.  The fixed-point iteration runs on the truncations
     Y = X mod u^e, in k[u]/u^e, until Y repeats: two Y that agree mod u^k
     have images that agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed
     point is reached within e // q + 1 steps and seen to repeat one step
@@ -399,11 +380,11 @@ def solve_eqX(rho, alpha, mu, e, j):
     def D(Z):
         return (Z.truncate(n).shift_u(q // cfg.p) - alpha_n).phi()
 
-    ratio_n = mu.truncate(n) / rho.truncate(n)
+    mu_n, rho_n = mu.truncate(n), rho.truncate(n)
     Y = cfg.tilde_zero().truncate(n)
     for _ in range(n // q + 2):
         DY = D(Y)
-        Yn = ratio_n / DY.truncate(n)
+        Yn = mu_n.over(rho_n, DY.truncate(n))
         if Yn == Y:
             break
         Y = Yn
@@ -571,7 +552,7 @@ def classify_rank2(obj):
         else:
             phialpha = data["alpha"].phi()
             num = phialpha * data["sigma"] - data["gamma"].phi() * data["mu"]
-            X = num / (phialpha * data["rho"])
+            X = num.over(phialpha, data["rho"])
         sub_exp = e
         slopes = (Fraction(1), Fraction(1))
     # u^{p(e-j)} X, which is 0 once p(e-j) >= ep
@@ -606,8 +587,7 @@ def classify_rank2(obj):
 @dataclass
 class FamilyAnalysis:
     cfg: object
-    params: object
-    norm: NormalizedL
+    params: object           # params.normalized is the normalized L
     elements: FamilyElements
     lattice: StrongLattice
     classification: Classification
@@ -636,8 +616,8 @@ def _family_exponents(cfg, lat):
     exps_E = adapted.divisor_exponents(
         [[c[i] for c in cols_E] for i in range(2)], adapted.ECarrier(cfg))
     n = 2 * cfg.e + 1
-    cols_u = [tuple(c.reduce_mod_p().truncate(n) for c in data)
-              for _, data in lat.fil_gens if not isinstance(data, Exception)]
+    cols_u = [tuple(c.reduce_mod_p().truncate(n) for c in gen)
+              for _, gen in lat.fil_gens]
     exps_u = adapted.divisor_exponents(
         [[c[i] for c in cols_u] for i in range(2)], adapted.UCarrier(cfg, n))
     return exps_E, exps_u
@@ -650,8 +630,8 @@ def analyze_family(params):
     D = fontaine.family_module(params)
     hodge_V = fontaine.hodge_polygon(D)
     newton_V = fontaine.newton_polygon_phi(D)
-    norm = normalize_L(params.L)
-    elements = build_elements(params, norm)
+    norm = params.normalized    # an L in Q_p fails here, before the floors
+    elements = build_elements(params)
     lat = strong_lattice(elements)
     report = verify_strong_divisibility(lat)
     classification = classify_rank2(reduce_mod_p(lat, report))
@@ -718,7 +698,7 @@ def analyze_family(params):
         step_ok,
         f"e * {desc_E} against {desc_u}"))
 
-    return FamilyAnalysis(cfg, params, norm, elements, lat, classification,
+    return FamilyAnalysis(cfg, params, elements, lat, classification,
                           hodge_V, newton_V, hodge_Mbar, inertia, exps_E,
                           exps_u, verdicts, list(elements.warnings))
 

@@ -123,34 +123,24 @@ def _witt_of(cfg, value, path):
 
 def _parse_k0(cfg, value, path):
     """K0 entry: "num", "num/den", integer, [m coords] or
-    {"w": coord-form, "pexp": k}."""
+    {"w": coord-form, "pexp": k}.  Returns the element at working precision
+    and its exact value: its w-coordinates, as Fractions."""
     if isinstance(value, str) and "/" in value:
         num, den = value.split("/", 1)
         try:
             fr = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             raise DocError(path, f"bad rational {value!r}") from None
-        return cfg.k0_from_fraction(fr)
+        return cfg.k0_from_fraction(fr), (fr,) + (0,) * (cfg.m - 1)
+    w, pexp = value, 0
     if isinstance(value, dict):
-        w = _witt_of(cfg, value.get("w", 0), path)
-        return cfg.k0(w, _as_int(value.get("pexp", 0), path))
-    return cfg.k0(_witt_of(cfg, value, path))
-
-
-def _exact_k0(cfg, value, path):
-    """The exact value of a K0 entry that ``_parse_k0`` accepts: its
-    w-coordinates, as Fractions."""
-    if isinstance(value, str) and "/" in value:
-        num, den = value.split("/", 1)
-        return (Fraction(int(num), int(den)),) + (0,) * (cfg.m - 1)
-    scale = 1
-    if isinstance(value, dict):
-        scale = Fraction(cfg.p) ** -_as_int(value.get("pexp", 0), path)
-        value = value.get("w", 0)
-    coord = _parse_witt_coord(value, path)
+        w, pexp = value.get("w", 0), value.get("pexp", 0)
+    elem = cfg.k0(_witt_of(cfg, w, path), _as_int(pexp, path))
+    coord = _parse_witt_coord(w, path)
     if not isinstance(coord, tuple):
         coord = (coord,) + (0,) * (cfg.m - 1)
-    return tuple(scale * c for c in coord)
+    scale = Fraction(cfg.p) ** -elem.pexp
+    return elem, tuple(scale * c for c in coord)
 
 
 def _poly_mul(a, b):
@@ -341,7 +331,7 @@ def family_report(analysis):
         "j": el.j,
         "v": _frac_str(el.v),
         "v_exact": el.v_exact,
-        "shift": analysis.norm.shift,
+        "shift": analysis.params.normalized.shift,
         "L_normalized": _strunc_json(el.L0),
         "t": _strunc_json(el.t),
         "Z": _strunc_json(el.Z),
@@ -435,22 +425,24 @@ def _analyze_matrix(doc, prec_override):
 
 
 def _parse_k0_matrix(cfg, rows, path):
-    return tuple(tuple(_parse_k0(cfg, v, f"{path}[{i}][{j}]")
-                       for j, v in enumerate(row))
-                 for i, row in enumerate(_matrix(rows, path)))
+    """The matrix of K0 entries at ``path`` and the matrix of their exact
+    values (``_parse_k0``)."""
+    parsed = [[_parse_k0(cfg, v, f"{path}[{i}][{j}]")
+               for j, v in enumerate(row)]
+              for i, row in enumerate(_matrix(rows, path))]
+    return (tuple(tuple(elem for elem, _ in row) for row in parsed),
+            [[exact for _, exact in row] for row in parsed])
 
 
 def _analyze_filtered(doc, prec_override):
     flt = _section(doc, "filtered")
     r = _as_int(flt.get("r", 2), "filtered.r")
     cfg = parse_ring(doc, prec_override=prec_override, r=r)
-    phi = _parse_k0_matrix(cfg, flt.get("phi"), "filtered.phi")
+    phi, exact = _parse_k0_matrix(cfg, flt.get("phi"), "filtered.phi")
     dim = len(phi)
     if len(phi[0]) != dim:
         raise DocError("filtered.phi", f"expected a square matrix, got "
                        f"{dim} x {len(phi[0])}")
-    exact = [[_exact_k0(cfg, v, "filtered.phi") for v in row]
-             for row in flt["phi"]]
     if _exactly_singular(cfg.witt.modulus, exact):
         raise DocError("filtered.phi", "det(phi) is 0: a filtered "
                        "phi-module needs phi bijective")
@@ -458,7 +450,7 @@ def _analyze_filtered(doc, prec_override):
         zero = cfg.k0(0)
         nmat = tuple(tuple(zero for _ in range(dim)) for _ in range(dim))
     else:
-        nmat = _parse_k0_matrix(cfg, flt["N"], "filtered.N")
+        nmat, _ = _parse_k0_matrix(cfg, flt["N"], "filtered.N")
         if (len(nmat), len(nmat[0])) != (dim, dim):
             raise DocError("filtered.N", f"expected a {dim} x {dim} matrix, "
                            f"got {len(nmat)} x {len(nmat[0])}")

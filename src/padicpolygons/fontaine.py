@@ -9,6 +9,7 @@ degrees 1..r is the line K(L e_1 + e_2), r = n1 + n2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,9 @@ class FilteredModule:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of the two-dimensional family D(L)."""
+    """Parameters of the two-dimensional family D(L).  ``normalized`` is L
+    normalized once (``breuil.normalize_L``), shared by the lattice
+    pipeline and the admissibility verdict."""
 
     cfg: object
     n1: int
@@ -54,6 +57,13 @@ class FamilyParams:
     def r(self):
         return self.n1 + self.n2
 
+    @functools.cached_property
+    def normalized(self):
+        """``normalize_L(L)``; raises ValueError when L is indistinguishable
+        from a Q_p element at working precision (and then is not cached)."""
+        from .breuil import normalize_L
+        return normalize_L(self.L)
+
     def validate(self):
         if not 0 <= self.n1 <= self.n2:
             raise ValueError("need 0 <= n1 <= n2")
@@ -61,24 +71,17 @@ class FamilyParams:
             raise ValueError("need e(n1+n2) < p-1")
 
     def is_admissible(self):
-        """Closed-form admissibility: n1 = n2 demands L not in Q_p;
-        n1 != n2 excludes only n1 > 0 with L = 0."""
+        """Closed-form admissibility: n1 = n2 demands L not in Q_p (a
+        normalization exists); n1 != n2 excludes only n1 > 0 with L = 0."""
         self.validate()
         if self.n1 == self.n2:
-            return not _is_qp_at_precision(self.L)
+            try:
+                self.normalized
+            except ValueError:
+                return False
+            return True
         if self.n1 > 0 and self.L.is_zero():
             return False
-        return True
-
-
-def _is_qp_at_precision(L):
-    """True when L is indistinguishable from a Q_p element at working
-    precision.  Q_p elements of K are the W-multiples of 1 up to p-powers."""
-    from .breuil import normalize_L
-    try:
-        normalize_L(L)
-        return False
-    except ValueError:
         return True
 
 

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from padicpolygons import (INF, ClassificationError, FamilyParams,
-                           PrecisionError, RingConfig, TildeObject,
-                           VerificationError, analyze_family, build_elements,
-                           classify_rank2, from_slopes, hodge_weights,
-                           inertia_polygon, normalize_L,
-                           phi2_image, pseudo_counterexample, reduce_mod_p,
-                           sabotaged_lattice, solve_eqX, strong_lattice,
+from padicpolygons import (INF, ClassificationError, DivisibilityError,
+                           FamilyParams, PrecisionError, RingConfig,
+                           StrongLattice, TildeObject, VerificationError,
+                           analyze_family, build_elements, classify_rank2,
+                           from_slopes, hodge_weights, inertia_polygon,
+                           normalize_L, phi2_image, pseudo_counterexample,
+                           reduce_mod_p, solve_eqX, strong_lattice,
                            verify_strong_divisibility)
 from padicpolygons import adapted, breuil
 from padicpolygons.arith import STrunc, TildePoly
-from padicpolygons.breuil import (_family_exponents, _minor_is_unit,
+from padicpolygons.breuil import (_family_exponents, _m_of, _minor_is_unit,
                                   _normalize_generators)
 from padicpolygons.cli import parse_L_expression
 from padicpolygons.oracle import (eqX_substitution, random_tilde,
@@ -43,13 +43,13 @@ def table_elements():
                 for E in (monomial_E(p, e), seeded_E(p, m, e)):
                     cfg = RingConfig(p, m, e, E, prec=p, r=2)
                     for spec in L_SPECS:
-                        L = parse_L_expression(cfg, spec)
+                        params = FamilyParams(
+                            cfg, 1, 1, parse_L_expression(cfg, spec))
                         try:
-                            norm = normalize_L(L)
+                            params.normalized
                         except ValueError:           # L lies in Q_p
                             continue
-                        params = FamilyParams(cfg, 1, 1, L)
-                        rows.append((cfg, build_elements(params, norm)))
+                        rows.append((cfg, build_elements(params)))
     return rows
 
 
@@ -95,14 +95,14 @@ def test_normalize_rejects_qp(cfg7):
 
 def test_build_elements_e1_gives_t_zero(cfg7e1):
     params = FamilyParams(cfg7e1, 1, 1, _x(cfg7e1))
-    el = build_elements(params, normalize_L(params.L))
+    el = build_elements(params)
     assert el.t.is_zero()
     assert el.v == INF and el.v_exact
 
 
 def test_build_elements_case_ii_residues(cfg7):
     params = FamilyParams(cfg7, 1, 1, cfg7.pi())
-    el = build_elements(params, normalize_L(params.L))
+    el = build_elements(params)
     assert el.case_tag == "ii" and el.j == 1
     # t = -j/(e c_0) and V = -1/c_0 mod p
     c0 = cfg7.c0.residue()
@@ -116,20 +116,20 @@ def test_build_elements_case_ii_residues(cfg7):
 def test_build_elements_rejects_other_weights(cfg7):
     params = FamilyParams(cfg7, 0, 1, cfg7.pi())
     with pytest.raises(ValueError):
-        build_elements(params, normalize_L(cfg7.pi()))
+        build_elements(params)
 
 
 def test_build_elements_precision_floor():
     cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=5, r=2)
     params = FamilyParams(cfg, 1, 1, cfg.pi())
     with pytest.raises(ValueError):
-        build_elements(params, normalize_L(cfg.pi()))
+        build_elements(params)
 
 
 def test_elements_defining_equations(cfg7):
     for L in (cfg7.pi(), _x(cfg7) + cfg7.pi()):
         params = FamilyParams(cfg7, 1, 1, L)
-        el = build_elements(params, normalize_L(L))
+        el = build_elements(params)
         slam = el.lam.frobenius()
         # (sigma(lambda) - L_0) t = L_1 mod Fil^1
         lhs = (el.L0.mul_w(-1) + slam) * el.t - el.L1
@@ -184,7 +184,7 @@ def test_rank1_analogue(cfg7):
 def test_strong_divisibility(cfg7, which):
     L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
     params = FamilyParams(cfg7, 1, 1, L)
-    el = build_elements(params, normalize_L(L))
+    el = build_elements(params)
     lat = strong_lattice(el)
     report = verify_strong_divisibility(lat)
     assert report.all_passed, report.entries
@@ -192,14 +192,23 @@ def test_strong_divisibility(cfg7, which):
 
 @pytest.mark.parametrize("which", ["pi", "x", "x+pi"])
 def test_sabotage_fails_on_m_ptE(cfg7, which):
+    """Negative control: the lattice with Z + 1 in place of Z.  m(p+tE)
+    either cannot be built (its division by p fails) or fails verification,
+    and the E^2-multiples of the basis pass."""
     L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
-    params = FamilyParams(cfg7, 1, 1, L)
-    el = build_elements(params, normalize_L(L))
-    report = verify_strong_divisibility(sabotaged_lattice(el))
-    assert not report.all_passed
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
+    Z = el.Z + cfg7.s_one()
+    E2, zero = cfg7.s_E2(), cfg7.s_zero()
+    gens = [("E^2*f1", (E2, zero)), ("E^2*f2", (zero, E2))]
+    built = True
+    try:
+        gens.append(("m(p+tE)", _m_of(
+            el, cfg7.s([cfg7.p]) + el.t * cfg7.s_E(), Z)))
+    except (DivisibilityError, PrecisionError):
+        built = False
+    report = verify_strong_divisibility(StrongLattice(cfg7, Z, gens, el))
     verdict = dict((n, ok) for n, ok, _ in report.entries)
-    assert verdict["m(p+tE)"] is False
-    # the E^2-multiples of the basis always pass
+    assert not built or verdict["m(p+tE)"] is False
     assert verdict["E^2*f1"] is True and verdict["E^2*f2"] is True
 
 
@@ -213,7 +222,7 @@ def _tilde_frac(cfg, num, den):
 
 def test_phi2_images_case_i(cfg7):
     L = _x(cfg7) + cfg7.pi()
-    el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
     lat = strong_lattice(el)
     E = cfg7.s_E()
     cbar = cfg7.c.reduce_mod_p()
@@ -234,7 +243,7 @@ def test_phi2_images_case_i(cfg7):
 
 def test_phi2_images_case_ii(cfg7):
     L = cfg7.pi()
-    el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
     lat = strong_lattice(el)
     E = cfg7.s_E()
     cbar = cfg7.c.reduce_mod_p()
@@ -251,7 +260,7 @@ def test_phi2_images_case_ii(cfg7):
 
 def test_phi2_image_rejects_non_members(cfg7):
     L = _x(cfg7) + cfg7.pi()
-    el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
     lat = strong_lattice(el)
     with pytest.raises(ValueError):
         phi2_image(cfg7.s_one(), lat)
@@ -276,7 +285,7 @@ def _B(el):
 @pytest.mark.parametrize("which", ["pi", "x", "x+pi"])
 def test_reduction_generators(cfg7, which):
     L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
-    el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
     lat = strong_lattice(el)
     obj = reduce_mod_p(lat, verify_strong_divisibility(lat))
     e = cfg7.e
@@ -309,8 +318,7 @@ def test_minor_unit_from_constant_terms(cfg7, rng):
 def test_case_ii_unit_determinant_identity(cfg7):
     # the u^e-coefficient of tbar B_2-bar - B_1-bar U-bar is the constant
     # term of tbar - V-bar, and it does not vanish
-    el = build_elements(FamilyParams(cfg7, 1, 1, cfg7.pi()),
-                        normalize_L(cfg7.pi()))
+    el = build_elements(FamilyParams(cfg7, 1, 1, cfg7.pi()))
     B1, B2 = _B(el)
     lhs = el.t.reduce_mod_p() * B2 - B1 * el.U.reduce_mod_p()
     want = (el.t - el.V).reduce_mod_p().coeffs[0]
@@ -319,8 +327,7 @@ def test_case_ii_unit_determinant_identity(cfg7):
 
 
 def test_case_i_structure_units(cfg7):
-    el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7)),
-                        normalize_L(_x(cfg7)))
+    el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7)))
     lat = strong_lattice(el)
     obj = reduce_mod_p(lat, verify_strong_divisibility(lat))
     # both phi_2 coefficients are units in the normalized picture
@@ -338,7 +345,7 @@ def test_classify_family_cases(cfg7):
             (cfg7.pi(), (1, 1), "2"),
             (_x(cfg7), (0, 2), "0"),
             (_x(cfg7) + cfg7.pi(), (Fraction(1, 2), Fraction(3, 2)), "1")):
-        el = build_elements(FamilyParams(cfg7, 1, 1, L), normalize_L(L))
+        el = build_elements(FamilyParams(cfg7, 1, 1, L))
         lat = strong_lattice(el)
         cls = classify_rank2(reduce_mod_p(lat,
                                           verify_strong_divisibility(lat)))
@@ -588,6 +595,22 @@ def test_analyze_family_slope_table(cfg7):
         assert a.hodge_Mbar == from_slopes([vL, 2 - vL])
 
 
+def test_analyze_family_normalizes_L_once(cfg7, monkeypatch):
+    """The lattice pipeline and the admissibility verdict share one
+    normalization of L (``FamilyParams.normalized``)."""
+    calls = []
+    original = breuil.normalize_L
+
+    def counted(L):
+        calls.append(L)
+        return original(L)
+
+    monkeypatch.setattr(breuil, "normalize_L", counted)
+    a = _analysis(cfg7, _x(cfg7) + cfg7.pi())
+    assert len(calls) == 1
+    assert dict((n, ok) for n, ok, _ in a.verdicts)["weakly_admissible"]
+
+
 def test_analyze_family_exponents_at_pi(cfg7):
     a = _analysis(cfg7, cfg7.pi())
     assert a.exponents_u == [1, 3]
@@ -643,9 +666,10 @@ def test_family_steps_stay_in_small_rings(monkeypatch):
     full k[u]/u^{ep}, and build_elements inverts in S once (for Z)."""
     cfg = RingConfig(11, 2, 4, monomial_E(11, 4), prec=11, r=2)
     L = _x(cfg) + cfg.pi()
-    norm = normalize_L(L)
+    params = FamilyParams(cfg, 1, 1, L)
+    params.normalized        # the count covers build_elements alone
     inverses = _operand_lengths(monkeypatch, STrunc, "unit_inverse")
-    el = build_elements(FamilyParams(cfg, 1, 1, L), norm)
+    el = build_elements(params)
     assert el.case_tag == "i" and len(inverses) == 1
     lat = strong_lattice(el)
     products = _operand_lengths(monkeypatch, TildePoly, "__mul__")

@@ -137,7 +137,7 @@ def test_t_numbers_mixed():
 # weak admissibility
 
 
-def test_family_admissibility(cfg7):
+def test_family_admissibility(cfg7, cfg7m1):
     x = cfg7.k_elem([cfg7.teichmuller_generator()])
     assert weakly_admissible_dim2(None, family=FamilyParams(cfg7, 1, 1,
                                                             cfg7.pi()))
@@ -145,6 +145,13 @@ def test_family_admissibility(cfg7):
     qp = cfg7.k_elem([12])
     assert not weakly_admissible_dim2(None, family=FamilyParams(cfg7, 1, 1,
                                                                 qp))
+    # with m = 1 the residue generator is 0, so x lies in Q_p: it has no
+    # normalization
+    x1 = FamilyParams(cfg7m1, 1, 1,
+                      cfg7m1.k_elem([cfg7m1.teichmuller_generator()]))
+    with pytest.raises(ValueError):
+        x1.normalized
+    assert not x1.is_admissible()
     # n1 != n2 excludes only n1 > 0 with L = 0
     assert weakly_admissible_dim2(None, family=FamilyParams(cfg7, 0, 1,
                                                             cfg7.k_zero()))

@@ -8,7 +8,13 @@ its JSON render) and the matrix-solve results, each for seeds 0-3, with the
 inputs built by ``perfbench/worker.build_ops``; an operation that raises
 enters as its exception class and message.  The oracle digest covers the
 exit code and output of ``oracle --seed 0..7``.  Two checkouts whose lines
-agree gave byte-identical outputs.
+agree gave byte-identical outputs.  To compare two checkouts, run it once
+per checkout, each in its own process (the package is imported from ROOT),
+and ``diff`` the two outputs:
+
+    python3 tools/output_digest.py OLD > old.txt
+    python3 tools/output_digest.py NEW > new.txt
+    diff old.txt new.txt
 """
 
 from __future__ import annotations
