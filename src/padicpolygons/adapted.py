@@ -1,6 +1,5 @@
-"""Elementary-divisor exponents over the three "principal" carriers, a
-linear solver over k[u]/u^n, and the dictionary turning exponents into
-Hodge weights.
+"""Elementary-divisor exponents over the three "principal" carriers and
+the dictionary turning exponents into Hodge weights.
 
 Carriers: (W/p^N)[u]/E(u)^p with maximal element E(u); k[u]/u^{ep}, or a
 shorter k[u]/u^n, with u; and W/p^N with p.  Each carrier's ``val``
@@ -17,14 +16,14 @@ needs the adapted basis itself.
 The reduction has two branches.  The E and p carriers, whose elements carry
 p-adic precision, reduce fraction-free, which spends no digit that the
 minors keep.  k[u]/u^n, where arithmetic is exact, normalizes each pivot to
-u^v: that is faster and is the branch that ``span_solver`` can track.
+u^v, which is faster.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import DivisibilityError, det
+from .arith import det
 
 
 class ECarrier:
@@ -163,33 +162,23 @@ def minor_exponents(rows, carrier):
     return out
 
 
-def smith_reduce(rows, carrier, track=False):
-    """Diagonalize by row/column operations with minimal-valuation pivots.
-
-    Returns (pivot_vals, T, C) where pivot_vals[i] is the valuation of the
-    i-th pivot (carrier.cap for an exhausted matrix), and, when track is
-    set, the row transform T and the column transform C with
-    T * M * C = diag(pi^{pivot_vals}); otherwise T and C are None.
+def divisor_exponents(rows, carrier):
+    """Elementary-divisor exponents n_1 <= ... <= n_d (reduction path):
+    diagonalize by row/column operations with minimal-valuation pivots and
+    return the sorted pivot valuations (carrier.cap for an exhausted
+    matrix).
 
     Fraction-free carriers (E and p) are cleared by cross-multiplication:
     the target row or column is scaled by the pivot's cofactor w_s, so each
     remaining entry w_s*a - w_i*b is a 2 x 2 minor divided by pi^v and keeps
     that minor's digits less v.  Normalizing the pivot row to pi^v would
     instead spend v digits on the scaling and v more on clearing columns
-    through the zeros it has just made.  This branch admits no transform
-    tracking.  k[u]/u^n loses no digit either way, so it normalizes.
+    through the zeros it has just made.  k[u]/u^n loses no digit either
+    way, so it normalizes.
     """
     d = len(rows)
     D = len(rows[0]) if d else 0
-    if track and carrier.fraction_free:
-        raise ValueError(f"carrier {carrier.name!r} does not support "
-                         "transform tracking")
     M = [list(r) for r in rows]
-    T = C = None
-    if track:
-        one, zero = carrier.one(), carrier.zero()
-        T = [[one if i == j else zero for j in range(d)] for i in range(d)]
-        C = [[one if i == j else zero for j in range(D)] for i in range(D)]
     pivot_vals = []
     for s in range(min(d, D)):
         best, bi, bj = carrier.cap, None, None
@@ -203,14 +192,9 @@ def smith_reduce(rows, carrier, track=False):
             continue
         if bi != s:
             M[s], M[bi] = M[bi], M[s]
-            if track:
-                T[s], T[bi] = T[bi], T[s]
         if bj != s:
             for row in M:
                 row[s], row[bj] = row[bj], row[s]
-            if track:
-                for row in C:
-                    row[s], row[bj] = row[bj], row[s]
         v = best
         if carrier.fraction_free:
             ws = carrier.shift_div(M[s][s], v)
@@ -232,9 +216,6 @@ def smith_reduce(rows, carrier, track=False):
         # normalize the pivot row so the pivot is exactly pi^v
         for j in range(D):
             M[s][j] = M[s][j] * unit
-        if track:
-            for j in range(d):
-                T[s][j] = T[s][j] * unit
         for i in range(d):
             if i == s:
                 continue
@@ -243,9 +224,6 @@ def smith_reduce(rows, carrier, track=False):
             factor = carrier.shift_div(M[i][s], v)
             for j in range(D):
                 M[i][j] = M[i][j] - factor * M[s][j]
-            if track:
-                for j in range(d):
-                    T[i][j] = T[i][j] - factor * T[s][j]
         for j in range(D):
             if j == s:
                 continue
@@ -254,68 +232,9 @@ def smith_reduce(rows, carrier, track=False):
             factor = carrier.shift_div(M[s][j], v)
             for i in range(d):
                 M[i][j] = M[i][j] - M[i][s] * factor
-            if track:
-                for i in range(D):
-                    C[i][j] = C[i][j] - C[i][s] * factor
         pivot_vals.append(v)
     pivot_vals += [carrier.cap] * (d - len(pivot_vals))
-    return pivot_vals, T, C
-
-
-def divisor_exponents(rows, carrier):
-    """Elementary-divisor exponents n_1 <= ... <= n_d (reduction path)."""
-    return sorted(smith_reduce(rows, carrier)[0])
-
-
-def span_solver(columns, carrier, rank):
-    """Factor the rank x n matrix of ``columns`` once (one tracked Smith
-    reduction) and return ``(vals, solve)``: the pivot valuations and
-    ``solve(target)``, coefficients x with sum(x_j * columns[j]) = target,
-    or None.
-
-    Linear solve over k[u]/u^n, the one carrier whose reduction is tracked
-    (the fraction-free E and p carriers raise ``ValueError``); membership
-    fails when a division is inexact or a cleared row of the target is
-    nonzero.  A solution is fixed only mod u^{n - v} in the coordinate of a
-    pivot u^v: any x + C w with u^{v_i} w_i = 0 solves as well.
-    """
-    n = len(columns)
-    if not n:
-        return [carrier.cap] * rank, lambda target: None
-    rows = [[col[i] for col in columns] for i in range(rank)]
-    vals, T, C = smith_reduce(rows, carrier, track=True)
-
-    def solve(target):
-        # T * target must be solvable against diag(pi^{vals})
-        tb = []
-        for i in range(rank):
-            acc = carrier.zero()
-            for j in range(rank):
-                acc = acc + T[i][j] * target[j]
-            tb.append(acc)
-        y = []
-        for i in range(rank):
-            if i < min(rank, n) and vals[i] < carrier.cap:
-                if carrier.val(tb[i]) < vals[i]:
-                    return None
-                try:
-                    y.append(carrier.shift_div(tb[i], vals[i]))
-                except DivisibilityError:
-                    return None
-            else:
-                if carrier.val(tb[i]) < carrier.cap:
-                    return None
-                y.append(carrier.zero())
-        y += [carrier.zero()] * (n - len(y))
-        x = []
-        for j in range(n):
-            acc = carrier.zero()
-            for k in range(n):
-                acc = acc + C[j][k] * y[k]
-            x.append(acc)
-        return x
-
-    return vals, solve
+    return sorted(pivot_vals)
 
 
 def hodge_weights(exponents, r, e):

@@ -489,29 +489,42 @@ def _normalize_generators(obj):
 
 
 def _fil2_solver(cfg, gens):
-    """``solve(target)`` against the two Fil^2 generators ``gens``, over
-    k[u]/u^{3e}: the coefficients mod u^{3e}, or None off their span.
+    """``solve(target)`` against the two Fil^2 generators ``gens``, by
+    Cramer's rule over k[u]/u^{3e}: the coefficients mod u^{3e}, or None
+    off their span.
 
-    Fil^2 contains u^{er} M (r = 2), so the Smith pivots u^{v_i} of the
-    generators have v_i <= er < 3e = e(r + 1), and membership is decided
-    mod u^{3e}.  Two solutions differ by C w with w_i in u^{3e - v_i},
-    inside u^e, which phi kills.  A pivot above u^{er} raises: such a pair
-    does not generate Fil^2."""
+    With (a, b), (c, d) the generators, det = ad - cb = u^v w, w a unit.
+    Fil^2 contains u^{er} M (r = 2), so v <= er < 3e for a pair that
+    generates it, and a larger v raises.  Every pair the normalization
+    accepts has v = er exactly.  A target t lies in the span mod u^{3e}
+    iff u^v divides adj(G) t, and the coefficients are then
+    s = (adj(G) t / u^v) / w.  Any solution s' has (s - s') det = 0, so
+    s = s' mod u^{3e - v}, which is mod u^e, all that phi reads; and as
+    Fil^2 contains u^{er} M, membership decided mod u^{3e} is exact."""
     er = 2 * cfg.e
     n = er + cfg.e
-    vals, solve = adapted.span_solver(
-        [[c.truncate(n) for c in g] for g in gens], adapted.UCarrier(cfg, n),
-        2)
-    top = max(vals)
-    if top > er:
-        raise ClassificationError(f"Smith pivot u^{top} of the Fil^2 "
+    (a, b), (c, d) = ([x.truncate(n) for x in g] for g in gens)
+    det = a * d - c * b
+    v = det.u_val()
+    if v > er:
+        raise ClassificationError(f"the determinant u^{v} of the Fil^2 "
                                   f"generators lies above u^{er}")
-    return lambda target: solve([c.truncate(n) for c in target])
+    w = det.div_exact_u(v)
+
+    def solve(target):
+        t0, t1 = (x.truncate(n) for x in target)
+        try:
+            return [(d * t0 - c * t1).div_exact_u(v).over(w),
+                    (a * t1 - b * t0).div_exact_u(v).over(w)]
+        except DivisibilityError:
+            return None
+
+    return solve
 
 
 def _phi2_of_member(obj, solve, vec):
     """phi_2 of an element of Fil^2 expressed against the generators, whose
-    factorization ``solve`` (from ``_fil2_solver``) carries; phi reads the
+    determinant ``solve`` (from ``_fil2_solver``) carries; phi reads the
     coefficients mod u^e only."""
     coeffs = solve(vec)
     if coeffs is None:
@@ -560,9 +573,9 @@ def classify_rank2(obj):
 
     # the sub-object: Fil^2 M' = u^{sub_exp} M', generated by u^{sub_exp} m
     gen_fil = tuple(c.shift_u(sub_exp) for c in m_vec)
-    # one factorization of the generators serves both phi_2 targets; it is
-    # made mod u^{3e}, where the pivots (at most u^{2e}) decide membership,
-    # and phi of a solution, which reads it mod u^e, is fixed there
+    # one determinant of the generators serves both phi_2 targets; it is
+    # taken mod u^{3e}, where it (exactly u^{2e} times a unit) decides
+    # membership, and phi of a solution, which reads it mod u^e, is fixed
     solve = _fil2_solver(cfg, obj.fil_gens)
     img = _phi2_of_member(obj, solve, gen_fil)
     checks["fil_member"] = img is not None

@@ -23,6 +23,12 @@ def random_witt(cfg, rng):
     return cfg.w(tuple(rng.randrange(q) for _ in range(cfg.m)))
 
 
+def random_k_elem(cfg, rng, pexp_max=1):
+    """An element of K: e random W-coordinates over p^k, k <= pexp_max."""
+    coeffs = [random_witt(cfg, rng) for _ in range(cfg.e)]
+    return cfg.k_elem(coeffs, rng.randrange(pexp_max + 1))
+
+
 def _length(cfg, rng, max_deg):
     """A polynomial length in [1, max_deg], by default up to ep."""
     return rng.randrange(1, (max_deg or cfg.e * cfg.p) + 1)

@@ -1,4 +1,4 @@
-"""Elementary-divisor exponents, the span solver, Hodge weights."""
+"""Elementary-divisor exponents, the Fil^2 solver, Hodge weights."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from padicpolygons import (ECarrier, PCarrier, RingConfig, UCarrier,
                            divisor_exponents, hodge_weights, minor_exponents)
-from padicpolygons.adapted import smith_reduce, span_solver
 from padicpolygons.breuil import ClassificationError, _fil2_solver
 from padicpolygons.oracle import (exponent_paths_agree, random_matrix,
                                   random_strunc, random_tilde,
@@ -127,19 +126,6 @@ def _planted_matrix(cfg, carrier, rng, exps):
                            _unimodular(cfg, carrier, rng, D)))
 
 
-def test_tracked_smith_transforms(cfg7, rng):
-    # planted M = U diag(u^n) V over k[u]/u^{ep}: T M C = diag(u^v)
-    uc = UCarrier(cfg7)
-    for exps in ((0, 2), (1, 2), (0, 1, 2), (1, 1, 2)):
-        d, D = len(exps), len(exps) + 1
-        for _ in range(3):
-            M = _planted_matrix(cfg7, uc, rng, exps)
-            vals, T, C = smith_reduce([list(r) for r in M], uc, track=True)
-            assert sorted(vals) == list(exps)
-            assert _matmul(uc, _matmul(uc, T, M), C) == \
-                _diag(uc, vals, d, D)
-
-
 def test_p_carrier_reads_planted_exponents(cfg7, rng):
     # the matrix-solve p patterns on which a unit-normalizing reduction
     # runs out of digits and reports the cap 7; fraction-free, each entry
@@ -151,35 +137,11 @@ def test_p_carrier_reads_planted_exponents(cfg7, rng):
             assert divisor_exponents(M, pc) == list(exps)
 
 
-def _combination(carrier, columns, x):
-    return [sum((xj * col[i] for xj, col in zip(x, columns)), carrier.zero())
-            for i in range(len(columns[0]))]
-
-
-def test_span_solver_solves_members_of_the_span(cfg7, rng):
-    # over k[u]/u^{ep}, the carrier classify_rank2 solves over: members
-    # sum x_j col_j are solved exactly, and a vector off u * ambient is not
-    # in a span of columns that all lie in u * ambient
-    uc = UCarrier(cfg7)
-    for _ in range(20):
-        columns = [[entry * uc.pi_power(rng.randrange(1, 3)) for entry in col]
-                   for col in random_matrix(cfg7, uc, rng, 3, 2, 2)]
-        _, solve = span_solver(columns, uc, 2)
-        for _ in range(3):
-            x = [r[0] for r in random_matrix(cfg7, uc, rng, 3, 1, 2)]
-            target = _combination(uc, columns, x)
-            got = solve(list(target))
-            assert got is not None
-            assert _combination(uc, columns, got) == target
-        assert solve([uc.one(), uc.zero()]) is None
-    vals, solve = span_solver([], uc, 2)
-    assert vals == [uc.cap, uc.cap]
-    assert solve([uc.zero(), uc.zero()]) is None
-
-
 def _planted(cfg, rng, v1, v2):
-    """Columns of U diag(u^v1, u^v2) V over k[u]/u^{ep}, U and V invertible
-    with entries of degree < 4e, and U."""
+    """Columns of G = U diag(u^v1, u^v2) V over k[u]/u^{ep}, U and V
+    invertible with entries of degree < 4e; with U and V^{-1}."""
+    uc = UCarrier(cfg)
+
     def draw():
         return random_tilde(cfg, rng, 2 * cfg.e)
 
@@ -187,50 +149,52 @@ def _planted(cfg, rng, v1, v2):
         return random_tilde_unit(cfg, rng, 2 * cfg.e)
 
     def invertible():
-        lower = [[1, 0], [draw(), 1]]
-        upper = [[unit(), draw()], [0, unit()]]
-        return [[sum((lower[i][k] * upper[k][j] for k in range(2)),
-                     cfg.tilde_zero()) for j in range(2)] for i in range(2)]
+        """L R and R^{-1} L^{-1}, L unit lower and R upper triangular."""
+        x, y, a, b = draw(), draw(), unit(), unit()
+        ia, ib = a.unit_inverse(), b.unit_inverse()
+        zero, one = uc.zero(), uc.one()
+        return (_matmul(uc, [[one, zero], [x, one]], [[a, y], [zero, b]]),
+                _matmul(uc, [[ia, -y * ia * ib], [zero, ib]],
+                        [[one, zero], [-x, one]]))
 
-    U, V = invertible(), invertible()
-    D = [cfg.tilde_u(v1), cfg.tilde_u(v2)]
-    G = [[U[i][0] * D[0] * V[0][j] + U[i][1] * D[1] * V[1][j]
-          for j in range(2)] for i in range(2)]
-    return [(G[0][j], G[1][j]) for j in range(2)], U
+    (U, _), (V, Vinv) = invertible(), invertible()
+    G = _matmul(uc, _matmul(uc, U, _diag(uc, (v1, v2), 2, 2)), V)
+    return [(G[0][j], G[1][j]) for j in range(2)], U, Vinv
 
 
 @pytest.mark.parametrize("p, m, e", [(7, 2, 2), (11, 2, 4), (13, 2, 4)])
 def test_fil2_solver_agrees_with_the_full_solver(p, m, e):
-    # U diag(u^v1, u^v2) V with v_i <= 2e: the solver over k[u]/u^{3e} and
-    # the one over k[u]/u^{ep} agree on membership and on phi of every
-    # solution coefficient; U (u^w1 c1, u^w2 c2) lies in the span iff
-    # w_i >= v_i for both i
+    # G = U diag(u^v1, u^v2) V with v1 + v2 <= 2e: the target
+    # U (u^w1 c1, u^w2 c2) lies in the span iff w_i >= v_i for both i, and
+    # then the Cramer solution over k[u]/u^{3e} agrees, under phi, with the
+    # full solution V^{-1} (u^{w1-v1} c1, u^{w2-v2} c2)
     cfg = RingConfig(p, m, e, [-p] + [0] * (e - 1) + [1], prec=p, r=2)
     rng = random.Random(p * 100 + e)
-    uc = UCarrier(cfg)
-    pairs = [(0, 2 * e), (2 * e, 2 * e), (e - 1, e + 1)]
-    pairs.append(tuple(sorted(rng.randrange(2 * e + 1) for _ in range(2))))
+    v1 = rng.randrange(2 * e + 1)
+    pairs = [(0, 2 * e), (e, e), (e - 1, e + 1),
+             (v1, rng.randrange(2 * e + 1 - v1))]
     seen = set()
     for v in pairs:
-        gens, U = _planted(cfg, rng, *v)
-        _, full = span_solver([list(g) for g in gens], uc, 2)
-        short = _fil2_solver(cfg, gens)
+        gens, U, Vinv = _planted(cfg, rng, *v)
+        solve = _fil2_solver(cfg, gens)
         for _ in range(4):
             w = [rng.randrange(3 * e + 1) for _ in range(2)]
-            c = [random_tilde_unit(cfg, rng, 2 * e) * cfg.tilde_u(wi)
-                 for wi in w]
-            target = [U[i][0] * c[0] + U[i][1] * c[1] for i in range(2)]
+            c = [random_tilde_unit(cfg, rng, 2 * e) for _ in range(2)]
+            target = [U[i][0] * c[0] * cfg.tilde_u(w[0]) +
+                      U[i][1] * c[1] * cfg.tilde_u(w[1]) for i in range(2)]
             member = all(wi >= vi for wi, vi in zip(w, v))
             seen.add(member)
-            x, y = full(target), short(target)
-            assert (x is not None) == (y is not None) == member
+            got = solve(target)
+            assert (got is not None) == member
             if member:
-                assert len(y[0].coeffs) == 3 * e
-                assert [[a.coords for a in xj.phi().coeffs] for xj in x] == \
-                    [[a.coords for a in yj.phi().coeffs] for yj in y]
+                y = [ci * cfg.tilde_u(wi - vi) for ci, wi, vi in zip(c, w, v)]
+                want = [Vinv[i][0] * y[0] + Vinv[i][1] * y[1]
+                        for i in range(2)]
+                assert len(got[0].coeffs) == 3 * e
+                assert [x.phi() for x in got] == [x.phi() for x in want]
     assert seen == {True, False}
-    # a pivot above u^{2e}: the pair does not contain u^{2e} of the module
-    gens, _ = _planted(cfg, rng, 0, 2 * e + 1)
+    # det u^{2e+1}: the pair does not contain u^{2e} of the module
+    gens, _, _ = _planted(cfg, rng, e, e + 1)
     with pytest.raises(ClassificationError, match=f"u\\^{2 * e + 1}"):
         _fil2_solver(cfg, gens)
 
@@ -255,24 +219,6 @@ def test_adapted_basis_invariance_under_base_change(cfg7, rng):
         g0 = (gens[0][0] + x * gens[1][0], gens[0][1] + x * gens[1][1])
         rows = [[g[i] for g in (g0, gens[1])] for i in range(2)]
         assert divisor_exponents(rows, uc) == [n1, n2]
-
-
-def test_tracked_smith_exponents_match_divisor_exponents(cfg7, rng):
-    # tracking the transforms does not change the pivot valuations
-    uc = UCarrier(cfg7)
-    for _ in range(10):
-        rows = random_matrix(cfg7, uc, rng, 2, 3, 3)
-        vals, _, _ = smith_reduce(rows, uc, track=True)
-        assert sorted(vals) == divisor_exponents(rows, uc)
-
-
-def test_smith_reduce_not_tracked_over_W(cfg7):
-    # the carriers with p-adic digits reduce fraction-free, untracked
-    for carrier in (ECarrier(cfg7), PCarrier(cfg7)):
-        rows = _identity(carrier, 2)
-        with pytest.raises(ValueError, match="does not support transform"):
-            smith_reduce(rows, carrier, track=True)
-        assert smith_reduce(rows, carrier)[0] == [0, 0]
 
 
 def test_hodge_weights_examples():

@@ -9,13 +9,8 @@ from fractions import Fraction
 from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
                            RingConfig)
 from padicpolygons.arith import _gfp_is_irreducible, _is_prime, default_modulus
-from padicpolygons.oracle import (random_strunc, random_tilde, random_witt,
-                                  tronc_difference_divisible)
-
-
-def random_k_elem(cfg, rng, pexp_max=1):
-    coeffs = [random_witt(cfg, rng) for _ in range(cfg.e)]
-    return cfg.k_elem(coeffs, rng.randrange(pexp_max + 1))
+from padicpolygons.oracle import (random_k_elem, random_strunc, random_tilde,
+                                  random_witt, tronc_difference_divisible)
 
 
 # ---------------------------------------------------------------------------

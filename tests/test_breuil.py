@@ -212,6 +212,18 @@ def test_sabotage_fails_on_m_ptE(cfg7, which):
     assert verdict["E^2*f1"] is True and verdict["E^2*f2"] is True
 
 
+@pytest.mark.parametrize("which", ["pi", "x", "x+pi"])
+def test_m_of_rejects_a_wrong_UE(cfg7, which):
+    """Negative control for m(UE): (U + 1)E is not in the premise ideal, and
+    the exact division by p^2 in ``_m_of`` refuses it.  S-multiples of UE
+    are in the ideal and pass verification, so this division is the guard
+    for m(UE)."""
+    L = {"pi": cfg7.pi(), "x": _x(cfg7), "x+pi": _x(cfg7) + cfg7.pi()}[which]
+    el = build_elements(FamilyParams(cfg7, 1, 1, L))
+    with pytest.raises(DivisibilityError):
+        _m_of(el, (el.U + cfg7.s_one()) * cfg7.s_E(), el.Z)
+
+
 # ---------------------------------------------------------------------------
 # phi_2 images: closed C-formula against the structure constants
 
@@ -351,6 +363,25 @@ def test_classify_family_cases(cfg7):
                                           verify_strong_divisibility(lat)))
         assert cls.shape == shape
         assert cls.slopes == tuple(Fraction(s) for s in slopes)
+
+
+def test_fil2_generators_have_determinant_u_2e():
+    # Cramer's rule in _fil2_solver is exact because the two reduced Fil^2
+    # generators of every classifying instance have det = u^{2e} * unit
+    shapes = set()
+    for p, e in ((7, 2), (11, 4)):
+        cfg = RingConfig(p, 2, e, monomial_E(p, e), prec=p, r=2)
+        for spec in ("pi", "x", "x+pi", "pi^3+x"):
+            params = FamilyParams(cfg, 1, 1, parse_L_expression(cfg, spec))
+            lat = strong_lattice(build_elements(params))
+            try:
+                obj = reduce_mod_p(lat, verify_strong_divisibility(lat))
+            except ValueError:          # the premise-ideal refusal
+                continue
+            shapes.add(classify_rank2(obj).shape)
+            (a, b), (c, d) = obj.fil_gens
+            assert (a * d - c * b).u_val() == 2 * e, (p, e, spec)
+    assert shapes == {"0", "1", "2"}
 
 
 def _synthetic_shape1(cfg, j, rng):

@@ -11,12 +11,7 @@ from padicpolygons import (FamilyParams, K0Elem, PrecisionError, RingConfig,
                            lies_above, newton_polygon_phi, same_endpoint,
                            t_numbers, weakly_admissible_dim2)
 from padicpolygons.fontaine import FilteredModule, family_module
-from padicpolygons.oracle import random_witt
-
-
-def random_k_elem(cfg, rng, pexp_max=1):
-    coeffs = [random_witt(cfg, rng) for _ in range(cfg.e)]
-    return cfg.k_elem(coeffs, rng.randrange(pexp_max + 1))
+from padicpolygons.oracle import random_k_elem, random_witt
 
 
 def _k0(cfg, n, pexp=0):
