@@ -230,6 +230,17 @@ _FILTERED_IDENTITY = _filtered_doc(
     {"r": 2, "phi": [[1, 0], [0, 1]], "N": [[0, 0], [0, 0]],
      "jumps": [[0, [[1, 0], [0, 1]]], [2, []]]})
 
+
+def _eigenline_doc(line):
+    """phi = diag(1, p^2) over Q_11 with the filtration line K*line in
+    degrees 1 and 2: the stable line e_1 has t_N = 0 < t_H = 2, and the
+    stable line e_2 has t_H = t_N = 2."""
+    return _filtered_doc({"p": 11, "m": 1, "e": 1, "E": [-11, 1], "prec": 7},
+                         {"r": 2, "phi": [[1, 0], [0, 121]],
+                          "jumps": [[0, [[1, 0], [0, 1]]], [1, [line]],
+                                    [3, []]]})
+
+
 # case name -> (argv, document); a document that is a str is written as is
 CLI_CASES = {
     # analyze, one per mode
@@ -254,6 +265,8 @@ CLI_CASES = {
         "p", [[49, [1, 7]], ["14", 0]])),
     "analyze_filtered": (_ANALYZE, _FILTERED_PASS),
     "analyze_filtered_identity_exits_1": (_ANALYZE, _FILTERED_IDENTITY),
+    "analyze_filtered_eigenline_e1": (_ANALYZE, _eigenline_doc([1, 0])),
+    "analyze_filtered_eigenline_e2": (_ANALYZE, _eigenline_doc([0, 1])),
     # sweep
     "sweep_all_ok": (_SWEEP, _sweep_doc(["x", "pi", "x+pi"])),
     "sweep_error_row": (_SWEEP, _sweep_doc(["x", "x/(p-p)"])),
