@@ -191,6 +191,10 @@ def _parse_k_elem(cfg, value, path):
 
 
 def _tokenize(text):
+    # str.isdigit and str.isalpha below accept non-ASCII characters
+    for ch in text:
+        if not ch.isascii():
+            raise DocError("L", f"unexpected character {ch!r}")
     out, i = [], 0
     while i < len(text):
         ch, j = text[i], i + 1
@@ -476,6 +480,13 @@ def _analyze_filtered(doc, prec_override):
     fil = [bases[0]]
     for t in range(1, r + 2):
         fil.append(bases.get(t, fil[-1]))
+        # two lines in a row must be one K-line: no 2 x 2 minor of their
+        # generators is nonzero
+        if len(fil[-2]) == len(fil[-1]) == 1 and any(
+                not (a0 * b1 - a1 * b0).is_zero() for (a0, b0), (a1, b1)
+                in itertools.combinations(zip(fil[-2][0], fil[-1][0]), 2)):
+            raise DocError("filtered.jumps", f"Fil^{t} is not inside "
+                           f"Fil^{t - 1}: the filtration must decrease")
     D = fontaine.FilteredModule(cfg, dim, phi, nmat, tuple(fil))
     hodge = fontaine.hodge_polygon(D)
     newton = fontaine.newton_polygon_phi(D)

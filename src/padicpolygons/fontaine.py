@@ -5,6 +5,13 @@ interpolant L_2 of the two-dimensional family, built in S as p L_2.
 The family D(L), for nonnegative n1 <= n2 with e(n1+n2) < p-1 and L in K:
 phi(e_1) = p^{n1} e_1, phi(e_2) = p^{n2} e_2, N = 0, and the filtration in
 degrees 1..r is the line K(L e_1 + e_2), r = n1 + n2.
+
+Weak admissibility of a 2-dimensional module over Q_p (m = 1), with Hodge
+slopes d <= h_2 and Newton slopes s_1 <= s_2, once t_H = t_N: let w span
+the K0-line of the filtration line, when there is one.  If w is phi- and
+N-stable with phi(w) = lam_0 w and h_2 > v(lam_0), the module is not weakly
+admissible; otherwise it is exactly when d <= s_1 (``weakly_admissible_dim2``
+has the proof).
 """
 
 from __future__ import annotations
@@ -145,110 +152,24 @@ def t_numbers(D):
     return int(tH), tN
 
 
-def _sqrt_zp(cfg, x):
-    """Square root of a K0 element, or None if there is none in Q_p."""
-    if x.is_zero():
-        return cfg.k0(0)
-    num = x.num
-    vnum = num.val()
-    if (vnum - x.pexp) % 2 != 0:
-        return None
-    unit = num.div_exact_p(vnum)
-    res = unit.residue()
-    # p odd: a unit is a square iff its residue is a square in k
-    root_res = None
-    p, m = cfg.p, cfg.m
-    q = p ** m
-    if res ** ((q - 1) // 2) == cfg.gf.one:
-        # find the square root in k by exponentiation when q = 3 mod 4,
-        # else by brute force over the prime field part (q is tiny here)
-        if q % 4 == 3:
-            root_res = res ** ((q + 1) // 4)
-        else:
-            for code in range(q):
-                cand = cfg.gf.elem(tuple((code // p ** i) % p for i in range(m)))
-                if cand * cand == res:
-                    root_res = cand
-                    break
-    if root_res is None:
-        return None
-    y = cfg.witt.elem(root_res.coords)
-    two_inv = cfg.witt.elem(2).unit_inverse()
-    for _ in range(cfg.prec + 1):
-        y = (y + unit * y.unit_inverse()) * two_inv
-    if not (y * y - unit).is_zero():
-        return None
-    half = (vnum - x.pexp) // 2
-    w = y.scale_p(half) if half >= 0 else y
-    return cfg.k0(w, -half if half < 0 else 0)
-
-
-def _eigenlines_dim2(D):
-    """phi- and N-stable K0-lines of a 2-dimensional module with a
-    non-scalar phi-matrix, m = 1.  Returns [(vector over K0, eigenvalue)]."""
-    cfg = D.cfg
-    a, b = D.phi[0]
-    c, d = D.phi[1]
-    tr = a + d
-    det = a * d - b * c
-    two_inv = cfg.k0(cfg.w(2).unit_inverse())
-    disc = tr * tr - det * 4
-    if disc.is_zero():
-        roots = [tr * two_inv]
-    else:
-        sq = _sqrt_zp(cfg, disc)
-        if sq is None:
-            return []
-        roots = [(tr + sq) * two_inv, (tr - sq) * two_inv]
-        if (roots[0] - roots[1]).is_zero():
-            roots = roots[:1]
-    lines = []
-    for lam in roots:
-        # a kernel vector of (phi - lam), read off a nonzero row
-        r1 = (a - lam, b)
-        r2 = (c, d - lam)
-        if not (r1[0].is_zero() and r1[1].is_zero()):
-            vec = (-r1[1], r1[0])
-        else:
-            vec = (-r2[1], r2[0])
-        n1 = D.nmat[0][0] * vec[0] + D.nmat[0][1] * vec[1]
-        n2 = D.nmat[1][0] * vec[0] + D.nmat[1][1] * vec[1]
-        if (n1 * vec[1] - n2 * vec[0]).is_zero():
-            lines.append((vec, lam))
-    return lines
-
-
-def _line_in_fil_t(cfg, w, fil_basis):
-    """Is the K-line spanned by the K0-vector w inside span(fil_basis)?"""
-    if len(fil_basis) == 0:
-        return False
-    if len(fil_basis) >= 2:
-        return True
-    g0, g1 = fil_basis[0]
-    w0, w1 = (cfg.k_elem([x.num], x.pexp) for x in w)
-    return (w0 * g1 - w1 * g0).is_zero()
-
-
-def _line_t_hodge(D, w):
-    tH = 0
-    for t in range(1, len(D.fil)):
-        if _line_in_fil_t(D.cfg, w, D.fil[t]):
-            tH = t
-        else:
-            break
-    return tH
-
-
 def _k0_line_of_fil_line(cfg, g):
-    """The K0-line inside the K-line K*g, if one exists."""
-    g0, g1 = g
-    if g1.is_zero():
-        return (cfg.k0(1), cfg.k0(0))
-    ratio = g0 * g1.inverse()
-    for c in ratio.coeffs[1:]:
-        if not c.is_zero():
-            return None
-    return (cfg.k0(ratio.coeffs[0], ratio.pexp), cfg.k0(1))
+    """The primitive K0-vector w with K*w = K*g, or None when K*g holds no
+    K0-line.  With p^k g = sum_i pi^i (a_i, b_i), a_i and b_i in W, K*g is
+    K0-rational exactly when the coefficient vectors a and b are
+    proportional: every minor a_i b_j - a_j b_i vanishes.  Then w is the
+    pair (a_i, b_i) that holds the entry c of least valuation, over c."""
+    k = max(x.pexp for x in g)
+    a, b = ([c.scale_p(k - x.pexp) for c in x.coeffs] for x in g)
+    if not all((a[i] * b[j] - a[j] * b[i]).is_zero()
+               for i, j in itertools.combinations(range(cfg.e), 2)):
+        return None
+    i, c = min(enumerate(a + b), key=lambda ic: ic[1].val())
+    v = c.val()
+    if v == c.prec:
+        raise PrecisionError("filtration line is zero at working precision")
+    one = cfg.k0(1)
+    r = cfg.k0((b + a)[i].div_exact_p(v) * c.div_exact_p(v).unit_inverse())
+    return (one, r) if i < cfg.e else (r, one)
 
 
 def weakly_admissible_dim2(D, family=None):
@@ -256,10 +177,27 @@ def weakly_admissible_dim2(D, family=None):
 
     With ``family`` given, uses the closed-form criterion of the family (any
     residue degree).  Otherwise dim 1 reduces to t_H = t_N, and dim 2
-    requires residue degree m = 1: for a non-scalar phi-matrix the stable
-    lines come from eigen-analysis; a scalar phi (which forces N = 0, by
-    N phi = p phi N) makes every K0-line stable, and only the deepest
-    filtration positions need checking.
+    requires residue degree m = 1.  There D is weakly admissible exactly
+    when t_H = t_N and every phi- and N-stable line l has t_H(l) <= t_N(l).
+    With Hodge slopes d <= h_2 and Newton slopes s_1 <= s_2, let w span the
+    K0-line of the filtration line Fil^{h_2}, when d < h_2 and that line is
+    K0-rational.  The rule: False when w is stable, phi(w) = lam_0 w, and
+    h_2 > v(lam_0); otherwise ``d <= s_1``.  The proof, in three steps:
+
+    1. t_H = d + h_2 with h_2 >= d, so t_H = t_N gives 2d <= s_1 + s_2:
+       s_2 >= d, and d <= s_1 when s_1 = s_2.
+    2. w, when stable, has t_H(w) = h_2.  Every other stable line lies in
+       Fil^d and in no deeper Fil^t, the filtration line or 0, so it has
+       t_H = d, and by (1) it fails only when its slope is s_1 < d.  If w
+       has slope s_1 and passes, then d <= h_2 <= s_1.
+    3. When s_1 < s_2, the eigenvalues lam_1 and lam_2 of phi lie in Q_p,
+       and N phi = p phi N sends the lam_1-eigenline into the
+       lam_1/p-eigenspace, which is 0: that line is always stable, with
+       t_H = d unless it is w.  So, w passing or not stable, D is weakly
+       admissible exactly when d <= s_1, by (2) and, for s_1 = s_2, (1).
+
+    v(lam_0) is the least valuation of the coordinates of phi(w), w being
+    primitive; phi(w) zero at working precision raises PrecisionError.
     """
     if family is not None:
         return family.is_admissible()
@@ -271,28 +209,21 @@ def weakly_admissible_dim2(D, family=None):
     cfg = D.cfg
     if cfg.m != 1:
         raise ValueError("general dim-2 admissibility requires residue degree 1")
-    tH, tN = t_numbers(D)
-    if Fraction(tH) != tN:
+    (d, h2), (s1, s2) = hodge_polygon(D).slopes, newton_polygon_phi(D).slopes
+    if d + h2 != s1 + s2:
         return False
-    a, b = D.phi[0]
-    c, d = D.phi[1]
-    scalar = b.is_zero() and c.is_zero() and (a - d).is_zero()
-    if scalar:
-        v = a.val_p()
-        full_depth = max(t for t in range(len(D.fil)) if D.fil_dim(t) == 2)
-        if Fraction(full_depth) > v:
-            return False
-        for t in range(len(D.fil)):
-            if D.fil_dim(t) == 1:
-                w = _k0_line_of_fil_line(cfg, D.fil[t][0])
-                if w is not None and Fraction(_line_t_hodge(D, w)) > v:
-                    return False
-                break
-        return True
-    for w, lam in _eigenlines_dim2(D):
-        if Fraction(_line_t_hodge(D, w)) > lam.val_p():
-            return False
-    return True
+    w = _k0_line_of_fil_line(cfg, D.fil[int(h2)][0]) if d < h2 else None
+    if w is not None:
+        phi_w, n_w = ([row[0] * w[0] + row[1] * w[1] for row in M]
+                      for M in (D.phi, D.nmat))
+        if all((w[0] * y[1] - w[1] * y[0]).is_zero() for y in (phi_w, n_w)):
+            v = min(y.val_p() for y in phi_w)
+            if v == INF:
+                raise PrecisionError("weak admissibility: phi(w) is zero at "
+                                     "working precision")
+            if h2 > v:
+                return False
+    return d <= s1
 
 
 # ---------------------------------------------------------------------------

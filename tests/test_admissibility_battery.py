@@ -20,7 +20,9 @@ The rings are (p, e) in (7, 1), (7, 2), (11, 1), (11, 2) and (13, 2) with
 m = 1 and E = u^e - p, at prec 5 to 7.
 
 A row gives the module and the verdict of ``weakly_admissible_dim2``, or
-the exception's type and message.
+the exception's type and message.  Each verdict must also be the one that
+the definition gives from the planted stable lines (``_by_definition``),
+unless it is a PrecisionError.
 
 Print the table with
 ``PYTHONPATH=src python tests/test_admissibility_battery.py``.
@@ -71,16 +73,21 @@ def _nonresidue(p):
 
 
 def _planted_J(rng, p, kind):
-    """(J, N_0) with N_0 J = p J N_0."""
+    """(J, N_0, stable) with N_0 J = p J N_0.  ``stable`` lists the phi- and
+    N-stable lines of J as (vector, eigenvalue); a vector None stands for
+    every line."""
     zero = ((0, 0), (0, 0))
     if kind == "diag":
-        return ((_mu(rng, p), 0), (0, _mu(rng, p))), zero
+        mu1, mu2 = _mu(rng, p), _mu(rng, p)
+        stable = [(None, mu1)] if mu1 == mu2 else [((1, 0), mu1),
+                                                    ((0, 1), mu2)]
+        return ((mu1, 0), (0, mu2)), zero, stable
     if kind == "scalar":
         mu = _mu(rng, p)
-        return ((mu, 0), (0, mu)), zero
+        return ((mu, 0), (0, mu)), zero, [(None, mu)]
     if kind == "jordan":
         mu = _mu(rng, p)
-        return ((mu, 1), (0, mu)), zero
+        return ((mu, 1), (0, mu)), zero, [((1, 0), mu)]
     if kind == "irreducible":
         # X^2 - aX + b with discriminant a^2 - 4b a non-square in Q_p:
         # a nonresidue unit or p times a unit, times an even power of p
@@ -88,9 +95,11 @@ def _planted_J(rng, p, kind):
         disc *= p ** (2 * rng.randrange(2))
         a = Fraction(rng.randrange(-p, p + 1) * p ** rng.randrange(2))
         b = (a * a - disc) / 4
-        return ((0, -b), (1, a)), zero
+        return ((0, -b), (1, a)), zero, []
+    # the p mu-eigenline is not N-stable: N_0 sends it onto the mu-eigenline
     mu = _mu(rng, p)
-    return ((mu, rng.randrange(-p, p + 1)), (0, p * mu)), ((0, 1), (0, 0))
+    return (((mu, rng.randrange(-p, p + 1)), (0, p * mu)), ((0, 1), (0, 0)),
+            [((1, 0), mu)])
 
 
 def _mat_mul(a, b):
@@ -105,31 +114,30 @@ def _conjugate(P, J):
     return _mat_mul(_mat_mul(P, J), inv)
 
 
-def _k0(cfg, fr):
-    return cfg.k0_from_fraction(fr)
-
-
 def _k(cfg, fr):
-    x = _k0(cfg, fr)
+    x = cfg.k0_from_fraction(fr)
     return cfg.k_elem([x.num], x.pexp)
 
 
-def _fmt(x):
-    return str(Fraction(x))
-
-
 def _fmt_mat(M):
-    return "[" + ";".join(",".join(_fmt(x) for x in row) for row in M) + "]"
+    return "[" + ";".join(",".join(str(Fraction(x)) for x in row)
+                          for row in M) + "]"
 
 
 def _line(rng, cfg, P, kind):
-    """(description, K-vector) of the filtration line, or (kind, None)."""
+    """(description, K-vector, exact K0-vector) of the filtration line.
+    The K0-vector spans the line over K, or is None when the line is not
+    K0-rational; the K-vector is None when there is no line."""
     p = cfg.p
     if kind == "none":
-        return "none", None
+        return "none", None, None
     if kind == "k":
-        return "k", tuple(random_k_elem(cfg, rng, pexp_max=0)
-                          for _ in range(2))
+        g = tuple(random_k_elem(cfg, rng, pexp_max=0) for _ in range(2))
+        a, b = ([c.coords[0] for c in x.coeffs] for x in g)
+        rational = all(a[i] * b[j] == a[j] * b[i]
+                       for i in range(cfg.e) for j in range(i))
+        return "k", g, next(((x, y) for x, y in zip(a, b) if x or y),
+                            None) if rational else None
     if kind == "column":
         j = rng.randrange(2)
         desc, vec = f"column{j}", (P[0][j], P[1][j])
@@ -144,16 +152,33 @@ def _line(rng, cfg, P, kind):
     scale = rng.choice(("1", "1", "pi", "k"))
     factor = {"1": cfg.k_one(), "pi": cfg.pi(),
               "k": random_k_elem(cfg, rng, pexp_max=0)}[scale]
-    return f"{desc}*{scale}", tuple(_k(cfg, x) * factor for x in vec)
+    return f"{desc}*{scale}", tuple(_k(cfg, x) * factor for x in vec), vec
+
+
+def _by_definition(p, P, stable, tN, d, h2, w):
+    """The verdict of the definition: t_H = t_N, and t_H(l) <= v(lambda) on
+    every stable line l = P x.  t_H(l) is h_2 when l spans the filtration
+    line over K, and d otherwise; on every line at once, it is at most h_2
+    when the filtration line is K0-rational, and d otherwise."""
+    if d + h2 != tN:
+        return False
+    for x, lam in stable:
+        deepest = w is not None and d < h2 and (
+            x is None or (P[0][0] * x[0] + P[0][1] * x[1]) * w[1] ==
+            (P[1][0] * x[0] + P[1][1] * x[1]) * w[0])
+        if (h2 if deepest else d) > _vp(lam, p):
+            return False
+    return True
 
 
 def planted_module(rng):
-    """(description, FilteredModule) of one planted module."""
+    """(description, FilteredModule, the verdict by definition) of one
+    planted module."""
     p, e = rng.choice(RINGS)
     prec = rng.randrange(5, 8)
     cfg = _ring(p, e, prec)
     kind = rng.choice(J_KINDS)
-    J, N0 = _planted_J(rng, p, kind)
+    J, N0, stable = _planted_J(rng, p, kind)
     while True:
         P = tuple(tuple(rng.randrange(-2 * p, 2 * p + 1) for _ in range(2))
                   for _ in range(2))
@@ -161,7 +186,7 @@ def planted_module(rng):
             break
     phi, N = _conjugate(P, J), _conjugate(P, N0)
     tN = _vp(J[0][0] * J[1][1] - J[0][1] * J[1][0], p)
-    line_desc, line = _line(rng, cfg, P, rng.choice(LINE_KINDS))
+    line_desc, line, w = _line(rng, cfg, P, rng.choice(LINE_KINDS))
     d = rng.randrange(2)
     if line is None:
         d = h2 = tN // 2 if tN in (0, 2) else d
@@ -173,13 +198,12 @@ def planted_module(rng):
     kone, kzero = cfg.k_one(), cfg.k_zero()
     full = ((kone, kzero), (kzero, kone))
     fil = [full] * (d + 1) + [(line,)] * (h2 - d) + [()]
-    D = FilteredModule(cfg, 2,
-                       tuple(tuple(_k0(cfg, x) for x in row) for row in phi),
-                       tuple(tuple(_k0(cfg, x) for x in row) for row in N),
-                       tuple(fil))
+    phi_k0, N_k0 = (tuple(tuple(cfg.k0_from_fraction(x) for x in row)
+                          for row in M) for M in (phi, N))
+    D = FilteredModule(cfg, 2, phi_k0, N_k0, tuple(fil))
     desc = (f"p={p} e={e} prec={prec} J={kind} phi={_fmt_mat(phi)} "
             f"N={_fmt_mat(N)} d={d} h2={h2} line={line_desc}")
-    return desc, D
+    return desc, D, _by_definition(p, P, stable, tN, d, h2, w)
 
 
 def outcome(D):
@@ -189,18 +213,29 @@ def outcome(D):
         return f"{type(exc).__name__}: {exc}"
 
 
-def table(count=300, seed="admissibility dim2"):
+def battery(count=300, seed="admissibility dim2"):
     rng = random.Random(seed)
-    rows = []
-    for i in range(count):
-        desc, D = planted_module(rng)
-        rows.append(f"{i:03d} {desc}: {outcome(D)}")
-    return rows
+    return [planted_module(rng) for _ in range(count)]
+
+
+def table(modules):
+    return [f"{i:03d} {desc}: {outcome(D)}"
+            for i, (desc, D, _) in enumerate(modules)]
 
 
 def test_admissibility_battery_is_pinned():
-    assert table() == GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert table(battery()) == GOLDEN.read_text(
+        encoding="utf-8").splitlines()
+
+
+def test_admissibility_battery_follows_the_definition():
+    # every verdict is the one the planted stable lines give, or the digits
+    # ran out
+    for desc, D, expected in battery():
+        got = outcome(D)
+        assert got == str(expected) or got.startswith("PrecisionError: "), \
+            desc
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(row + "\n" for row in table()))
+    sys.stdout.write("".join(row + "\n" for row in table(battery())))

@@ -150,6 +150,27 @@ def test_L_division():
     assert cli.parse_L_expression(cfg, "2*x/x") == cfg.k_elem([2])
 
 
+@pytest.mark.parametrize("char", ["\u0663", "\u00b2", "\u00a0"])
+def test_L_accepts_ascii_only(char):
+    # str.isdigit accepts the Arabic-Indic three and the superscript two,
+    # and str.isspace the no-break space
+    cfg = cli.parse_ring(_family_doc(7, 2, 2, None), prec_override=7)
+    with pytest.raises(cli.DocError) as exc:
+        cli.parse_L_expression(cfg, f"x+pi^3{char}")
+    assert str(exc.value) == f"L: unexpected character {char!r}"
+
+
+def test_filtration_may_repeat_its_line_with_another_generator():
+    # Fil^1 = K(1, 1) and Fil^2 = K(2 pi, 2 pi) are one K-line
+    doc = {"mode": "filtered", "ring": {"p": 7, "m": 1, "e": 2,
+                                        "E": [-7, 0, 1], "prec": 7},
+           "filtered": {"r": 2, "phi": [[1, 0], [0, 49]],
+                        "jumps": [[0, [[1, 0], [0, 1]]], [1, [[1, 1]]],
+                                  [2, [["2*pi", "2*pi"]]], [3, []]]}}
+    report = cli.cmd_analyze(doc)
+    assert report["elements"]["weakly_admissible"] is True
+
+
 def test_x_is_zero_when_m_is_1():
     # the residue generator of F_p is 0, so its Teichmuller lift x is too
     cfg = cli.parse_ring(_family_doc(13, 1, 5, None), prec_override=13)
@@ -310,12 +331,19 @@ CLI_CASES = {
     "error_L_unknown_name": (_ANALYZE, _family_doc(7, 2, 2, "y")),
     "error_L_bad_character": (_ANALYZE, _family_doc(7, 2, 2, "x$")),
     "error_L_bad_exponent": (_ANALYZE, _family_doc(7, 2, 2, "x^pi")),
+    "error_L_non_ascii_digit": (_ANALYZE, _family_doc(7, 2, 2, "pi\u00b2")),
     "error_L_too_many_coeffs": (_ANALYZE, _family_doc(7, 2, 2, [1, 2, 3])),
     "error_L_in_Qp": (_ANALYZE, _family_doc(7, 1, 2, "x")),
     "error_bad_rational": (_ANALYZE, _filtered_doc(_RING_7_2_2, {
         "phi": [["1/0", 0], [0, 1]], "jumps": []})),
     "error_no_fil0": (_ANALYZE, _filtered_doc(_RING_7_2_2, {
         "phi": [[1, 0], [0, 1]], "jumps": [[1, []]]})),
+    # Fil^1 = K e_2 and Fil^2 = K e_1
+    "error_filtration_not_decreasing": (_ANALYZE, _filtered_doc(
+        {"p": 11, "m": 1, "e": 1, "E": [-11, 1], "prec": 7},
+        {"r": 2, "phi": [[1, 0], [0, 121]],
+         "jumps": [[0, [[1, 0], [0, 1]]], [1, [[0, 1]]], [2, [[1, 0]]],
+                   [3, []]]})),
     "error_empty_matrix": (_ANALYZE, _matrix_doc("p", [])),
     "error_precision": (_ANALYZE + ["--prec", "6"],
                         _family_doc(7, 2, 2, "pi^3")),

@@ -10,7 +10,8 @@ from padicpolygons import (FamilyParams, K0Elem, PrecisionError, RingConfig,
                            from_slopes, hermite_interpolant, hodge_polygon,
                            lies_above, newton_polygon_phi, same_endpoint,
                            t_numbers, weakly_admissible_dim2)
-from padicpolygons.fontaine import FilteredModule, family_module
+from padicpolygons.fontaine import (FilteredModule, _k0_line_of_fil_line,
+                                   family_module)
 from padicpolygons.oracle import random_k_elem, random_witt
 
 
@@ -163,42 +164,122 @@ def test_rank1_admissibility(cfg7):
                                                    jump=2))
 
 
-def _dim2_module(cfg, phi_entries, jump_line=None, r=2):
+def _kvec(cfg, *coords):
+    return tuple(cfg.k_elem([c]) for c in coords)
+
+
+def _module(cfg, phi, line, d, h2, nmat=((0, 0), (0, 0))):
+    """phi and N from rationals; Fil^t = D_K for t <= d, K*line for
+    d < t <= h2, and 0 above."""
     kone, kzero = cfg.k_one(), cfg.k_zero()
-    full = ((kone, kzero), (kzero, kone))
-    line = (jump_line,) if jump_line is not None else ()
-    fil = [full] + [line] * r + [()]
-    nmat = ((_k0(cfg, 0),) * 2,) * 2
-    return FilteredModule(cfg, 2, phi_entries, nmat, tuple(fil))
+    fil = [((kone, kzero), (kzero, kone))] * (d + 1) + \
+        [(line,)] * (h2 - d) + [()]
+    k0s = [tuple(tuple(cfg.k0_from_fraction(x) for x in row) for row in M)
+           for M in (phi, nmat)]
+    return FilteredModule(cfg, 2, k0s[0], k0s[1], tuple(fil))
 
 
 def test_weak_admissibility_eigenline_violation():
     cfg = RingConfig(11, 1, 1, [-11, 1], prec=7, r=2)
     # phi = diag(1, p^2), filtration line = first coordinate axis:
     # the phi-stable line e_1 has t_N = 0 < t_H = 2
-    phi = ((_k0(cfg, 1), _k0(cfg, 0)), (_k0(cfg, 0), _k0(cfg, 121)))
-    bad = _dim2_module(cfg, phi, (cfg.k_one(), cfg.k_zero()))
-    assert not weakly_admissible_dim2(bad)
+    phi = ((1, 0), (0, 121))
+    assert not weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 0),
+                                              0, 2))
     # the line e_2 instead gives t_H(e_2-line) = 2 = t_N: admissible
-    good = _dim2_module(cfg, phi, (cfg.k_zero(), cfg.k_one()))
-    assert weakly_admissible_dim2(good)
+    assert weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 0, 1), 0, 2))
 
 
 def test_weak_admissibility_irrational_eigenvalues():
     cfg = RingConfig(11, 1, 1, [-11, 1], prec=7, r=2)
     # X^2 - p: no Q_p eigenvalues, no stable lines; t_H = t_N = 1 suffices
-    phi = ((_k0(cfg, 0), _k0(cfg, 11)), (_k0(cfg, 1), _k0(cfg, 0)))
-    line = (cfg.k_one(), cfg.k_one())
-    D = _dim2_module(cfg, phi, line, r=1)
-    assert weakly_admissible_dim2(D)
+    phi = ((0, 11), (1, 0))
+    assert weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 1), 0, 1))
 
 
 def test_weak_admissibility_scalar_phi():
     cfg = RingConfig(11, 1, 1, [-11, 1], prec=7, r=2)
-    phi = ((_k0(cfg, 11), _k0(cfg, 0)), (_k0(cfg, 0), _k0(cfg, 11)))
+    phi = ((11, 0), (0, 11))
     # K0-line inside the filtration line: t_H = 2 > v_p(11) = 1: fails
-    bad = _dim2_module(cfg, phi, (cfg.k_one(), cfg.k_one()))
-    assert not weakly_admissible_dim2(bad)
+    assert not weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 1),
+                                              0, 2))
+
+
+_MONODROMY = ((0, 1), (0, 0))   # E_12, with N phi = p phi N below
+
+
+def test_weak_admissibility_ker_N_line_too_deep():
+    # phi = diag(1, p): the stable line ker N = K0 e_1 has slope 0 and, as
+    # the filtration line in degree 1, t_H = 1
+    cfg = RingConfig(11, 1, 1, [-11, 1], prec=7, r=2)
+    D = _module(cfg, ((1, 0), (0, 11)), _kvec(cfg, 1, 0), 0, 1, _MONODROMY)
+    assert t_numbers(D) == (1, 1)
+    assert not weakly_admissible_dim2(D)
+
+
+@pytest.mark.parametrize("k, d", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)])
+def test_weak_admissibility_line_not_N_stable(k, d):
+    # phi = diag(p^k, p^(k+1)) and the filtration line e_2, with
+    # h_2 = 2k + 1 - d.  With N = E_12, e_2 is not N-stable (N e_2 = e_1),
+    # and the stable line e_1 has t_H = d: admissible exactly when
+    # d <= s_1 = k, which t_H = t_N forces here.  With N = 0, e_2 is stable,
+    # and admissible exactly when h_2 <= k + 1.
+    cfg = RingConfig(7, 1, 1, [-7, 1], prec=7, r=2)
+    phi, h2 = ((7 ** k, 0), (0, 7 ** (k + 1))), 2 * k + 1 - d
+    line = _kvec(cfg, 0, 1)
+    assert weakly_admissible_dim2(_module(cfg, phi, line, d, h2, _MONODROMY))
+    assert weakly_admissible_dim2(_module(cfg, phi, line, d, h2)) == \
+        (h2 <= k + 1)
+
+
+def test_weak_admissibility_irrational_line_distinct_slopes():
+    # phi = diag(1, p^3) at e = 2 with the line K(1, pi), which holds no
+    # K0-line: the stable line e_1 has t_H = d and slope s_1 = 0
+    cfg = RingConfig(11, 1, 2, [-11, 0, 1], prec=7, r=2)
+    phi, line = ((1, 0), (0, 11 ** 3)), (cfg.k_one(), cfg.pi())
+    assert not weakly_admissible_dim2(_module(cfg, phi, line, 1, 2))
+    assert weakly_admissible_dim2(_module(cfg, phi, line, 0, 3))
+
+
+def test_weak_admissibility_equal_slopes_distinct_eigenvalues():
+    # phi = p diag(1, 2): slopes (1, 1), and only the eigenlines are stable.
+    # The line e_1 has t_H = 2 > 1; the line K(1, 1) is not stable.
+    cfg = RingConfig(11, 1, 1, [-11, 1], prec=7, r=2)
+    phi = ((11, 0), (0, 22))
+    assert not weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 0),
+                                              0, 2))
+    assert weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 1), 0, 2))
+
+
+def test_weak_admissibility_jordan_eigenline():
+    # phi = [[p, 1], [0, p]] has one stable line, e_1, of slope 1; as the
+    # filtration line in degrees 1 and 2 it has t_H = 2
+    cfg = RingConfig(7, 1, 2, [-7, 0, 1], prec=7, r=2)
+    phi = ((7, 1), (0, 7))
+    assert not weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 1, 0),
+                                              0, 2))
+    assert weakly_admissible_dim2(_module(cfg, phi, _kvec(cfg, 0, 1), 0, 2))
+
+
+def test_weak_admissibility_names_exhausted_digits_of_phi_w():
+    # the line K(p^3, p^3) leaves w = (1, 1) with 4 digits, and
+    # phi(w) = (p^4, p^5) is zero to them, though det(phi) = p^5 is not
+    cfg = RingConfig(7, 1, 1, [-7, 1], prec=7, r=2)
+    D = _module(cfg, ((1, 7 ** 4 - 1), (0, 7 ** 5)), _kvec(cfg, 343, 343),
+                0, 5)
+    with pytest.raises(PrecisionError, match=r"^weak admissibility: phi\(w\) "
+                       r"is zero at working precision$"):
+        weakly_admissible_dim2(D)
+
+
+def test_k0_line_of_fil_line_at_e2():
+    cfg = RingConfig(11, 1, 2, [-11, 0, 1], prec=7, r=2)
+    pi, r = cfg.pi(), cfg.k0_from_fraction(Fraction(3, 11))
+    w = _k0_line_of_fil_line(cfg, (pi * cfg.k_elem([r.num], r.pexp), pi))
+    # pi (r, 1) spans the K0-line of (3, 11), primitive
+    assert (w[0] * 11 - w[1] * 3).is_zero()
+    assert min(x.val_p() for x in w) == 0
+    assert _k0_line_of_fil_line(cfg, (cfg.k_one(), pi)) is None
 
 
 # ---------------------------------------------------------------------------
