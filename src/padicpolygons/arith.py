@@ -21,8 +21,10 @@ Every other ring is built on one of two bases:
     (Frobenius on k reads the field's table of sigma(w^t)), and the
     u-valuation and division.  Three operations run on the flat F_p[w]
     coordinates, m per coefficient, through one packed product
-    (``_tilde_mul``, on ``_pack``/``_unpack`` shared with ``_Kernel``) and
-    its Newton inverse (``_tilde_inverse``): unit inversion, division by a
+    (``_tilde_mul``, on ``_pack``/``_unpack`` shared with ``_Kernel``, whose
+    slots are 1, 2 or 4 bytes when the coefficient bound fits and whole
+    64-bit words above it) and its Newton inverse at precisions halving
+    down from n (``_tilde_inverse``): unit inversion, division by a
     product of units (``over``, the one quotient: there is no ``/``), and
     the product check ``is_product``; only a returned element is built as
     ``GFElem``s.  ``*`` stays a loop of ``GFElem`` products: it serves the
@@ -85,8 +87,8 @@ from array import array
 from fractions import Fraction
 
 INF = math.inf
-_WORD = (1 << 64) - 1
-_SWAP = sys.byteorder == "big"  # packed words are little-endian
+_ITEM = {1: "B", 2: "H", 4: "I", 8: "Q"}     # array codes by item size
+_SWAP = sys.byteorder == "big"  # packed items are little-endian
 
 
 class PrecisionError(ArithmeticError):
@@ -164,8 +166,12 @@ def _coord_mul(a, b, modulus, q):
 
 
 def _slot_bytes(bound):
-    """Bytes per packed slot for values below bound: whole 64-bit words."""
-    return 8 * (bound.bit_length() // 64 + 1)
+    """Bytes per packed slot for values below bound: 1, 2 or 4 when the
+    bound fits, else whole 64-bit words."""
+    bits = bound.bit_length()
+    if bits > 32:
+        return 8 * (bits // 64 + 1)
+    return 1 if bits <= 8 else 2 if bits <= 16 else 4
 
 
 def _pack(flat, m, W):
@@ -173,16 +179,21 @@ def _pack(flat, m, W):
     int of W-byte slots (``_slot_bytes``), 2m - 1 slots per coefficient, so
     that a product of packed ints is the packed product over (u, w) before
     reduction by h.  Slots are written column by column into one array of
-    little-endian 64-bit words, each slot from its low word up."""
-    words = W // 8
-    step = words * (2 * m - 1)
-    a = array("Q", [0]) * (step * (len(flat) // m))
-    for t in range(m):
-        col = flat[t::m]
-        for k in range(words * t, words * t + words - 1):
-            a[k::step] = array("Q", [c & _WORD for c in col])
-            col = [c >> 64 for c in col]
-        a[words * t + words - 1::step] = array("Q", col)
+    little-endian items of min(W, 8) bytes, each slot from its low item up;
+    for m = 1 and one item per slot, the array is the coordinates."""
+    size = min(W, 8)
+    items, bits, code = W // size, 8 * size, _ITEM[size]
+    if m == 1 and items == 1:
+        a = array(code, flat)
+    else:
+        step, mask = items * (2 * m - 1), (1 << bits) - 1
+        a = array(code, [0]) * (step * (len(flat) // m))
+        for t in range(m):
+            col = flat[t::m]
+            for k in range(items * t, items * t + items - 1):
+                a[k::step] = array(code, [c & mask for c in col])
+                col = [c >> bits for c in col]
+            a[items * t + items - 1::step] = array(code, col)
     if _SWAP:
         a.byteswap()
     return int.from_bytes(a, "little")
@@ -192,15 +203,16 @@ def _unpack(x, count, m, W, h):
     """The first count coefficients of a packed int (the rest truncated),
     each reduced by the monic modulus h of degree m: the m - 1 high slot
     columns are taken off, from the top."""
-    words = W // 8
-    size = count * (2 * m - 1) * W
-    a = array("Q", (x & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+    size = min(W, 8)
+    items, bits, nbytes = W // size, 8 * size, count * (2 * m - 1) * W
+    a = array(_ITEM[size], (x & ((1 << 8 * nbytes) - 1)).to_bytes(
+        nbytes, "little"))
     if _SWAP:
         a.byteswap()
     a = a.tolist()
-    s = a[::words]
-    for k in range(1, words):
-        s = [lo | hi << 64 * k for lo, hi in zip(s, a[k::words])]
+    s = a[::items]
+    for k in range(1, items):
+        s = [lo | hi << bits * k for lo, hi in zip(s, a[k::items])]
     if m == 1:
         return s
     cols = [s[k::2 * m - 1] for k in range(2 * m - 1)]
@@ -225,19 +237,19 @@ def _tilde_mul(a, b, n, gf):
 
 
 def _tilde_inverse(x, n, gf):
-    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: Newton
-    iteration y <- y (2 - x y) mod u^k, k doubling up to n, from the inverse
-    of the constant term."""
+    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: one Newton
+    step y <- y (2 - x y) mod u^n from y = 1 / x mod u^ceil(n/2), down to the
+    inverse of the constant term at n = 1.  The precisions run up the
+    ladder ..., ceil(n/4), ceil(n/2), n, so no step goes past n."""
     m, p = gf.m, gf.p
     if not any(x[:m]):
         raise DivisibilityError(f"not a unit of k[u]/u^{n}")
-    y, k = list(GFElem(gf, tuple(x[:m])).inverse().coords), 1
-    while k < n:
-        k = min(2 * k, n)
-        t = [-c % p for c in _tilde_mul(x[:k * m], y, k, gf)]
-        t[0] = (t[0] + 2) % p
-        y = _tilde_mul(y, t, k, gf)
-    return y
+    if n == 1:
+        return list(GFElem(gf, tuple(x[:m])).inverse().coords)
+    y = _tilde_inverse(x, -(-n // 2), gf)
+    t = [-c % p for c in _tilde_mul(x[:n * m], y, n, gf)]
+    t[0] = (t[0] + 2) % p
+    return _tilde_mul(y, t, n, gf)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +365,9 @@ class GFElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("zero is not invertible in the residue field")
-        q = self.field.p ** self.field.m
-        return self ** (q - 2)
+        if self.field.m == 1:
+            return GFElem(self.field, (pow(self.coords[0], -1, self.field.p),))
+        return self ** (self.field.p ** self.field.m - 2)
 
     def frobenius(self):
         """x -> x^p.  It fixes F_p, so it is the sum of the coordinates times
@@ -851,10 +864,10 @@ class _Kernel:
     are packed, unpacked and reduced.  A zero above them is known to its
     own precision P; from degree d up it caps all below it at P + mv.
 
-    Packed slots are whole 64-bit words (``_slot_bytes``).  Two packed
-    tables are built on first use, never with the ring, by one walk
-    (``_table``): the fold table of ``mul`` and the phi table of
-    ``STrunc.phi``."""
+    Packed slots are sized to the bound 2 d m pc^2 (``_slot_bytes``), whole
+    64-bit words on every ring of the benchmark.  Two packed tables are
+    built on first use, never with the ring, by one walk (``_table``): the
+    fold table of ``mul`` and the phi table of ``STrunc.phi``."""
 
     def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import adapted, fontaine, polygons
 from .arith import (INF, DivisibilityError, KElem, PrecisionError, RingConfig,
-                    STrunc)
+                    STrunc, TildePoly)
 from .polygons import Polygon
 
 
@@ -355,19 +355,21 @@ def solve_eqX(rho, alpha, mu, e, j):
         rho X (-phi(alpha) + phi(X) u^q) = mu,  q = p((p+1)(e-j) - 2e).
 
     rho, alpha, mu must be units, rho and mu of one length, and j < e, with
-    q > 0.  p divides q, so D(X) = phi(X) u^q - phi(alpha) is
-    phi(u^{q/p} X - alpha): one phi of a unit of k[u]/u^e, formed with no
-    product, since phi reads u^{<e} only.  The equation reads
-    X = mu / (rho D(X)), and every quotient is one ``over``: a division by
-    the product rho D.  The fixed-point iteration runs on the truncations
-    Y = X mod u^e, in k[u]/u^e, until Y repeats: two Y that agree mod u^k
-    have images that agree mod u^{min(pk + q, e)}, so from Y = 0 the fixed
-    point is reached within e // q + 1 steps and seen to repeat one step
-    later.  Then X = mu / (rho D(Y)) is the one full-length division, and
-    the check is the equation itself, rho X D(X) == mu, with D(X) formed
-    again from X.  The constant term of X is that of -mu/(rho phi(alpha))."""
+    q > 0.  p divides q, so with s = q/p, D(X) = phi(X) u^q - phi(alpha) is
+    phi(u^s X - alpha): one phi of a unit of k[u]/u^e, formed with no
+    product, since phi reads u^{<e} only.  So D(X) reads X mod u^L only,
+    L = max(0, e - s), and X = mu / (rho D(X)) is a fixed point on
+    k[u]/u^L; every quotient is one ``over``, a division by the product
+    rho D.  The iteration Y <- mu / (rho D(Y)) mod u^L starts from Y = 0,
+    which is correct mod u^k for k = 0, and each step takes k to
+    min(L, pk + q): Y correct mod u^k makes u^s Y - alpha correct mod
+    u^{s+k}, and its phi mod u^{pk+q}.  It stops at k = L, so it makes as
+    many steps as that recursion takes to reach L, none when L = 0, and
+    none to see Y repeat.  Then Y = X mod u^L, so D(X) = D(Y), and
+    X = mu / (rho D(Y)) is the one full-length division.  The check is the
+    equation itself, rho X D(X) == mu, with D(X) formed again from X.  The
+    constant term of X is that of -mu/(rho phi(alpha))."""
     cfg = rho.cfg
-    n = cfg.e                # phi reads u^{<n}
     if not (rho.is_unit() and alpha.is_unit() and mu.is_unit()):
         raise ValueError("rho, alpha, mu must be units")
     if j >= e:
@@ -375,20 +377,17 @@ def solve_eqX(rho, alpha, mu, e, j):
     q = cfg.p * ((cfg.p + 1) * (e - j) - 2 * e)
     if q <= 0:
         raise ValueError("the correction exponent must be positive")
-    alpha_n = alpha.truncate(n)
+    L = max(0, cfg.e - q // cfg.p)          # phi reads u^{<e}
+    shift, alpha_e = (cfg.gf.zero,) * (cfg.e - L), alpha.truncate(cfg.e)
 
     def D(Z):
-        return (Z.truncate(n).shift_u(q // cfg.p) - alpha_n).phi()
+        return (TildePoly(cfg, shift + Z.coeffs[:L]) - alpha_e).phi()
 
-    mu_n, rho_n = mu.truncate(n), rho.truncate(n)
-    Y = cfg.tilde_zero().truncate(n)
-    for _ in range(n // q + 2):
-        DY = D(Y)
-        Yn = mu_n.over(rho_n, DY.truncate(n))
-        if Yn == Y:
-            break
-        Y = Yn
-    X = mu.over(rho, DY)
+    mu_L, rho_L = mu.truncate(L), rho.truncate(L)
+    Y, k = cfg.tilde_zero().truncate(L), 0
+    while k < L:
+        Y, k = mu_L.over(rho_L, D(Y).truncate(L)), min(L, cfg.p * k + q)
+    X = mu.over(rho, D(Y))
     if not mu.is_product(rho, X, D(X)):
         raise ArithmeticError("fixed point failed to satisfy the equation")
     return X

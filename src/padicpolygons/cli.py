@@ -44,14 +44,20 @@ class DocError(ValueError):
 # document parsing
 
 
+def _is_decimal(text):
+    """ASCII digits after an optional minus sign; int() alone also takes
+    non-ASCII digits, blanks around the digits and "1_1"."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _as_int(value, path):
     if isinstance(value, int):
         return int(value)  # a bool as its int: True and 1 share a ring key
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise DocError(path, f"not an integer: {value!r}") from None
+        if _is_decimal(value):
+            return int(value)
+        raise DocError(path, f"not an integer: {value!r}")
     raise DocError(path, f"expected an integer, got {type(value).__name__}")
 
 
@@ -172,7 +178,7 @@ def _exactly_singular(h, rows):
 def _parse_k_elem(cfg, value, path):
     """K element: expression string, list of e coefficients, or
     {"coeffs": [...], "pexp": k}."""
-    if isinstance(value, str) and not value.lstrip("-").isdigit():
+    if isinstance(value, str) and not _is_decimal(value):
         return parse_L_expression(cfg, value)
     pexp = 0
     coeffs = value

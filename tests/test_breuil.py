@@ -503,24 +503,41 @@ def ref_solve_eqX(rho, alpha, mu, e, j):
     return X, q
 
 
-@pytest.mark.parametrize("ring, js", [
-    ((13, 1, 5, [-13, 0, 0, 0, 0, 1], 8, 2), (3, 4)),    # q = 234, 52
-    ((7, 2, 2, [-7, 0, 1], 7, 2), (0, 1)),               # q >= ep
-    ((3, 2, 24, [-3] + [0] * 23 + [1], 3, 0), (10, 11)),  # q = 24, 12
+@pytest.mark.parametrize("ring, overs", [
+    # q = 234, 52: L = 0, 1
+    ((13, 1, 5, [-13, 0, 0, 0, 0, 1], 8, 2), {3: [65], 4: [1, 65]}),
+    # q = 84, 28 >= ep: L = 0
+    ((7, 2, 2, [-7, 0, 1], 7, 2), {0: [14], 1: [14]}),
+    # q = 24, 12 < e: L = 16 in one step, L = 20 in two (k = 12, 20)
+    ((3, 2, 24, [-3] + [0] * 23 + [1], 3, 0), {10: [16, 72],
+                                                11: [20, 20, 72]}),
 ], ids=["13-1-5", "7-2-2", "3-2-24-r0"])
-def test_solve_eqX_matches_the_full_length_loop(ring, js):
-    """The u^e iteration against the full-length loop, including q < e at
-    (3,2,24) with r = 0, where phi(X) mod u^e reads more than X_0."""
+def test_solve_eqX_matches_the_full_length_loop(ring, overs, monkeypatch):
+    """The u^L iteration against the full-length loop, including q < e at
+    (3,2,24) with r = 0, where phi(X) mod u^e reads more than X_0.  The
+    lengths of the quotients the solver forms are pinned: one length-L step
+    for each step of k <- min(L, pk + q) from k = 0 to L, L = max(0,
+    e - q/p), then the one full-length division."""
     p, m, e, E, prec, r = ring
     cfg = RingConfig(p, m, e, E, prec=prec, r=r)
     rng = random.Random(17)
-    for j in js:
+    lengths, inner = [], TildePoly.over
+
+    def over(self, *divisors):
+        out = inner(self, *divisors)
+        lengths.append(len(out.coeffs))
+        return out
+
+    monkeypatch.setattr(TildePoly, "over", over)
+    for j, want_lengths in overs.items():
         for _ in range(2):
             rho, alpha, mu = (random_tilde_unit(cfg, rng) for _ in range(3))
             want, q = ref_solve_eqX(rho, alpha, mu, e, j)
             assert rho * want * (-alpha.phi() + want.phi() * cfg.tilde_u(q)) \
                 == mu
+            del lengths[:]
             assert solve_eqX(rho, alpha, mu, e, j).coeffs == want.coeffs
+            assert lengths == want_lengths
 
 
 @pytest.mark.parametrize("ring, js", [

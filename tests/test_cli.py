@@ -325,6 +325,8 @@ CLI_CASES = {
                                         "ring": _RING_7_2_2}),
     "error_ring_p_not_integer": (_ANALYZE, _filtered_doc(
         {"p": "seven", "e": 1, "E": [-7, 1]}, {})),
+    "error_ring_p_non_ascii_digit": (_ANALYZE, _family_doc(7, 2, 2, "x+pi") | {
+        "ring": {"p": "\u0667", "m": 2, "e": 2, "E": [-7, 0, 1]}}),
     "error_ring_E_length": (_ANALYZE, _matrix_doc("E", [[1]]) | {
         "ring": {"p": 7, "e": 2, "E": [-7, 1]}}),
     "error_invalid_ring": (_ANALYZE, _family_doc(7, 1, 3, "x")),
@@ -382,6 +384,11 @@ MALFORMED = {
                                    "family": {"L": "x"}}, "ring"),
     "pseudo_ring_is_a_list": ("analyze", {"mode": "pseudo", "ring": [7],
                                           "pseudo": {"n": 2}}, "ring"),
+    "ring_p_padded": ("analyze", _family_doc(7, 2, 2, "x") | {
+        "ring": {"p": " 7 ", "e": 2, "E": [-7, 0, 1]}}, "ring.p"),
+    "ring_prec_underscore": ("analyze", _family_doc(7, 2, 2, "x") | {
+        "ring": _RING_7_2_2 | {"prec": "1_1"}}, "ring.prec"),
+    "L_non_ascii_integer": ("analyze", _family_doc(7, 2, 2, "\u0663"), "L"),
     "modulus_not_a_list": ("analyze", _matrix_doc("p", [[1]]) | {
         "ring": _RING_7_2_2 | {"modulus": 5}}, "ring.modulus"),
     "jump_not_a_pair": ("analyze", _filtered_doc(_RING_7_2_2, {

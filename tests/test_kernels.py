@@ -15,7 +15,8 @@ import random
 import pytest
 
 from padicpolygons import DivisibilityError, PrecisionError, RingConfig, arith
-from padicpolygons.arith import KElem, STrunc, TildePoly, _pack, _unpack, det
+from padicpolygons.arith import (KElem, STrunc, TildePoly, _pack,
+                                  _slot_bytes, _unpack, det)
 from padicpolygons.oracle import random_tilde, random_tilde_unit
 
 RINGS = {
@@ -102,15 +103,16 @@ def ref_unit_inverse(x):
 
 
 def ref_tilde_unit_inverse(x):
-    """The O((ep)^2) recurrence of GFElem products for 1/x in k[u]/u^{ep}."""
-    cfg, ep = x.cfg, x.cfg.e * x.cfg.p
+    """The O(n^2) recurrence of GFElem products for 1/x in k[u]/u^n: the
+    schoolbook power-series inverse."""
+    cfg, n = x.cfg, len(x.coeffs)
     inv0 = x.coeffs[0].inverse()
-    out = [inv0] + [cfg.gf.zero] * (ep - 1)
-    for n in range(1, ep):
+    out = [inv0] + [cfg.gf.zero] * (n - 1)
+    for k in range(1, n):
         acc = cfg.gf.zero
-        for i in range(1, n + 1):
-            acc = acc + x.coeffs[i] * out[n - i]
-        out[n] = -(inv0 * acc)
+        for i in range(1, k + 1):
+            acc = acc + x.coeffs[i] * out[k - i]
+        out[k] = -(inv0 * acc)
     return TildePoly(cfg, tuple(out))
 
 
@@ -302,6 +304,36 @@ def test_tilde_unit_inverse_matches_recurrence(cfg):
               cfg.tilde_u(1) + cfg.tilde_u(cfg.e * cfg.p - 1)):
         with pytest.raises(DivisibilityError):
             x.unit_inverse()
+
+
+@pytest.mark.parametrize("key, E", [
+    ((13, 1, 5), [-13, 0, 0, 0, 0, 1]),
+    ((7, 2, 2), [-7, 0, 1]),
+    ((13, 2, 4), [-13, 0, 0, 0, 1]),
+], ids=["13-1-5", "7-2-2", "13-2-4"])
+def test_tilde_inverse_climbs_the_halving_ladder(key, E, monkeypatch):
+    """1/x in k[u]/u^n at every n from 1 to ep against the schoolbook
+    series inverse; its packed products are made two at each precision of
+    the ladder 2, ..., ceil(n/2), n, from the bottom up, and never above
+    n."""
+    cfg = RingConfig(*key, E, prec=4, r=2)
+    lengths, inner = [], arith._tilde_mul
+
+    def mul(a, b, n, gf):
+        lengths.append(n)
+        return inner(a, b, n, gf)
+
+    monkeypatch.setattr(arith, "_tilde_mul", mul)
+    x = random_tilde_unit(cfg, random.Random(40))
+    for n in range(1, cfg.e * cfg.p + 1):
+        xn = x.truncate(n)
+        del lengths[:]
+        assert arith._tilde_inverse(xn._coords(), n, cfg.gf) == \
+            ref_tilde_unit_inverse(xn)._coords()
+        ladder, k = [], n
+        while k > 1:
+            ladder, k = [k, k] + ladder, -(-k // 2)
+        assert lengths == ladder
 
 
 def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):
@@ -512,11 +544,11 @@ def ref_unpack(x, count, m, W, h):
     return out
 
 
-@pytest.mark.parametrize("W", [8, 16, 24])
+@pytest.mark.parametrize("W", [1, 2, 4, 8, 16, 24])
 @pytest.mark.parametrize("h", [(0, 1), (3, 6, 1), (2, 0, 5, 1)])
 def test_unpack_reads_slots_as_from_bytes(W, h):
-    """Slots of one, two and three words read as int.from_bytes reads them,
-    top bits of every slot set included."""
+    """Slots of one, two and four bytes and of one, two and three words read
+    as int.from_bytes reads them, top bits of every slot set included."""
     rng, m = random.Random(W), len(h) - 1
     for count in (0, 1, 7):
         slots = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
@@ -524,10 +556,17 @@ def test_unpack_reads_slots_as_from_bytes(W, h):
         x = sum(s << 8 * W * k for k, s in enumerate(slots))
         extra = x + (rng.getrandbits(64) << 8 * W * len(slots))
         assert _unpack(extra, count, m, W, h) == ref_unpack(x, count, m, W, h)
-    # _pack writes full-width slots, word by word
+    # _pack writes full-width slots, item by item
     flat = [rng.choice([rng.getrandbits(8 * W), (1 << 8 * W) - 1])
             for _ in range(3 * m)]
     assert _unpack(_pack(flat, m, W), 3, m, W, h) == flat
+
+
+def test_slot_bytes_at_the_boundaries():
+    """A bound of b bits gets the least of 1, 2 and 4 bytes that holds b
+    bits, and whole 64-bit words above 32 bits."""
+    assert [_slot_bytes(b) for b in (2 ** 8 - 1, 2 ** 8, 2 ** 16, 2 ** 32,
+                                     2 ** 64)] == [1, 2, 4, 8, 16]
 
 
 # ---------------------------------------------------------------------------

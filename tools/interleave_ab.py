@@ -13,7 +13,8 @@ host's speed weighs on both alike.  Per side it prints the operations per
 second over its passes, the median (p50) and the tail quantile of
 ``perfbench/run.py`` over the instances' mean latencies, the passes it won
 (ran faster than the other side's pass next to it) and the operations that
-raised.
+raised.  Then one line per instance, in the order of the instance list,
+gives its key and its mean latency on each side.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _run_pass(ops, latencies, clock):
 
 def compare(old_root, new_root, workload, passes):
     """{side: {"ops_per_s", "p50_ms", "tail_ms", "tail_share", "won",
-    "raised"}} for the sides "old" and "new"."""
+    "raised", "means_ms"}} for the sides "old" and "new"; "means_ms" maps
+    each instance's key to its mean latency."""
     bench = str(Path(new_root).resolve() / "perfbench")
     sys.path.insert(0, bench)
     import generate
@@ -98,7 +100,9 @@ def compare(old_root, new_root, workload, passes):
                      "p50_ms": statistics.median(means),
                      "tail_ms": run.quantile(means, share),
                      "tail_share": share, "won": won[side],
-                     "raised": raised[side]}
+                     "raised": raised[side],
+                     "means_ms": {inst["key"]: mean for inst, mean in
+                                  zip(instances, means)}}
     return out
 
 
@@ -117,6 +121,9 @@ def main(argv=None):
               f"ops/s {r['ops_per_s']:.1f}  p50 {r['p50_ms']:.3f} ms  "
               f"p{100 * r['tail_share']:.2f} {r['tail_ms']:.3f} ms  "
               f"won {r['won']}/{args.passes} passes  raised {r['raised']}")
+    for key in result["old"]["means_ms"]:
+        print(f"instance {key}: " + "  ".join(
+            f"{side} {result[side]['means_ms'][key]:.3f} ms" for side in SIDES))
     return 0
 
 
