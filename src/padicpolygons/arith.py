@@ -3,10 +3,10 @@
 The scalars are ``F_{p^m} = F_p[w]/(hbar)`` (``GFElem``) and
 ``W = W(F_{p^m})``, realized as Z_p[w]/(h) at a fixed absolute precision
 ``p^N`` (``WittElem``) with the Frobenius sigma lifting x -> x^p.  Both
-multiply coordinate tuples with one product mod (modulus, q).  ``WittRing``
-keeps only the two coordinate-tuple operations that ``WittElem`` calls, the
-product and the unit inverse; the Hensel root that defines sigma is found
-with ``WittElem`` arithmetic.
+multiply coordinate tuples with one product mod (modulus, q); a W product
+is reduced once, mod p^prec, and for m = 2 is one closed form.  ``WittRing``
+keeps the product and the unit inverse that ``WittElem`` calls; the Hensel
+root that defines sigma is found with ``WittElem`` arithmetic.
 
 Every other ring is built on one of two bases:
 
@@ -14,22 +14,22 @@ Every other ring is built on one of two bases:
   of constants, the reflected operators and == (``TildePoly`` compares
   coefficients, since k[u]/u^n is exact).
 
-  - ``TildePoly``: ``k[u]/u^n``, a tuple of n ``GFElem`` coefficients; the
-    ring builds n = ep, the mod-p residue of ``STrunc``, and ``truncate``
-    maps it onto a shorter k[u]/u^n.  Operands of one operation have one
-    length.  It adds phi, which maps k[u]/u^n to k[u]/u^{ep} for n >= e
-    (Frobenius on k reads the field's table of sigma(w^t)), and the
-    u-valuation and division.  Three operations run on the flat F_p[w]
-    coordinates, m per coefficient, through one packed product
-    (``_tilde_mul``, on ``_pack``/``_unpack`` shared with ``_Kernel``, whose
-    slots are 1, 2 or 4 bytes when the coefficient bound fits and whole
-    64-bit words above it) and its Newton inverse at precisions halving
-    down from n (``_tilde_inverse``): unit inversion, division by a
-    product of units (``over``, the one quotient: there is no ``/``), and
-    the product check ``is_product``; only a returned element is built as
-    ``GFElem``s.  ``*`` stays a loop of ``GFElem`` products: it serves the
-    u-carrier Smith reduction, and packed it would push the memory of the
-    benchmark's per-operation records past its bound (ROADMAP item 4).
+  - ``TildePoly``: ``k[u]/u^n``, its n ``GFElem`` coefficients or its flat
+    F_p[w] coordinates, m per coefficient, each built from the other on
+    first use; the ring builds n = ep, the mod-p residue of ``STrunc``, and
+    ``truncate`` maps it onto a shorter k[u]/u^n.  It adds phi, k[u]/u^n
+    -> k[u]/u^{ep} for n >= e (on k, the field's table of sigma(w^t)), and
+    the u-valuation and division.  phi and three operations read and return
+    the flat form: unit inversion, division by a product of units (``over``,
+    the one quotient), and the product check ``is_product``.  They run on
+    one packed product (``_tilde_prod``, on ``_pack``/``_unpack`` shared
+    with ``_Kernel``, in slots of 1, 2 or 4 bytes when the bound fits and
+    whole 64-bit words above it) and its Newton inverse at precisions
+    halving down from n (``_tilde_inverse``: x packed once per slot width,
+    each iterate once per step).  ``*`` stays a loop of ``GFElem``
+    products: it serves the u-carrier Smith reduction, and packed it would
+    push the memory of the benchmark's per-operation records past its
+    bound (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -228,28 +228,43 @@ def _unpack(x, count, m, W, h):
 def _tilde_mul(a, b, n, gf):
     """The product in k[u]/u^n of two elements given as flat F_p[w]
     coordinates, m per coefficient, at most n coefficients each: one packed
-    bigint product, reduced by hbar and mod p.  A coefficient below u^n sums
-    at most n m products of coordinates below p, which sets the slots."""
-    m, p = gf.m, gf.p
-    W = _slot_bytes(n * m * p * p)
-    return [c % p for c in _unpack(_pack(a, m, W) * _pack(b, m, W), n, m, W,
-                                   gf.modulus)]
+    bigint product (``_tilde_prod``).  A coefficient below u^n sums at most
+    n m products of coordinates below p, which sets the slots."""
+    m, W = gf.m, _slot_bytes(n * gf.m * gf.p * gf.p)
+    return _tilde_prod(_pack(a, m, W) * _pack(b, m, W), n, W, gf)
+
+
+def _tilde_prod(x, n, W, gf):
+    """The flat coordinates in k[u]/u^n of a product x of operands packed
+    in W-byte slots: unpacked, reduced by hbar and mod p."""
+    p = gf.p
+    return [c % p for c in _unpack(x, n, gf.m, W, gf.modulus)]
 
 
 def _tilde_inverse(x, n, gf):
-    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: one Newton
-    step y <- y (2 - x y) mod u^n from y = 1 / x mod u^ceil(n/2), down to the
-    inverse of the constant term at n = 1.  The precisions run up the
-    ladder ..., ceil(n/4), ceil(n/2), n, so no step goes past n."""
+    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: y = 1 / x_0,
+    then a Newton step y <- y (2 - x y) mod u^k at each k of the ladder ...,
+    ceil(n/4), ceil(n/2), n.  As y = 1 / x mod u^h, h = ceil(k/2), a step
+    reads only the top k - h coefficients d of 1 - x y and appends y d mod
+    u^(k-h) to y.  x is packed once per slot width and masked to each k, y
+    once per step for both of its products."""
     m, p = gf.m, gf.p
     if not any(x[:m]):
         raise DivisibilityError(f"not a unit of k[u]/u^{n}")
-    if n == 1:
-        return list(GFElem(gf, tuple(x[:m])).inverse().coords)
-    y = _tilde_inverse(x, -(-n // 2), gf)
-    t = [-c % p for c in _tilde_mul(x[:n * m], y, n, gf)]
-    t[0] = (t[0] + 2) % p
-    return _tilde_mul(y, t, n, gf)
+    y = [pow(x[0], -1, p)] if m == 1 else list(_power(
+        tuple(x[:m]), p ** m - 2, gf.one.coords,
+        lambda a, b: _coord_mul(a, b, gf.modulus, p)))
+    W = None
+    for i in reversed(range((n - 1).bit_length())):
+        k = ((n - 1) >> i) + 1          # ceil(n / 2^i)
+        if _slot_bytes(k * m * p * p) != W:
+            W = _slot_bytes(k * m * p * p)
+            px, bits = _pack(x[:n * m], m, W), 8 * W * (2 * m - 1)
+        h, py = len(y) // m, _pack(y, m, W)
+        xy = (px & ((1 << bits * k) - 1)) * py >> bits * h
+        d = [-c % p for c in _tilde_prod(xy, k - h, W, gf)]
+        y += _tilde_prod(py * _pack(d, m, W), k - h, W, gf)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +428,23 @@ class WittRing:
         self._frob_pows = self._hensel_frobenius()
 
     # coordinate-tuple arithmetic of WittElem
-    def _mul(self, a, b):
-        return _coord_mul(a, b, self.modulus, self.pc)
+    def _mul(self, a, b, q):
+        """The product mod q, a power of p; for m = 2, with w^2 = -h0 - h1 w,
+        in closed form."""
+        if self.m != 2:
+            return _coord_mul(a, b, self.modulus, q)
+        (a0, a1), (b0, b1), (h0, h1, _) = a, b, self.modulus
+        t = a1 * b1
+        return (a0 * b0 - h0 * t) % q, (a0 * b1 + a1 * b0 - h1 * t) % q
 
     def _unit_inverse(self, a):
         res = self.gf.elem(tuple(c % self.p for c in a))
-        y = tuple(c % self.pc for c in res.inverse().coords)
+        q = self.pc
+        y = tuple(c % q for c in res.inverse().coords)
         steps = max(1, self.cap.bit_length() + 1)
         for _ in range(steps):
-            ay = self._mul(a, y)
-            y = self._mul(y, (2 - ay[0],) + tuple(-c for c in ay[1:]))
+            ay = self._mul(a, y, q)
+            y = self._mul(y, (2 - ay[0],) + tuple(-c for c in ay[1:]), q)
         return y
 
     def _hensel_frobenius(self):
@@ -567,9 +589,11 @@ class WittElem:
         return self.ring._reduced([-a for a in self.coords], self.prec)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return self.ring._reduced(self.ring._mul(self.coords, other.coords),
-                                  min(self.prec, other.prec))
+        if not isinstance(other, WittElem):
+            other = self._coerce(other)
+        ring, prec = self.ring, min(self.prec, other.prec)
+        return WittElem(ring, ring._mul(self.coords, other.coords,
+                                        ring.ppow[max(prec, 0)]), prec)
 
     __rmul__ = __mul__
 
@@ -1297,33 +1321,60 @@ class STrunc(_WPoly):
 
 
 class TildePoly(_Poly):
-    """Element of k[u]/u^n: a tuple of n ``GFElem`` coefficients.  The ring
-    builds n = ep, the mod-p residue of ``STrunc``; ``truncate`` gives the
-    image in a shorter k[u]/u^n.  Operands of a ring operation have one
-    length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for n >= e."""
+    """Element of k[u]/u^n: its n ``GFElem`` coefficients (``coeffs``), its
+    flat F_p[w] coordinates in [0, p), m per coefficient (``flat``), or
+    both; either is built from the other on first use and kept.  ``*`` and
+    the coefficient-wise operations read ``coeffs``; ``phi``, ``is_unit``
+    and the packed ``unit_inverse``, ``over`` and ``is_product`` read
+    ``flat``, ``+`` and ``-`` keep it when both operands have it, and
+    ``truncate`` keeps the forms it finds.  Operands of a ring operation
+    have one length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for n >= e."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_flat")
 
-    def __init__(self, cfg, coeffs):
-        self.cfg, self.coeffs = cfg, coeffs
+    def __init__(self, cfg, coeffs=None, flat=None):
+        self.cfg, self._coeffs, self._flat = cfg, coeffs, flat
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            gf, m, f = self.cfg.gf, self.cfg.m, self._flat
+            self._coeffs = tuple(GFElem(gf, tuple(f[i:i + m]))
+                                 for i in range(0, len(f), m))
+        return self._coeffs
+
+    @property
+    def flat(self):
+        if self._flat is None:
+            self._flat = [c for a in self._coeffs for c in a.coords]
+        return self._flat
+
+    def _n(self):
+        f = self._flat
+        return len(self._coeffs) if f is None else len(f) // self.cfg.m
 
     def _constant(self, c):
-        return self.cfg.tilde([c]).truncate(len(self.coeffs))
+        return self.cfg.tilde([c]).truncate(self._n())
 
     def _length_error(self, other):
-        return ValueError(f"operands in k[u]/u^{len(self.coeffs)} and "
-                          f"k[u]/u^{len(other.coeffs)}")
+        return ValueError(f"operands in k[u]/u^{self._n()} and "
+                          f"k[u]/u^{other._n()}")
 
     def _zip(self, other, op):
-        if len(other.coeffs) != len(self.coeffs):
+        if other._n() != self._n():
             raise self._length_error(other)
-        return TildePoly(self.cfg, tuple(map(op, self.coeffs, other.coeffs)))
+        if self._flat is None or other._flat is None:
+            return TildePoly(self.cfg, tuple(map(op, self.coeffs,
+                                                 other.coeffs)))
+        p = self.cfg.p
+        return self._of([op(a, b) % p for a, b in zip(self._flat,
+                                                       other._flat)])
 
     def __eq__(self, other):
         """k[u]/u^n is exact: equal elements have equal coefficients."""
         if not isinstance(other, TildePoly):
             return NotImplemented
-        if len(other.coeffs) != len(self.coeffs):
+        if other._n() != self._n():
             raise self._length_error(other)
         return self.coeffs == other.coeffs
 
@@ -1356,11 +1407,12 @@ class TildePoly(_Poly):
     __rmul__ = __mul__
 
     def truncate(self, n):
-        """The image in k[u]/u^n, n <= the length."""
-        if n > len(self.coeffs):
-            raise ValueError(f"cannot truncate k[u]/u^{len(self.coeffs)} "
-                             f"to u^{n}")
-        return TildePoly(self.cfg, self.coeffs[:n])
+        """The image in k[u]/u^n, n <= the length, in the forms self has."""
+        if n > self._n():
+            raise ValueError(f"cannot truncate k[u]/u^{self._n()} to u^{n}")
+        c, f = self._coeffs, self._flat
+        return TildePoly(self.cfg, None if c is None else c[:n],
+                         None if f is None else f[:n * self.cfg.m])
 
     def u_val(self):
         return next((i for i, a in enumerate(self.coeffs) if not a.is_zero()),
@@ -1381,57 +1433,55 @@ class TildePoly(_Poly):
         return TildePoly(self.cfg, tuple(out))
 
     def is_unit(self):
-        return not self.coeffs[0].is_zero()
-
-    def _coords(self):
-        """The flat F_p[w] coordinates, m per coefficient."""
-        return [c for a in self.coeffs for c in a.coords]
+        return any(self.flat[:self.cfg.m])
 
     def _of(self, flat):
         """The element of k[u]/u^n with flat coordinates ``flat``."""
-        gf, m = self.cfg.gf, self.cfg.m
-        return TildePoly(self.cfg, tuple(GFElem(gf, tuple(flat[i:i + m]))
-                                         for i in range(0, len(flat), m)))
+        return TildePoly(self.cfg, flat=flat)
 
     def _product(self, factors):
         """The flat coordinates of the product of factors, each of self's
         length, by packed products."""
-        n = len(self.coeffs)
+        n = self._n()
         out = None
         for f in factors:
-            if len(f.coeffs) != n:
+            if f._n() != n:
                 raise self._length_error(f)
-            out = f._coords() if out is None else \
-                _tilde_mul(out, f._coords(), n, self.cfg.gf)
+            out = f.flat if out is None else \
+                _tilde_mul(out, f.flat, n, self.cfg.gf)
         return out
 
     def unit_inverse(self):
         """1 / self, for a unit self."""
-        return self._of(_tilde_inverse(self._coords(), len(self.coeffs),
-                                       self.cfg.gf))
+        return self._of(_tilde_inverse(self.flat, self._n(), self.cfg.gf))
 
     def over(self, *divisors):
         """self / (d_1 d_2 ...), for units d_i of self's length: the
         divisors multiplied packed, one Newton inversion and one product by
-        self; only the quotient is built as ``GFElem``s."""
-        n, gf = len(self.coeffs), self.cfg.gf
+        self."""
+        n, gf = self._n(), self.cfg.gf
         y = _tilde_inverse(self._product(map(self._coerce, divisors)), n, gf)
-        return self._of(_tilde_mul(self._coords(), y, n, gf))
+        return self._of(_tilde_mul(self.flat, y, n, gf))
 
     def is_product(self, *factors):
         """self == f_1 f_2 ..., for factors of self's length: packed
-        products compared on coordinates, with no ``GFElem`` built."""
-        return self._coords() == self._product(factors)
+        products compared on coordinates."""
+        return self.flat == self._product(factors)
 
     def phi(self):
         """Frobenius: x -> x^p on k, u -> u^p, into k[u]/u^{ep}; it reads
-        only the coefficients below u^e."""
-        p, e = self.cfg.p, self.cfg.e
-        out = [self.cfg.gf.zero] * (e * p)
-        for i, a in enumerate(self.coeffs[:e]):
-            if not a.is_zero():
-                out[i * p] = a.frobenius()
-        return TildePoly(self.cfg, tuple(out))
+        only the coefficients below u^e.  On k it is the sum of the
+        coordinates times the field's table of sigma(w^t)."""
+        p, e, m = self.cfg.p, self.cfg.e, self.cfg.m
+        x, out = self.flat[:e * m], [0] * (e * p * m)
+        if m == 1:
+            out[:len(x) * p:p] = x
+        else:
+            cols = tuple(zip(*self.cfg.gf.sigma))
+            for i in range(0, len(x), m):
+                out[i * p:i * p + m] = [sum(map(operator.mul, x[i:i + m], c))
+                                        % p for c in cols]
+        return self._of(out)
 
     def unit_part(self):
         """(u-valuation, unit cofactor); the cofactor of 0 is undefined."""

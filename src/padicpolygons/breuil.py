@@ -378,10 +378,11 @@ def solve_eqX(rho, alpha, mu, e, j):
     if q <= 0:
         raise ValueError("the correction exponent must be positive")
     L = max(0, cfg.e - q // cfg.p)          # phi reads u^{<e}
-    shift, alpha_e = (cfg.gf.zero,) * (cfg.e - L), alpha.truncate(cfg.e)
+    shift, alpha_e = [0] * (cfg.m * (cfg.e - L)), alpha.truncate(cfg.e)
 
     def D(Z):
-        return (TildePoly(cfg, shift + Z.coeffs[:L]) - alpha_e).phi()
+        return (TildePoly(cfg, flat=shift + Z.flat[:cfg.m * L])
+                - alpha_e).phi()
 
     mu_L, rho_L = mu.truncate(L), rho.truncate(L)
     Y, k = cfg.tilde_zero().truncate(L), 0
@@ -653,7 +654,7 @@ def analyze_family(params):
     inertia = inertia_polygon(elements.v)
 
     verdicts = []
-    vL = norm.L.val_p()
+    vL = Fraction(norm.j, cfg.e)    # v_p(L'): j = e v_p(L') in case (ii)
     verdicts.append((
         "weakly_admissible",
         fontaine.weakly_admissible_dim2(D, family=params),

@@ -745,8 +745,12 @@ def main(argv=None):
             report = cmd_sweep(report, prec_override=args.prec)
         text = cmd_render(report, args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: --out: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
         if args.command == "render":

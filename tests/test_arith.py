@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from padicpolygons import (DivisibilityError, K0Elem, PrecisionError,
                            RingConfig)
-from padicpolygons.arith import _gfp_is_irreducible, _is_prime, default_modulus
+from padicpolygons.arith import (WittRing, _coord_mul, _gfp_is_irreducible,
+                                 _is_prime, default_modulus)
 from padicpolygons.oracle import (random_k_elem, random_strunc, random_tilde,
                                   random_witt, tronc_difference_divisible)
 
@@ -115,6 +116,37 @@ def test_unit_inverse(cfg7, rng):
         if not x.is_unit():
             continue
         assert x * x.unit_inverse() == cfg7.witt.one()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lifted", [False, True], ids=["default", "lifted"])
+def test_witt_product_matches_the_coordinate_loop(m, lifted):
+    """WittRing._mul (one closed form at m = 2) against _coord_mul mod every
+    p^k up to the cap, on coordinates of either sign, with the default
+    modulus and with one whose lower coefficients are lifted by multiples of
+    p; a WittElem product has the lesser precision of its factors and the
+    coordinates of the loop reduced to it."""
+    p, cap = 7, 5
+    rng = random.Random(60 + m)
+    modulus = default_modulus(p, m)
+    if lifted:
+        modulus = tuple(c + p * rng.randrange(1, p ** cap)
+                        for c in modulus[:m]) + (1,)
+    ring = WittRing(p, m, cap, modulus)
+    assert ring.modulus == modulus
+    for _ in range(100):
+        a, b = (tuple(rng.randrange(-p ** cap, p ** cap) for _ in range(m))
+                for _ in range(2))
+        for k in range(cap + 1):
+            assert ring._mul(a, b, p ** k) == \
+                _coord_mul(a, b, modulus, p ** k)
+        Pa, Pb = rng.randrange(1, cap + 1), rng.randrange(1, cap + 1)
+        x, y = ring.elem(a, Pa), ring.elem(b, Pb)
+        P = min(Pa, Pb)
+        for z in (x * y, y * x):
+            assert z.prec == P
+            assert z.coords == tuple(c % p ** P for c in _coord_mul(
+                x.coords, y.coords, modulus, p ** cap))
 
 
 # ---------------------------------------------------------------------------

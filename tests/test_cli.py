@@ -1,6 +1,8 @@
 """The command-line entry point."""
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -483,3 +485,23 @@ def test_filtered_phi_singular_only_at_working_precision(tmp_path, capsys):
         assert "filtered.phi" not in err
         if code == 2:
             assert err.startswith("precision error: Newton polygon of phi: ")
+
+
+@pytest.mark.parametrize("command, doc", [
+    (_ANALYZE + ["--prec", "7"], _FAMILY),
+    (_SWEEP, _sweep_doc(["x+pi"])),
+    (_RENDER, _family_report()),
+], ids=["analyze", "sweep", "render"])
+@pytest.mark.parametrize("code", [errno.EISDIR, errno.ENOENT],
+                         ids=["directory", "missing_directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, doc, code):
+    """--out naming a directory, or a file in a missing directory, is
+    refused with exit 2 (exit 1 is a failed verdict), not a traceback."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path if code == errno.EISDIR else tmp_path / "no" / "out.json"
+    argv = [str(tmp_path / a) if a == "doc.json" else a for a in command]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: --out: [Errno {code}] {os.strerror(code)}: '{out}'\n"

@@ -313,27 +313,35 @@ def test_tilde_unit_inverse_matches_recurrence(cfg):
 ], ids=["13-1-5", "7-2-2", "13-2-4"])
 def test_tilde_inverse_climbs_the_halving_ladder(key, E, monkeypatch):
     """1/x in k[u]/u^n at every n from 1 to ep against the schoolbook
-    series inverse; its packed products are made two at each precision of
-    the ladder 2, ..., ceil(n/2), n, from the bottom up, and never above
-    n."""
+    series inverse; its packed products (each one ``_tilde_prod``) are made
+    two at each precision of the ladder 2, ..., ceil(n/2), n, from the
+    bottom up, and never above n.  It packs x once per slot width of the
+    ladder and two operands per step, y and 2 - x y."""
     cfg = RingConfig(*key, E, prec=4, r=2)
-    lengths, inner = [], arith._tilde_mul
+    lengths, packs, inner, pack = [], [], arith._tilde_prod, arith._pack
 
-    def mul(a, b, n, gf):
+    def prod(x, n, W, gf):
         lengths.append(n)
-        return inner(a, b, n, gf)
+        return inner(x, n, W, gf)
 
-    monkeypatch.setattr(arith, "_tilde_mul", mul)
+    def counted_pack(flat, m, W):
+        packs.append(W)
+        return pack(flat, m, W)
+
+    monkeypatch.setattr(arith, "_tilde_prod", prod)
+    monkeypatch.setattr(arith, "_pack", counted_pack)
     x = random_tilde_unit(cfg, random.Random(40))
     for n in range(1, cfg.e * cfg.p + 1):
         xn = x.truncate(n)
-        del lengths[:]
-        assert arith._tilde_inverse(xn._coords(), n, cfg.gf) == \
-            ref_tilde_unit_inverse(xn)._coords()
+        del lengths[:], packs[:]
+        assert arith._tilde_inverse(xn.flat, n, cfg.gf) == \
+            ref_tilde_unit_inverse(xn).flat
         ladder, k = [], n
         while k > 1:
-            ladder, k = [k, k] + ladder, -(-k // 2)
-        assert lengths == ladder
+            ladder, k = [k] + ladder, -(-k // 2)
+        assert lengths == [k // 2 for k in ladder for _ in range(2)]
+        widths = {arith._slot_bytes(k * cfg.m * cfg.p ** 2) for k in ladder}
+        assert len(packs) == 2 * len(ladder) + len(widths)
 
 
 def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):
@@ -1050,8 +1058,8 @@ def check_packed_products(cfg, seed):
             xn, yn, zn = (t.truncate(n) for t in (x, rng.choice(xs),
                                                   rng.choice(xs)))
             loop = xn * yn
-            assert arith._tilde_mul(xn._coords(), yn._coords(), n,
-                                    cfg.gf) == loop._coords()
+            assert arith._tilde_mul(xn.flat, yn.flat, n, cfg.gf) == \
+                loop.flat
             assert (loop * zn).is_product(xn, yn, zn)
             assert not (loop * zn + cfg.tilde_u(n - 1).truncate(n)) \
                 .is_product(xn, yn, zn)
@@ -1062,6 +1070,50 @@ def check_packed_products(cfg, seed):
                 for i, a in enumerate(xn.coeffs[:e]):
                     want[i * cfg.p] = a ** cfg.p
                 assert xn.phi().coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("key, E, modulus", [
+    ((7, 2, 2), [-7, 0, 1], None),
+    ((7, 2, 2), [-7, 0, 1], (3, 1, 1)),
+    ((7, 3, 1), [-7, 1], None),
+    ((13, 1, 5), [-13, 0, 0, 0, 0, 1], None),
+], ids=["7-2-2", "7-2-2-w2+w+3", "7-3-1", "13-1-5"])
+def test_tilde_forms_agree(key, E, modulus):
+    """An element built from its GFElem coefficients and one built from its
+    flat coordinates are one element: they compare equal, each builds the
+    other's form, and truncate, phi (against GFElem ** p; the moduli with a
+    linear term make the sigma table non-diagonal), is_unit, u_val, + and -
+    agree on them, whichever form each operand holds."""
+    cfg = RingConfig(*key, E, prec=4, r=2, modulus=modulus)
+    rng = random.Random(42)
+    m, e, p = cfg.m, cfg.e, cfg.p
+    for x in tilde_samples(cfg, rng):
+        flat = [c for a in x.coeffs for c in a.coords]
+
+        def both():
+            return TildePoly(cfg, x.coeffs), TildePoly(cfg, flat=list(flat))
+
+        a, b = both()
+        assert a == b and b == a
+        assert a.flat == flat and b.coeffs == x.coeffs
+        a, b = both()
+        assert a.is_unit() == b.is_unit() == (not x.coeffs[0].is_zero())
+        assert a.u_val() == b.u_val() == x.u_val()
+        for n in lengths(cfg):
+            a, b = both()
+            assert a.truncate(n).coeffs == b.truncate(n).coeffs == \
+                x.coeffs[:n]
+            assert a.truncate(n).flat == b.truncate(n).flat == flat[:n * m]
+        want = [cfg.gf.zero] * (e * p)
+        for i, c in enumerate(x.coeffs[:e]):
+            want[i * p] = c ** p
+        a, b = both()
+        assert a.phi().coeffs == b.phi().coeffs == tuple(want)
+        a, b = both()
+        y = rng.choice([a, b])
+        assert (a + b).coeffs == (b + a).coeffs == (x + x).coeffs
+        assert (a - y).is_zero() and (y - b).is_zero()
+        assert (b + b).flat == (x + x).flat
 
 
 def test_packed_products_match_the_loop(cfg):

@@ -14,13 +14,17 @@ second over its passes, the median (p50) and the tail quantile of
 ``perfbench/run.py`` over the instances' mean latencies, the passes it won
 (ran faster than the other side's pass next to it) and the operations that
 raised.  Then one line per instance, in the order of the instance list,
-gives its key and its mean latency on each side.
+gives its key and its mean latency on each side.  Last, one line per side
+gives the p50 over the instances whose outcome class (a result, or the
+class of the exception raised) is the same on both sides in every pass,
+and how many instances those are.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import shutil
 import statistics
 import sys
@@ -43,24 +47,31 @@ def _load(root, name, tmp):
     return {mod: importlib.import_module(f"{name}.{mod}") for mod in MODULES}
 
 
-def _run_pass(ops, latencies, clock):
-    """One pass over ops: (wall ns, operations that raised)."""
+def _run_pass(ops, latencies, outcomes, clock):
+    """One pass over ops: (wall ns, operations that raised).  Each outcome
+    class goes into the instance's set in outcomes: None for a result, else
+    the exception's class name."""
     raised = 0
     start = clock()
     for i, op in enumerate(ops):
         t0 = clock()
         try:
             op()
-        except Exception:   # noqa: BLE001 - a failure is timed like a result
-            raised += 1
+            kind = None
+        except Exception as exc:  # noqa: BLE001 - timed like a result
+            kind = type(exc).__name__
         latencies[i].append(clock() - t0)
+        raised += kind is not None
+        outcomes[i].add(kind)
     return clock() - start, raised
 
 
 def compare(old_root, new_root, workload, passes):
     """{side: {"ops_per_s", "p50_ms", "tail_ms", "tail_share", "won",
-    "raised", "means_ms"}} for the sides "old" and "new"; "means_ms" maps
-    each instance's key to its mean latency."""
+    "raised", "means_ms", "same", "same_p50_ms"}} for the sides "old" and
+    "new"; "means_ms" maps each instance's key to its mean latency, "same"
+    counts the instances whose outcome classes agree on both sides, and
+    "same_p50_ms" is the median of their means (nan if there are none)."""
     bench = str(Path(new_root).resolve() / "perfbench")
     sys.path.insert(0, bench)
     import generate
@@ -69,6 +80,7 @@ def compare(old_root, new_root, workload, passes):
     clock = time.perf_counter_ns
     instances = generate.instances(workload, SEED)
     latencies = {side: [[] for _ in instances] for side in SIDES}
+    outcomes = {side: [set() for _ in instances] for side in SIDES}
     wall = dict.fromkeys(SIDES, 0)
     raised = dict.fromkeys(SIDES, 0)
     won = dict.fromkeys(SIDES, 0)
@@ -84,7 +96,7 @@ def compare(old_root, new_root, workload, passes):
                 took = {}
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                     took[side], r = _run_pass(ops[side], latencies[side],
-                                              clock)
+                                              outcomes[side], clock)
                     wall[side] += took[side]
                     raised[side] += r
                 if took["old"] != took["new"]:
@@ -93,16 +105,22 @@ def compare(old_root, new_root, workload, passes):
             sys.path.remove(tmp)
             sys.path.remove(bench)
     share = run.tail_share(workload, len(instances))
+    same = [i for i, classes in enumerate(outcomes["old"])
+            if classes == outcomes["new"][i]]
     out = {}
     for side in SIDES:
         means = [statistics.fmean(v) / 1e6 for v in latencies[side]]
+        same_means = [means[i] for i in same]
         out[side] = {"ops_per_s": passes * len(instances) / (wall[side] / 1e9),
                      "p50_ms": statistics.median(means),
                      "tail_ms": run.quantile(means, share),
                      "tail_share": share, "won": won[side],
                      "raised": raised[side],
                      "means_ms": {inst["key"]: mean for inst, mean in
-                                  zip(instances, means)}}
+                                  zip(instances, means)},
+                     "same": len(same),
+                     "same_p50_ms": statistics.median(same_means)
+                     if same else math.nan}
     return out
 
 
@@ -124,6 +142,10 @@ def main(argv=None):
     for key in result["old"]["means_ms"]:
         print(f"instance {key}: " + "  ".join(
             f"{side} {result[side]['means_ms'][key]:.3f} ms" for side in SIDES))
+    for side in SIDES:
+        r = result[side]
+        print(f"{side} same outcome on both sides: {r['same']}/"
+              f"{len(r['means_ms'])} instances  p50 {r['same_p50_ms']:.3f} ms")
     return 0
 
 
