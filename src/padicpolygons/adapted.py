@@ -180,35 +180,43 @@ def divisor_exponents(rows, carrier):
     D = len(rows[0]) if d else 0
     M = [list(r) for r in rows]
     pivot_vals = []
+    cap = carrier.cap
     for s in range(min(d, D)):
-        best, bi, bj = carrier.cap, None, None
-        for i in range(s, d):
-            for j in range(s, D):
-                v = carrier.val(M[i][j])
+        # vals[i - s][j - s] is the valuation of M[i][j] in the active block
+        vals = [[carrier.val(x) for x in row[s:]] for row in M[s:]]
+        best, bi, bj = cap, None, None
+        for i, row in enumerate(vals):
+            for j, v in enumerate(row):
                 if v < best:
-                    best, bi, bj = v, i, j
+                    best, bi, bj = v, i + s, j + s
         if bi is None:
-            pivot_vals.append(carrier.cap)
+            pivot_vals.append(cap)
             continue
         if bi != s:
             M[s], M[bi] = M[bi], M[s]
+            vals[0], vals[bi - s] = vals[bi - s], vals[0]
         if bj != s:
             for row in M:
                 row[s], row[bj] = row[bj], row[s]
+            for row in vals:
+                row[0], row[bj - s] = row[bj - s], row[0]
         v = best
         if carrier.fraction_free:
+            # only the block below and right of the pivot is read again,
+            # and its entries read only the pivot's row and column: rows
+            # below the pivot from its column on, then columns right of it
             ws = carrier.shift_div(M[s][s], v)
-            for i in range(d):
-                if i == s or carrier.val(M[i][s]) >= carrier.cap:
+            for i in range(s + 1, d):
+                if vals[i - s][0] >= cap:
                     continue
                 wi = carrier.shift_div(M[i][s], v)
-                for j in range(D):
+                for j in range(s, D):
                     M[i][j] = ws * M[i][j] - wi * M[s][j]
             for j in range(s + 1, D):
-                if carrier.val(M[s][j]) >= carrier.cap:
+                if vals[0][j - s] >= cap:
                     continue
                 wj = carrier.shift_div(M[s][j], v)
-                for i in range(d):
+                for i in range(s + 1, d):
                     M[i][j] = ws * M[i][j] - wj * M[i][s]
             pivot_vals.append(v)
             continue

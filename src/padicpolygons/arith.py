@@ -79,6 +79,7 @@ the element *as known*; an element with no significant digits left raises
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -89,6 +90,7 @@ from fractions import Fraction
 INF = math.inf
 _ITEM = {1: "B", 2: "H", 4: "I", 8: "Q"}     # array codes by item size
 _SWAP = sys.byteorder == "big"  # packed items are little-endian
+_SERIES_TERMS = 9   # k[u]/u^n inverses, m = 1: series coefficients before Newton
 
 
 class PrecisionError(ArithmeticError):
@@ -242,21 +244,32 @@ def _tilde_prod(x, n, W, gf):
 
 
 def _tilde_inverse(x, n, gf):
-    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: y = 1 / x_0,
-    then a Newton step y <- y (2 - x y) mod u^k at each k of the ladder ...,
-    ceil(n/4), ceil(n/2), n.  As y = 1 / x mod u^h, h = ceil(k/2), a step
-    reads only the top k - h coefficients d of 1 - x y and appends y d mod
-    u^(k-h) to y.  x is packed once per slot width and masked to each k, y
-    once per step for both of its products."""
+    """1 / x in k[u]/u^n, for the flat coordinates x of a unit: y = 1 / x
+    mod u^h, then a Newton step y <- y (2 - x y) mod u^k at each k > h of
+    the ladder ..., ceil(n/4), ceil(n/2), n.  For m = 1 the start is the
+    series recurrence y_k = -y_0 sum_{i<=k} x_i y_(k-i) up to
+    h = min(n, _SERIES_TERMS), below which a ladder step costs more in
+    packing than in arithmetic; for m > 1 it is y = 1 / x_0, h = 1.  As y
+    = 1 / x mod u^h, h >= ceil(k/2), a step reads only the top k - h
+    coefficients d of 1 - x y and appends y d mod u^(k-h) to y.  x is
+    packed once per slot width and masked to each k, y once per step for
+    both of its products."""
     m, p = gf.m, gf.p
     if not any(x[:m]):
         raise DivisibilityError(f"not a unit of k[u]/u^{n}")
-    y = [pow(x[0], -1, p)] if m == 1 else list(_power(
-        tuple(x[:m]), p ** m - 2, gf.one.coords,
-        lambda a, b: _coord_mul(a, b, gf.modulus, p)))
+    if m == 1:
+        inv = pow(x[0], -1, p)
+        y = [inv]
+        for k in range(1, min(n, _SERIES_TERMS)):
+            y.append(-inv * sum(map(operator.mul, x[1:k + 1], y[::-1])) % p)
+    else:
+        y = list(_power(tuple(x[:m]), p ** m - 2, gf.one.coords,
+                        lambda a, b: _coord_mul(a, b, gf.modulus, p)))
     W = None
     for i in reversed(range((n - 1).bit_length())):
         k = ((n - 1) >> i) + 1          # ceil(n / 2^i)
+        if k * m <= len(y):
+            continue
         if _slot_bytes(k * m * p * p) != W:
             W = _slot_bytes(k * m * p * p)
             px, bits = _pack(x[:n * m], m, W), 8 * W * (2 * m - 1)
@@ -426,6 +439,16 @@ class WittRing:
             raise ConfigError("Witt modulus must be monic of degree m")
         self.gf = GF(p, m, self.modulus)
         self._frob_pows = self._hensel_frobenius()
+
+    def at_cap(self, cap):
+        """This ring at the lower precision cap, sharing its residue field:
+        the sigma table reduced mod p^cap, where the Hensel root it was
+        built from is still the unique one."""
+        out = copy.copy(self)
+        out.cap, out.pc, out.ppow = cap, self.ppow[cap], self.ppow[:cap + 1]
+        out._frob_pows = tuple(tuple(c % out.pc for c in row)
+                               for row in self._frob_pows)
+        return out
 
     # coordinate-tuple arithmetic of WittElem
     def _mul(self, a, b, q):
@@ -656,6 +679,10 @@ class WittElem:
             raise PrecisionError("no digits to read a residue from")
         return self.ring.gf.elem(tuple(c % self.ring.p for c in self.coords))
 
+    def reduced_to(self, ring):
+        """self read in ring, this ring at a lower cap (``at_cap``)."""
+        return ring._reduced(self.coords, min(self.prec, ring.cap))
+
 
 # ---------------------------------------------------------------------------
 # Ring configuration
@@ -697,15 +724,40 @@ class RingConfig:
         self._kernels = {}
         self._c = self._s_E = self._s_E2 = None
         self._Eprime = self._teichmuller = None
+        self._parent, self._at_prec = None, {}
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
             return c
         return self.witt.elem(c)
 
+    def at_prec(self, c):
+        """This ring at precision c, 2 <= c <= prec, built on first use and
+        kept: the same p, k, e, r and modulus, E(u) read mod p^c.  Its
+        E-powers are this ring's reduced mod p^c, and its kernels share
+        this ring's fold and phi tables (``_Kernel``): none is walked
+        again."""
+        if c == self.prec:
+            return self
+        if not 2 <= c < self.prec:
+            raise ConfigError(f"precision {c} is not in [2, {self.prec}]")
+        if c not in self._at_prec:
+            low = copy.copy(self)
+            low.prec, low.witt, low._parent = c, self.witt.at_cap(c), self
+            low.E = tuple(x.reduced_to(low.witt) for x in self.E)
+            low.c0 = self.c0.reduced_to(low.witt)
+            low._E_powers, low._kernels, low._at_prec = {1: low.E}, {}, {}
+            low._c = low._s_E = low._s_E2 = None
+            low._Eprime = low._teichmuller = None
+            self._at_prec[c] = low
+        return self._at_prec[c]
+
     def _E_power(self, s):
         if s == 0:
             return (self.witt.one(),)
+        if s not in self._E_powers and self._parent is not None:
+            self._E_powers[s] = tuple(x.reduced_to(self.witt)
+                                      for x in self._parent._E_power(s))
         if s not in self._E_powers:
             half = self._E_power(s - 1)
             prod = [self.witt.zero() for _ in range(len(half) + self.e)]
@@ -718,7 +770,9 @@ class RingConfig:
     def _kernel(self, s):
         """The int kernel of the modulus E(u)^s, built on first use."""
         if s not in self._kernels:
-            self._kernels[s] = _Kernel(self, self._E_power(s))
+            self._kernels[s] = _Kernel(self, self._E_power(s), None if
+                                       self._parent is None else
+                                       self._parent._kernel(s))
         return self._kernels[s]
 
     # element factories ----------------------------------------------------
@@ -891,9 +945,17 @@ class _Kernel:
     Packed slots are sized to the bound 2 d m pc^2 (``_slot_bytes``), whole
     64-bit words on every ring of the benchmark.  Two packed tables are
     built on first use, never with the ring, by one walk (``_table``): the
-    fold table of ``mul`` and the phi table of ``STrunc.phi``."""
+    fold table of ``mul`` and the phi table of ``STrunc.phi``.
 
-    def __init__(self, cfg, coeffs):
+    The kernel of a ring at a lower precision c (``RingConfig.at_prec``)
+    shares its ``parent``'s, the same modulus' kernel at full precision
+    N: its tables and its slot width, which the sums of its products and
+    phi fit, as their coordinates are below p^c and the tables' below p^N,
+    and every value it returns is reduced mod p^c (``WittRing.canon``).
+    Reducing the tables mod p^c and repacking them in narrower slots cost a
+    pass over every slot, more than a first analysis at c digits saves."""
+
+    def __init__(self, cfg, coeffs, parent=None):
         witt = self.witt = cfg.witt
         self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
         self.d = len(coeffs) - 1
@@ -908,8 +970,10 @@ class _Kernel:
                       for wt in self.units]
         # a product and its fold sum (d*m terms below pc^2 each) stay below
         # 2*d*m*pc^2
-        self.W = _slot_bytes(2 * self.d * self.m * self.pc ** 2)
+        self.W = parent.W if parent else _slot_bytes(
+            2 * self.d * self.m * self.pc ** 2)
         self._phi = self._fold = None
+        self._parent = parent
 
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
@@ -1034,6 +1098,8 @@ class _Kernel:
     def fold(self):
         """The fold table: F[k*m + t] is w^t (u^(d+k) mod M), k < d - 1
         (built once)."""
+        if self._fold is None and self._parent is not None:
+            self._fold = self._parent.fold()
         if self._fold is None:
             d, m = self.d, self.m
             top = [0] * (d * m - m) + [1] + [0] * (m - 1)     # u^(d-1)
@@ -1045,6 +1111,8 @@ class _Kernel:
         (built once).  sigma is Z_p-linear, so phi of sum_k x_k u^k,
         x_k = sum_t x_{k,t} w^t, is sum x_{k,t} T[k*m + t]; T[m] is u^p mod
         M."""
+        if self._phi is None and self._parent is not None:
+            self._phi = self._parent.phi_table()
         if self._phi is None:
             one = [1] + [0] * (self.d * self.m - 1)
             self._phi = self._table(one, self.witt.p, self.d,
@@ -1094,6 +1162,14 @@ class _WPoly(_Poly):
     @property
     def coeffs(self):
         return self.cfg.witt.elems(self.flat, self.precs)
+
+    def reduced_to(self, cfg):
+        """self read in cfg, its ring at a lower precision
+        (``RingConfig.at_prec``): coordinates mod p^c, precisions capped at
+        c."""
+        c = cfg.prec
+        precs = [min(P, c) for P in self.precs]
+        return type(self)(cfg, cfg.witt.canon(self.flat, precs), precs)
 
     def _zip(self, other, op):
         precs = self.precs if self.precs == other.precs else list(
@@ -1166,9 +1242,10 @@ class _WPoly(_Poly):
 
 
 class STrunc(_WPoly):
-    """Element of S/Fil^p S, stored as the degree-< ep representative."""
+    """Element of S/Fil^p S, stored as the degree-< ep representative;
+    phi is formed once per element."""
 
-    __slots__ = ()
+    __slots__ = ("_phi",)
 
     def _constant(self, c):
         return self.cfg.s([c])
@@ -1191,6 +1268,12 @@ class STrunc(_WPoly):
         u^p mod E^p is p^2 times a polynomial, and the zero skips grant
         digits that depend on each partial sum, so Horner's rule runs on
         the kernel."""
+        out = getattr(self, "_phi", None)
+        if out is None:
+            out = self._phi = self._phi_value()
+        return out
+
+    def _phi_value(self):
         cfg = self.cfg
         kernel = cfg._kernel(cfg.p)
         m, n, N, W = kernel.m, kernel.d, kernel.N, kernel.W
@@ -1279,20 +1362,34 @@ class STrunc(_WPoly):
         return self.cfg.witt._val(self.flat[:self.cfg.m], self.precs[0]) == 0
 
     def unit_inverse(self):
+        """1 / self by the Newton step y <- y (2 - self y) from the inverse
+        of the constant term, to its fixed point in value and precisions.
+
+        The error 1 - self y_k is e_0^(2^k), e_0 in (u, p); as u^e lies in
+        (E, p) and E^p = p^N = 0, (u, p)^(e(p+N-1)) = 0, so 2 - self y is 1
+        from step K = ceil(log2(e(p+N-1))) on, and one more step lets y's
+        precisions settle to the product's.  The step depends on y alone:
+        once it returns y, no later step changes it.  It is skipped when
+        2 - self y is exactly 1 at y's one precision, where it returns y:
+        the product's precision is the least of its operands' there."""
         if not self.is_unit():
             raise DivisibilityError("not a unit of S/Fil^p S")
         cfg = self.cfg
         y = cfg.s([self.constant_term().unit_inverse()])
-        two = cfg.s([2])
-        steps = max(1, (cfg.prec + cfg.e * cfg.p).bit_length() + 1)
-        for _ in range(steps):
-            nxt = y * (two - self * y)
-            # the step depends on y alone: once it returns y, no later
-            # step changes it
+        two, one = cfg.s([2]), cfg.s_one().flat
+        for _ in range((cfg.e * (cfg.p + cfg.prec - 1) - 1).bit_length() + 2):
+            t = two - self * y
+            P, Q = y.precs[0], t.precs[0]
+            if (t.flat == one and 1 <= P <= Q and any(y.flat[:cfg.m])
+                    and y.precs.count(P) == len(y.precs)
+                    and t.precs.count(Q) == len(t.precs)):
+                return y
+            nxt = y * t
             if nxt.flat == y.flat and nxt.precs == y.precs:
                 return nxt
             y = nxt
-        return y
+        raise ArithmeticError("STrunc.unit_inverse: no fixed point within "
+                              "its step bound")
 
     def mod_E(self):
         """Reduction modulo E(u), as an element of K (integral, pexp 0)."""
@@ -1450,6 +1547,11 @@ class TildePoly(_Poly):
             out = f.flat if out is None else \
                 _tilde_mul(out, f.flat, n, self.cfg.gf)
         return out
+
+    def times(self, *factors):
+        """self f_1 f_2 ..., for factors of self's length, by packed
+        products."""
+        return self._of(self._product((self,) + factors))
 
     def unit_inverse(self):
         """1 / self, for a unit self."""

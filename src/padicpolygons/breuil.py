@@ -14,6 +14,7 @@ for A running over p + tE(u) and U E(u), together with E(u)^2 f_1, f_2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -97,6 +98,11 @@ class FamilyElements:
     PL2: STrunc              # p * L_2 as an element of S
     warnings: list = field(default_factory=list)
 
+    @functools.cached_property
+    def U_pi_inverse(self):
+        """1 / U(pi) in K, formed once."""
+        return self.U.mod_E().inverse()
+
 
 def build_elements(params):
     """Construct t, Z, U, V for n1 = n2 = 1 from the normalized L
@@ -179,6 +185,11 @@ def build_elements(params):
 # ---------------------------------------------------------------------------
 # The lattice and its verification
 
+# The lattice's filtration level r = n1 + n2 (n1 = n2 = 1).  Its mod-p
+# readers divide phi(g) by p^r and read the quotient mod p, after one more
+# division by p: they read r + 2 digits (``StrongLattice.low``).
+R = 2
+
 
 @dataclass
 class StrongLattice:
@@ -191,6 +202,24 @@ class StrongLattice:
     fil_gens: list           # [(name, (A, B))]
     elements: FamilyElements
 
+    @functools.cached_property
+    def low(self):
+        """The values the mod-p readers read, at R + 2 digits, built once
+        per lattice: this lattice over ``cfg.at_prec(R + 2)``, with E^2
+        that ring's own (so its phi is formed once per ring), and p L_2
+        and lambda there."""
+        cfg = self.cfg.at_prec(min(R + 2, self.cfg.prec))
+        E2 = self.cfg.s_E2()
+
+        def read(x):
+            return cfg.s_E2() if x is E2 else x.reduced_to(cfg)
+
+        lat = StrongLattice(cfg, read(self.Z), [
+            (name, (read(A), read(B))) for name, (A, B) in self.fil_gens],
+            self.elements)
+        return _Low(lat, read(self.elements.PL2),
+                    self.elements.lam.reduced_to(cfg.witt))
+
     def e_coords(self, A, B):
         """(x, y) with A f_1 + B f_2 = x e_1 + y e_2."""
         return A * self.Z + B.scale_p(1), A
@@ -198,6 +227,26 @@ class StrongLattice:
     def f_coords(self, x, y):
         """(A, B) with x e_1 + y e_2 = A f_1 + B f_2 (exact divisions)."""
         return y, (x - y * self.Z).div_exact_p(1)
+
+
+@dataclass
+class _Low:
+    """A lattice read at R + 2 digits (``StrongLattice.low``); its
+    ``elements`` are the full-precision ones, read only for ``PL2`` and
+    ``lam``, which are kept here."""
+
+    lattice: StrongLattice
+    PL2: STrunc
+    lam: object              # WittElem
+
+    def read(self, A, lat):
+        """A, an element of ``lat``'s ring, at R + 2 digits: the low
+        lattice's own copy when A is a generator coordinate of lat."""
+        for (_, (A0, _)), (_, (A1, _)) in zip(lat.fil_gens,
+                                              self.lattice.fil_gens):
+            if A is A0:
+                return A1
+        return A.reduced_to(self.lattice.cfg)
 
 
 def _m_of(elements, A, Z):
@@ -233,7 +282,32 @@ class DivisibilityReport:
 
 def verify_strong_divisibility(lat):
     """Check phi(g) in p^2 M generator by generator, and that the divided
-    images generate the reduction mod p."""
+    images generate the reduction mod p.
+
+    The check reads phi(g)'s f-coordinates to R digits, and the images
+    read them divided by p^R, mod p; f_B is (x - y Z)/p, one more digit.
+    So it runs on the lattice read at R + 2 digits (``lat.low``), whose
+    report, when it passes, is the working-precision one: every digit it
+    reads is the working-precision digit.  A run that does not pass there,
+    or raises, reruns at working precision, so every failure reads, and
+    names, the valuations and errors of the working precision."""
+    try:
+        report = _verify(lat.low.lattice)
+    except (DivisibilityError, PrecisionError):
+        report = None
+    if report is None or not report.all_passed:
+        return _verify(lat)
+    report.phi2_images = [(name, _on(lat.cfg, img))
+                          for name, img in report.phi2_images]
+    return report
+
+
+def _on(cfg, images):
+    """k[u]/u^{ep} elements of a ring at a lower precision as cfg's."""
+    return tuple(TildePoly(cfg, x.coeffs) for x in images)
+
+
+def _verify(lat):
     entries = []
     images = []
     for name, (A, B) in lat.fil_gens:
@@ -306,20 +380,24 @@ def ideal_membership(A, elements):
 
     tronc_1(A) must be divisible by p, which gives s1, and the remaining
     E-coefficient divisible by U at pi, which gives s2.  False means that
-    one of these divisions failed or ran out of digits; the digits of s2
-    are read into S, so an s2 whose digits cannot be read raises.
+    one of these divisions failed; digits that run out for s1, or for the
+    digits of s2 read into S, raise ``PrecisionError``.  It runs at working
+    precision: its readings of s2 depend on every digit.
     """
     A2 = A.tronc(2)
     try:
         s1 = A2.tronc(1).div_exact_p(1)
-    except (DivisibilityError, PrecisionError):
+    except DivisibilityError:
         return False
+    except PrecisionError as exc:
+        raise PrecisionError(f"ideal membership: tronc_1(A)/p: {exc}") \
+            from exc
     A1 = (A2 - s1.scale_p(1)).div_exact_E(1).tronc(1) - \
         (s1 * elements.t).tronc(1)
     A1pi = A1.mod_E()
     if A1pi.is_zero():
         return True
-    ratio = A1pi * elements.U.mod_E().inverse()
+    ratio = A1pi * elements.U_pi_inverse
     vr = ratio.val_p()
     if vr == INF or vr < 0:
         return False
@@ -333,15 +411,28 @@ def phi2_image(A, lat):
         phi_2(m(A)) = (phi(A)/p) f_1 + C f_2,
         C = (phi tronc_2(A L_2) - phi(A) Z
              + sigma^2(lambda) phi(A - tronc_2(A))) / p^2.
-    """
-    elements = lat.elements
-    if not ideal_membership(A, elements):
+
+    The images are read mod p: C divides by p^R and its first term
+    divides phi tronc_2(A p L_2) by p once more, so the formula reads R + 2
+    digits and runs on the lattice read there (``lat.low``); where that
+    run raises, it reruns at working precision, whose error it raises.
+    The premise-ideal membership runs at working precision."""
+    if not ideal_membership(A, lat.elements):
         raise ValueError("A is not in the premise ideal")
-    term1 = (A * elements.PL2).tronc(2).phi().div_exact_p(1)
+    low = lat.low
+    try:
+        return _on(lat.cfg, _phi2_formula(low.read(A, lat), low.PL2,
+                                          low.lattice.Z, low.lam))
+    except (DivisibilityError, PrecisionError):
+        return _phi2_formula(A, lat.elements.PL2, lat.Z, lat.elements.lam)
+
+
+def _phi2_formula(A, PL2, Z, lam):
+    term1 = (A * PL2).tronc(2).phi().div_exact_p(1)
     phiA = A.phi()
-    slam2 = elements.lam.frobenius().frobenius()
+    slam2 = lam.frobenius().frobenius()
     term3 = (A - A.tronc(2)).phi().mul_w(slam2)
-    C = (term1 - phiA * elements.Z + term3).div_exact_p(2)
+    C = (term1 - phiA * Z + term3).div_exact_p(2)
     return (phiA.div_exact_p(1).reduce_mod_p(), C.reduce_mod_p())
 
 
@@ -367,8 +458,10 @@ def solve_eqX(rho, alpha, mu, e, j):
     many steps as that recursion takes to reach L, none when L = 0, and
     none to see Y repeat.  Then Y = X mod u^L, so D(X) = D(Y), and
     X = mu / (rho D(Y)) is the one full-length division.  The check is the
-    equation itself, rho X D(X) == mu, with D(X) formed again from X.  The
-    constant term of X is that of -mu/(rho phi(alpha))."""
+    equation itself, rho X D(X) == mu, with D(X) formed again from X: when
+    it equals D(Y), as it should, the check is X (rho D(Y)) == mu on the
+    product the division formed.  The constant term of X is that of
+    -mu/(rho phi(alpha))."""
     cfg = rho.cfg
     if not (rho.is_unit() and alpha.is_unit() and mu.is_unit()):
         raise ValueError("rho, alpha, mu must be units")
@@ -385,11 +478,15 @@ def solve_eqX(rho, alpha, mu, e, j):
                 - alpha_e).phi()
 
     mu_L, rho_L = mu.truncate(L), rho.truncate(L)
-    Y, k = cfg.tilde_zero().truncate(L), 0
+    Y, k = TildePoly(cfg, flat=[0] * (cfg.m * L)), 0
     while k < L:
         Y, k = mu_L.over(rho_L, D(Y).truncate(L)), min(L, cfg.p * k + q)
-    X = mu.over(rho, D(Y))
-    if not mu.is_product(rho, X, D(X)):
+    DY = D(Y)
+    rho_DY = rho.times(DY)
+    X = mu.over(rho_DY)
+    DX = D(X)
+    if not (mu.is_product(X, rho_DY) if DX.flat == DY.flat
+            else mu.is_product(rho, X, DX)):
         raise ArithmeticError("fixed point failed to satisfy the equation")
     return X
 

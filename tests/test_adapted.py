@@ -137,6 +137,65 @@ def test_p_carrier_reads_planted_exponents(cfg7, rng):
             assert divisor_exponents(M, pc) == list(exps)
 
 
+def ref_full_sweep_exponents(rows, carrier):
+    """The fraction-free reduction that clears every row and column of the
+    matrix at each pivot, rows and columns of earlier pivots included (the
+    reference for the active-block sweep of ``divisor_exponents``)."""
+    d, D = len(rows), len(rows[0])
+    M = [list(r) for r in rows]
+    pivots = []
+    for s in range(min(d, D)):
+        best, bi, bj = carrier.cap, None, None
+        for i in range(s, d):
+            for j in range(s, D):
+                v = carrier.val(M[i][j])
+                if v < best:
+                    best, bi, bj = v, i, j
+        if bi is None:
+            pivots.append(carrier.cap)
+            continue
+        M[s], M[bi] = M[bi], M[s]
+        for row in M:
+            row[s], row[bj] = row[bj], row[s]
+        ws = carrier.shift_div(M[s][s], best)
+        for i in range(d):
+            if i == s or carrier.val(M[i][s]) >= carrier.cap:
+                continue
+            wi = carrier.shift_div(M[i][s], best)
+            for j in range(D):
+                M[i][j] = ws * M[i][j] - wi * M[s][j]
+        for j in range(s + 1, D):
+            if carrier.val(M[s][j]) >= carrier.cap:
+                continue
+            wj = carrier.shift_div(M[s][j], best)
+            for i in range(d):
+                M[i][j] = ws * M[i][j] - wj * M[i][s]
+        pivots.append(best)
+    return sorted(pivots + [carrier.cap] * (d - len(pivots)))
+
+
+def test_active_block_sweep_matches_the_full_sweep(cfg7):
+    """Clearing only the block below and right of each pivot, and reading
+    its zero tests off the pivot search's valuations, against the full
+    sweep: 600 p-carrier matrices, 3 x 4 with entries up to p^6 (the draw
+    on which dropping the column pass changed 3 last pivots) and planted
+    U diag(p^n) V, and 120 E-carrier matrices of both kinds."""
+    rng = random.Random(30)
+    pc, ec = PCarrier(cfg7), ECarrier(cfg7)
+    cases = [(pc, random_matrix(cfg7, pc, rng, 3, 4, 6)) for _ in range(400)]
+    cases += [(pc, _planted_matrix(cfg7, pc, rng, [rng.randrange(7) for _ in
+                                                   range(rng.choice((2, 3)))]))
+              for _ in range(200)]
+    cases += [(ec, random_matrix(cfg7, ec, rng, rng.choice((2, 3)), 4, 3))
+              for _ in range(80)]
+    cases += [(ec, _planted_matrix(cfg7, ec, rng, [rng.randrange(4) for _ in
+                                                   range(2)]))
+              for _ in range(40)]
+    for carrier, M in cases:
+        assert divisor_exponents(M, carrier) == \
+            ref_full_sweep_exponents(M, carrier)
+
+
 def _planted(cfg, rng, v1, v2):
     """Columns of G = U diag(u^v1, u^v2) V over k[u]/u^{ep}, U and V
     invertible with entries of degree < 4e; with U and V^{-1}."""

@@ -278,6 +278,201 @@ def test_phi2_image_rejects_non_members(cfg7):
         phi2_image(cfg7.s_one(), lat)
 
 
+def test_ideal_membership_raises_where_the_digits_of_s1_run_out(cfg7):
+    """A planted A whose constant term is zero known to one digit:
+    tronc_1(A)/p has no digit left, which is no proof of non-membership,
+    so ``ideal_membership`` raises ``PrecisionError`` named for its stage,
+    and ``phi2_image`` passes it on; a failed division stays False."""
+    el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7) + cfg7.pi()))
+    lat = strong_lattice(el)
+    A = cfg7.s([cfg7.w(0, prec=1)])
+    with pytest.raises(PrecisionError, match="ideal membership"):
+        breuil.ideal_membership(A, el)
+    with pytest.raises(PrecisionError, match="ideal membership"):
+        phi2_image(A, lat)
+    assert breuil.ideal_membership(cfg7.s_one(), el) is False
+
+
+# ---------------------------------------------------------------------------
+# the mod-p readers at R + 2 digits against working precision
+
+
+def ref_verify(lat):
+    """Strong divisibility at working precision only (the reference for
+    ``verify_strong_divisibility``, which reads R + 2 digits)."""
+    entries, images = [], []
+    for name, (A, B) in lat.fil_gens:
+        x, y = lat.e_coords(A, B)
+        try:
+            fA, fB = lat.f_coords(x.phi().scale_p(1), y.phi().scale_p(1))
+        except (DivisibilityError, PrecisionError) as exc:
+            entries.append((name, False, f"phi(g) is not in the lattice: {exc}"))
+            continue
+        vA, vB = fA.val_p(), fB.val_p()
+        if vA >= 2 and vB >= 2:
+            entries.append((name, True, "phi(g) in p^2 M"))
+            images.append((name, (fA.div_exact_p(2).reduce_mod_p(),
+                                  fB.div_exact_p(2).reduce_mod_p())))
+        else:
+            entries.append((name, False,
+                            f"phi(g) f-coordinate valuations ({vA}, {vB}) < 2"))
+    cols = [img for _, img in images]
+    gen_ok = any(_minor_is_unit(cols[i], cols[j])
+                 for i in range(len(cols)) for j in range(i + 1, len(cols)))
+    return entries, gen_ok, images
+
+
+def ref_phi2_image(A, lat):
+    """The C-formula at working precision only."""
+    el = lat.elements
+    if not breuil.ideal_membership(A, el):
+        raise ValueError("A is not in the premise ideal")
+    term1 = (A * el.PL2).tronc(2).phi().div_exact_p(1)
+    phiA = A.phi()
+    slam2 = el.lam.frobenius().frobenius()
+    term3 = (A - A.tronc(2)).phi().mul_w(slam2)
+    C = (term1 - phiA * lat.Z + term3).div_exact_p(2)
+    return (phiA.div_exact_p(1).reduce_mod_p(), C.reduce_mod_p())
+
+
+def _outcome(fn):
+    """A call's result, with k[u]/u^n elements as their coordinates and
+    their ring's precision, or its exception's class and message."""
+    def plain(x):
+        if isinstance(x, TildePoly):
+            return x.cfg.prec, [c.coords for c in x.coeffs]
+        if isinstance(x, (list, tuple)):
+            return [plain(y) for y in x]
+        return x
+    try:
+        return plain(fn())
+    except Exception as exc:  # noqa: BLE001 - an error is an outcome
+        return type(exc).__name__, str(exc)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _family_lattices(monkeypatch):
+    """The lattice of every outcome-table row and of every family-small and
+    family-ramified instance of seeds 0-3 whose elements build: each run
+    stops once its elements are built."""
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    import generate
+    from padicpolygons import cli
+
+    found, inner = [], breuil.build_elements
+
+    def capture(params):
+        found.append(inner(params))
+        raise _Captured
+
+    monkeypatch.setattr(breuil, "build_elements", capture)
+    runs = []
+    for p in (7, 11, 13):
+        for e in range(1, (p - 2) // 2 + 1):
+            for m in (1, 2):
+                for E in (monomial_E(p, e), seeded_E(p, m, e)):
+                    cfg = RingConfig(p, m, e, E, prec=p, r=2)
+                    runs += [lambda cfg=cfg, spec=spec: analyze_family(
+                        FamilyParams(cfg, 1, 1, parse_L_expression(cfg, spec)))
+                        for spec in L_SPECS]
+    for workload in ("family-small", "family-ramified"):
+        for seed in range(4):
+            runs += [lambda doc=inst["doc"]: cli.cmd_analyze(doc)
+                     for inst in generate.instances(workload, seed)]
+    for run in runs:
+        try:
+            run()
+        except _Captured:
+            pass
+        except Exception:  # noqa: BLE001 - failed before the elements
+            pass
+    monkeypatch.setattr(breuil, "build_elements", inner)
+    lattices = []
+    for el in found:
+        try:
+            lattices.append(strong_lattice(el))
+        except (DivisibilityError, PrecisionError):
+            pass
+    return lattices
+
+
+def test_mod_p_readers_at_R_plus_2_digits_match_working_precision(
+        monkeypatch):
+    """On every outcome-table row and every family instance of seeds 0-3,
+    ``verify_strong_divisibility`` and ``phi2_image`` of each generator,
+    run at R + 2 digits with their reruns, against the same readers at
+    working precision: equal entries, generation verdict and images (as
+    elements of the working-precision ring), or equal exception class and
+    message.  Most of them pass at R + 2 digits."""
+    lattices = _family_lattices(monkeypatch)
+    verify, passed_low = breuil._verify, []
+
+    def counted(lat):
+        report = verify(lat)
+        if lat.cfg.prec == breuil.R + 2 and report.all_passed:
+            passed_low.append(report)
+        return report
+
+    monkeypatch.setattr(breuil, "_verify", counted)
+    assert len(lattices) > 150
+    for lat in lattices:
+        def new():
+            r = verify_strong_divisibility(lat)
+            return r.entries, r.images_generate, r.phi2_images
+        assert _outcome(new) == _outcome(lambda: ref_verify(lat))
+        for name, (A, B) in lat.fil_gens:
+            assert _outcome(lambda: phi2_image(A, lat)) == \
+                _outcome(lambda: ref_phi2_image(A, lat)), name
+    assert len(passed_low) > len(lattices) // 2
+
+
+def test_a_failure_at_R_plus_2_digits_is_read_at_working_precision(cfg7):
+    """A planted generator (p^5, 1): f_A = p phi(p^5) has valuation 6,
+    which R + 2 = 4 digits read as 4, and f_B valuation 1, so it fails.
+    The failure reruns at working precision, whose entry reads (6, 1)."""
+    el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7) + cfg7.pi()))
+    lat = strong_lattice(el)
+    planted = StrongLattice(cfg7, lat.Z, lat.fil_gens + [
+        ("planted", (cfg7.s([7 ** 5]), cfg7.s_one()))], el)
+    low = breuil._verify(planted.low.lattice)
+    assert low.entries[-1] == ("planted", False, "phi(g) f-coordinate "
+                               "valuations (4, 1) < 2")
+    report = verify_strong_divisibility(planted)
+    assert report.entries[-1] == ("planted", False, "phi(g) f-coordinate "
+                                  "valuations (6, 1) < 2")
+    assert _outcome(lambda: (report.entries, report.images_generate,
+                             report.phi2_images)) == \
+        _outcome(lambda: ref_verify(planted))
+
+
+def test_phi2_image_reruns_where_R_plus_2_digits_raise(cfg7, monkeypatch):
+    """With the formula at R + 2 digits planted to raise, each image is the
+    working-precision one."""
+    el = build_elements(FamilyParams(cfg7, 1, 1, _x(cfg7) + cfg7.pi()))
+    lat = strong_lattice(el)
+    inner, rings = breuil._phi2_formula, []
+
+    def short(A, PL2, Z, lam):
+        rings.append(A.cfg.prec)
+        if A.cfg.prec == breuil.R + 2:
+            raise PrecisionError("planted")
+        return inner(A, PL2, Z, lam)
+
+    monkeypatch.setattr(breuil, "_phi2_formula", short)
+    for name in ("m(p+tE)", "E^2*f1"):
+        A = dict(lat.fil_gens)[name][0]
+        del rings[:]
+        assert _outcome(lambda: phi2_image(A, lat)) == \
+            _outcome(lambda: ref_phi2_image(A, lat))
+        assert rings == [breuil.R + 2, cfg7.prec]
+
+
 # ---------------------------------------------------------------------------
 # reduction and the structure constants
 

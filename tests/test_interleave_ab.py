@@ -75,3 +75,16 @@ def test_the_same_outcome_p50_leaves_out_an_instance_that_changed_class(
         assert result[side]["same"] == len(keys) - 1
         assert result[side]["same_p50_ms"] == \
             statistics.median(means[key] for key in keys[1:])
+
+
+def test_the_seed_option_picks_the_instance_list(capsys):
+    """``--seed 2`` runs seed 2's instances and names the seed (without it,
+    the lines above read seed 1)."""
+    assert interleave_ab.main([str(ROOT), str(ROOT), "--workload",
+                               "matrix-solve", "--passes", "1",
+                               "--seed", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert all(line.startswith(f"{side} matrix-solve seed 2: ")
+               for side, line in zip(("old", "new"), out[:2]))
+    assert [INSTANCE.match(line)[1] for line in out[2:-2]] == \
+        [inst["key"] for inst in generate.instances("matrix-solve", 2)]

@@ -15,9 +15,10 @@ import random
 import pytest
 
 from padicpolygons import DivisibilityError, PrecisionError, RingConfig, arith
-from padicpolygons.arith import (KElem, STrunc, TildePoly, _pack,
+from padicpolygons.arith import (GFElem, KElem, STrunc, TildePoly, _pack,
                                   _slot_bytes, _unpack, det)
-from padicpolygons.oracle import random_tilde, random_tilde_unit
+from padicpolygons.oracle import (random_strunc, random_tilde,
+                                  random_tilde_unit)
 
 RINGS = {
     (7, 2, 2): ([-7, 0, 1], 7),
@@ -271,6 +272,79 @@ def test_unit_inverse_matches_fixed_step_newton(cfg):
         same(x.unit_inverse, lambda: ref_unit_inverse(x))
 
 
+def ref_unit_inverse_fixed_point(x):
+    """Newton's iteration for 1/x with no step cap, until a step returns
+    y in coordinates and precisions."""
+    cfg = x.cfg
+    y = cfg.s([x.coeffs[0].unit_inverse()])
+    two = cfg.s([2])
+    while True:
+        nxt = y * (two - x * y)
+        if nxt.flat == y.flat and nxt.precs == y.precs:
+            return nxt
+        y = nxt
+
+
+UNIT_RINGS = {**RINGS, (5, 2, 1): ([-5, 1], 5),
+              (11, 2, 4): ([-11, 0, 0, 0, 1], 11)}
+
+
+@pytest.mark.parametrize("key", sorted(UNIT_RINGS),
+                         ids=lambda key: "%d-%d-%d" % key)
+def test_unit_inverse_is_the_uncapped_fixed_point(key):
+    """30 units per ring, rough (reduced precisions, zeros as known) and at
+    full precision, against the uncapped iteration: equal flat and precs.
+    (11,2,4) at prec 11 needs 8 steps, past the old cap of 7."""
+    E, prec = UNIT_RINGS[key]
+    cfg = RingConfig(*key, E, prec=prec, r=2 if 2 * key[2] < key[0] - 1
+                     else 1)
+    rng = random.Random(42)
+    units = [rough_unit(cfg, rng) for _ in range(15)]
+    while len(units) < 30:
+        x = random_strunc(cfg, rng)
+        if x.is_unit():
+            units.append(x)
+    for x in units:
+        y, want = x.unit_inverse(), ref_unit_inverse_fixed_point(x)
+        assert (y.flat, y.precs) == (want.flat, want.precs)
+
+
+def test_unit_inverse_raises_past_its_step_bound(monkeypatch):
+    """Products that never settle: after its K + 2 steps, K =
+    ceil(log2(e(p + N - 1))), two products each, unit_inverse raises an
+    error that names it instead of returning an unchecked y."""
+    cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=2)
+    x = cfg.s([1, 1])
+    inner, calls = STrunc.__mul__, []
+
+    def drifting(self, other):
+        calls.append(None)
+        return inner(self, other) + cfg.s([0, 0, 0, len(calls) ** 2])
+
+    monkeypatch.setattr(STrunc, "__mul__", drifting)
+    with pytest.raises(ArithmeticError, match="unit_inverse"):
+        x.unit_inverse()
+    assert len(calls) == 2 * ((2 * (7 + 7 - 1) - 1).bit_length() + 2)
+
+
+def test_unit_inverse_skips_the_confirming_product(monkeypatch):
+    """Once 2 - x y is exactly 1 at y's one precision the step would
+    return y, and it is not made: a unit whose first y is exact takes one
+    product."""
+    cfg = RingConfig(7, 2, 2, [-7, 0, 1], prec=7, r=2)
+    inner, calls = STrunc.__mul__, []
+
+    def counted(self, other):
+        calls.append(None)
+        return inner(self, other)
+
+    monkeypatch.setattr(STrunc, "__mul__", counted)
+    y = cfg.s([3]).unit_inverse()
+    assert len(calls) == 1
+    want = cfg.s([cfg.w(3).unit_inverse()])
+    assert (y.flat, y.precs) == (want.flat, want.precs)
+
+
 def tilde_units(cfg, rng):
     """Dense units, sparse units 1 + c u^k, and units 1 - c u whose inverse
     sum (c u)^i is nonzero up to u^{ep-1}."""
@@ -313,9 +387,11 @@ def test_tilde_unit_inverse_matches_recurrence(cfg):
 ], ids=["13-1-5", "7-2-2", "13-2-4"])
 def test_tilde_inverse_climbs_the_halving_ladder(key, E, monkeypatch):
     """1/x in k[u]/u^n at every n from 1 to ep against the schoolbook
-    series inverse; its packed products (each one ``_tilde_prod``) are made
-    two at each precision of the ladder 2, ..., ceil(n/2), n, from the
-    bottom up, and never above n.  It packs x once per slot width of the
+    series inverse.  The start is 1/x mod u^h, h = min(n, 9) coefficients
+    of the series for m = 1 and h = 1 for m = 2; its packed products (each
+    one ``_tilde_prod``) are made two at each precision of the ladder
+    ..., ceil(n/2), n above h, from the bottom up, and never above n, each
+    of the length its step appends.  It packs x once per slot width of the
     ladder and two operands per step, y and 2 - x y."""
     cfg = RingConfig(*key, E, prec=4, r=2)
     lengths, packs, inner, pack = [], [], arith._tilde_prod, arith._pack
@@ -336,12 +412,49 @@ def test_tilde_inverse_climbs_the_halving_ladder(key, E, monkeypatch):
         del lengths[:], packs[:]
         assert arith._tilde_inverse(xn.flat, n, cfg.gf) == \
             ref_tilde_unit_inverse(xn).flat
+        h = min(n, 9) if cfg.m == 1 else 1
         ladder, k = [], n
-        while k > 1:
+        while k > h:
             ladder, k = [k] + ladder, -(-k // 2)
-        assert lengths == [k // 2 for k in ladder for _ in range(2)]
+        assert lengths == [k - low for low, k in zip([h] + ladder, ladder)
+                           for _ in range(2)]
         widths = {arith._slot_bytes(k * cfg.m * cfg.p ** 2) for k in ladder}
         assert len(packs) == 2 * len(ladder) + len(widths)
+
+
+def ref_plain_ladder(x, n, gf):
+    """1 / x in k[u]/u^n by the Newton ladder from y = 1 / x_0 alone: a
+    step at every k of ..., ceil(n/4), ceil(n/2), n, each product packed on
+    its own."""
+    m, p = gf.m, gf.p
+    y = list((GFElem(gf, tuple(x[:m])).inverse()).coords)
+    for i in reversed(range((n - 1).bit_length())):
+        k = ((n - 1) >> i) + 1
+        h = len(y) // m
+        xy = arith._tilde_mul(x[:k * m], y + [0] * ((k - h) * m), k, gf)
+        d = [-c % p for c in xy[h * m:]]
+        y += arith._tilde_mul(y[:(k - h) * m], d, k - h, gf)
+    return y
+
+
+@pytest.mark.parametrize("key, E", [
+    ((13, 1, 5), [-13, 0, 0, 0, 0, 1]),
+    ((7, 1, 2), [-7, 0, 1]),
+    ((7, 2, 2), [-7, 0, 1]),
+    ((13, 2, 4), [-13, 0, 0, 0, 1]),
+], ids=["13-1-5", "7-1-2", "7-2-2", "13-2-4"])
+def test_seeded_ladder_matches_the_plain_ladder(key, E):
+    """The inverse whose ladder starts, for m = 1, from 9 coefficients of
+    the series recurrence, against the ladder from 1 / x_0, at every n
+    from 1 to ep: equal coordinates."""
+    cfg = RingConfig(*key, E, prec=4, r=2)
+    rng = random.Random(41)
+    for _ in range(6):
+        x = random_tilde_unit(cfg, rng)
+        for n in range(1, cfg.e * cfg.p + 1):
+            xn = x.truncate(n).flat
+            assert arith._tilde_inverse(xn, n, cfg.gf) == \
+                ref_plain_ladder(xn, n, cfg.gf)
 
 
 def test_cached_Eprime_inverse_is_a_fresh_inverse(cfg):

@@ -1,12 +1,14 @@
 """A/B timing of two checkouts in one process, by interleaved whole passes.
 
-    python3 tools/interleave_ab.py OLD_ROOT NEW_ROOT --workload W --passes N
+    python3 tools/interleave_ab.py OLD_ROOT NEW_ROOT --workload W --passes N \
+        [--seed S]
 
 Each ROOT is the root of a checkout.  Its ``src/padicpolygons`` is copied
 into a temporary directory under a package name of its own, so both
 packages live in this one process; the inputs of each are built by
 ``NEW_ROOT/perfbench/worker.build_ops``, which is only read, from the
-instance list of seed 1, the seed of the benchmark's traced runs.  The two
+instance list of seed S, by default 1, the seed of the benchmark's traced
+runs.  The two
 sides then run whole passes over their operations in turn, N each, and the
 side that goes first alternates from pass to pass, so a change in the
 host's speed weighs on both alike.  Per side it prints the operations per
@@ -66,7 +68,7 @@ def _run_pass(ops, latencies, outcomes, clock):
     return clock() - start, raised
 
 
-def compare(old_root, new_root, workload, passes):
+def compare(old_root, new_root, workload, passes, seed=SEED):
     """{side: {"ops_per_s", "p50_ms", "tail_ms", "tail_share", "won",
     "raised", "means_ms", "same", "same_p50_ms"}} for the sides "old" and
     "new"; "means_ms" maps each instance's key to its mean latency, "same"
@@ -78,7 +80,7 @@ def compare(old_root, new_root, workload, passes):
     import run
     import worker
     clock = time.perf_counter_ns
-    instances = generate.instances(workload, SEED)
+    instances = generate.instances(workload, seed)
     latencies = {side: [[] for _ in instances] for side in SIDES}
     outcomes = {side: [set() for _ in instances] for side in SIDES}
     wall = dict.fromkeys(SIDES, 0)
@@ -130,12 +132,13 @@ def main(argv=None):
     parser.add_argument("new_root")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--passes", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     result = compare(args.old_root, args.new_root, args.workload,
-                     args.passes)
+                     args.passes, args.seed)
     for side in SIDES:
         r = result[side]
-        print(f"{side} {args.workload} seed {SEED}: "
+        print(f"{side} {args.workload} seed {args.seed}: "
               f"ops/s {r['ops_per_s']:.1f}  p50 {r['p50_ms']:.3f} ms  "
               f"p{100 * r['tail_share']:.2f} {r['tail_ms']:.3f} ms  "
               f"won {r['won']}/{args.passes} passes  raised {r['raised']}")

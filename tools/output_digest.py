@@ -7,7 +7,8 @@ cover the family-small and family-ramified results (``cli.cmd_analyze`` and
 its JSON render) and the matrix-solve results, each for seeds 0-3, with the
 inputs built by ``perfbench/worker.build_ops``; an operation that raises
 enters as its exception class and message.  The oracle digest covers the
-exit code and output of ``oracle --seed 0..7``.  Two checkouts whose lines
+exit code and output of ``oracle --seed 0..7`` (``oracle_digest`` takes
+other seeds).  Two checkouts whose lines
 agree gave byte-identical outputs.  To compare two checkouts, run it once
 per checkout, each in its own process (the package is imported from ROOT),
 and ``diff`` the two outputs:
@@ -50,9 +51,9 @@ def workload_digest(worker, generate, mods, workload):
     return h.hexdigest()
 
 
-def oracle_digest(cli):
+def oracle_digest(cli, seeds=ORACLE_SEEDS):
     h = hashlib.sha256()
-    for seed in ORACLE_SEEDS:
+    for seed in seeds:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["oracle", "--seed", str(seed)])
