@@ -14,22 +14,22 @@ Every other ring is built on one of two bases:
   of constants, the reflected operators and == (``TildePoly`` compares
   coefficients, since k[u]/u^n is exact).
 
-  - ``TildePoly``: ``k[u]/u^n``, its n ``GFElem`` coefficients or its flat
-    F_p[w] coordinates, m per coefficient, each built from the other on
-    first use; the ring builds n = ep, the mod-p residue of ``STrunc``, and
-    ``truncate`` maps it onto a shorter k[u]/u^n.  It adds phi, k[u]/u^n
-    -> k[u]/u^{ep} for n >= e (on k, the field's table of sigma(w^t)), and
-    the u-valuation and division.  phi and three operations read and return
-    the flat form: unit inversion, division by a product of units (``over``,
-    the one quotient), and the product check ``is_product``.  They run on
-    one packed product (``_tilde_prod``, on ``_pack``/``_unpack`` shared
-    with ``_Kernel``, in slots of 1, 2 or 4 bytes when the bound fits and
-    whole 64-bit words above it) and its Newton inverse at precisions
-    halving down from n (``_tilde_inverse``: x packed once per slot width,
-    each iterate once per step).  ``*`` stays a loop of ``GFElem``
-    products: it serves the u-carrier Smith reduction, and packed it would
-    push the memory of the benchmark's per-operation records past its
-    bound (ROADMAP item 4).
+  - ``TildePoly``: ``k[u]/u^n``, stored only as its flat F_p[w]
+    coordinates in [0, p), m per coefficient; ``coeffs`` is a view that
+    builds ``GFElem``s on each read.  The ring builds n = ep, the mod-p
+    residue of ``STrunc``, and ``truncate`` maps it onto a shorter
+    k[u]/u^n.  It adds phi, k[u]/u^n -> k[u]/u^{ep} for n >= e (on k, the
+    field's table of sigma(w^t)), and the u-valuation and division.  Unit
+    inversion, division by a product of units (``over``, the one quotient)
+    and the product check ``is_product`` run on one packed product
+    (``_tilde_prod``, on ``_pack``/``_unpack`` shared with ``_Kernel``, in
+    slots of 1, 2 or 4 bytes when the bound fits and whole 64-bit words
+    above it) and its Newton inverse at precisions halving down from n
+    (``_tilde_inverse``: x packed once per slot width, each iterate once
+    per step).  ``*`` stays a loop of ``GFElem`` products over the two
+    views: it is the matrix-solve benchmark's only path to ``gf_mul``, and
+    packed it would push the memory of that benchmark's per-operation
+    records (``peak_rss_mb``) past its bound (ROADMAP item 4).
   - ``_WPoly``, over W, is stored in the layout of ``_Kernel``: flat int
     coordinates, each coefficient reduced mod p^prec, and a list of
     precisions.  Every operation runs on that form; ``.coeffs`` is a view
@@ -834,11 +834,12 @@ class RingConfig:
         return self._Eprime
 
     def tilde(self, coeffs):
-        ep = self.e * self.p
-        out = [c if isinstance(c, GFElem) else self.gf.elem(c) for c in coeffs]
-        if len(out) > ep:
+        flat = [c for a in coeffs for c in
+                (a if isinstance(a, GFElem) else self.gf.elem(a)).coords]
+        pad = self.e * self.p * self.m - len(flat)
+        if pad < 0:
             raise ValueError("degree must be < ep")
-        return TildePoly(self, tuple(out + [self.gf.zero] * (ep - len(out))))
+        return TildePoly(self, flat + [0] * pad)
 
     def tilde_zero(self):
         return self.tilde([])
@@ -1401,10 +1402,8 @@ class STrunc(_WPoly):
         """Image in k[u]/u^{ep}."""
         if min(self.precs) < 1:
             raise PrecisionError("no digits to read a residue from")
-        gf, m, p = self.cfg.gf, self.cfg.m, self.cfg.p
-        r = [c % p for c in self.flat]
-        return TildePoly(self.cfg, tuple(GFElem(gf, c) for c in zip(
-            *(r[t::m] for t in range(m)))))
+        p = self.cfg.p
+        return TildePoly(self.cfg, [c % p for c in self.flat])
 
     def degree(self):
         for i in range(len(self.precs) - 1, -1, -1):
@@ -1418,37 +1417,27 @@ class STrunc(_WPoly):
 
 
 class TildePoly(_Poly):
-    """Element of k[u]/u^n: its n ``GFElem`` coefficients (``coeffs``), its
-    flat F_p[w] coordinates in [0, p), m per coefficient (``flat``), or
-    both; either is built from the other on first use and kept.  ``*`` and
-    the coefficient-wise operations read ``coeffs``; ``phi``, ``is_unit``
-    and the packed ``unit_inverse``, ``over`` and ``is_product`` read
-    ``flat``, ``+`` and ``-`` keep it when both operands have it, and
-    ``truncate`` keeps the forms it finds.  Operands of a ring operation
-    have one length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for n >= e."""
+    """Element of k[u]/u^n, stored only as its flat F_p[w] coordinates in
+    [0, p), m per coefficient (``flat``); ``coeffs`` is a view that builds
+    ``GFElem``s on each read.  Every operation but ``*`` runs on ``flat``.
+    Operands of a ring operation have one length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for
+    n >= e."""
 
-    __slots__ = ("_coeffs", "_flat")
+    __slots__ = ("flat",)
 
-    def __init__(self, cfg, coeffs=None, flat=None):
-        self.cfg, self._coeffs, self._flat = cfg, coeffs, flat
+    def __init__(self, cfg, flat):
+        self.cfg, self.flat = cfg, flat
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            gf, m, f = self.cfg.gf, self.cfg.m, self._flat
-            self._coeffs = tuple(GFElem(gf, tuple(f[i:i + m]))
-                                 for i in range(0, len(f), m))
-        return self._coeffs
+        gf, m, f = self.cfg.gf, self.cfg.m, self.flat
+        return tuple(GFElem(gf, c) for c in zip(*(f[t::m] for t in range(m))))
 
-    @property
-    def flat(self):
-        if self._flat is None:
-            self._flat = [c for a in self._coeffs for c in a.coords]
-        return self._flat
+    def constant_term(self):
+        return GFElem(self.cfg.gf, tuple(self.flat[:self.cfg.m]))
 
     def _n(self):
-        f = self._flat
-        return len(self._coeffs) if f is None else len(f) // self.cfg.m
+        return len(self.flat) // self.cfg.m
 
     def _constant(self, c):
         return self.cfg.tilde([c]).truncate(self._n())
@@ -1460,81 +1449,74 @@ class TildePoly(_Poly):
     def _zip(self, other, op):
         if other._n() != self._n():
             raise self._length_error(other)
-        if self._flat is None or other._flat is None:
-            return TildePoly(self.cfg, tuple(map(op, self.coeffs,
-                                                 other.coeffs)))
         p = self.cfg.p
-        return self._of([op(a, b) % p for a, b in zip(self._flat,
-                                                       other._flat)])
+        return self._of([op(a, b) % p for a, b in zip(self.flat, other.flat)])
 
     def __eq__(self, other):
-        """k[u]/u^n is exact: equal elements have equal coefficients."""
+        """k[u]/u^n is exact: equal elements have equal coordinates."""
         if not isinstance(other, TildePoly):
             return NotImplemented
         if other._n() != self._n():
             raise self._length_error(other)
-        return self.coeffs == other.coeffs
+        return self.flat == other.flat
 
     def __neg__(self):
-        return TildePoly(self.cfg, tuple(-a for a in self.coeffs))
+        p = self.cfg.p
+        return self._of([-c % p for c in self.flat])
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
+        return not any(self.flat)
 
     def monodromy(self):
         """N(u^n) = -n u^n, extended coefficient-linearly."""
-        return TildePoly(self.cfg, tuple(a * (-i) for i, a in
-                                         enumerate(self.coeffs)))
+        p, m = self.cfg.p, self.cfg.m
+        return self._of([-(k // m) * c % p for k, c in enumerate(self.flat)])
 
     def __mul__(self, other):
+        """The schoolbook loop of ``GFElem`` products over the two views,
+        each read once; the module docstring says why it is not packed."""
         other = self._coerce(other)
-        n = len(self.coeffs)
-        if len(other.coeffs) != n:
+        n = self._n()
+        if other._n() != n:
             raise self._length_error(other)
-        out = [self.cfg.gf.zero] * n
+        out, right = [self.cfg.gf.zero] * n, other.coeffs
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
+            for j, b in enumerate(right[:n - i]):
                 out[i + j] = out[i + j] + a * b
-        return TildePoly(self.cfg, tuple(out))
+        return self._of([c for a in out for c in a.coords])
 
     __rmul__ = __mul__
 
     def truncate(self, n):
-        """The image in k[u]/u^n, n <= the length, in the forms self has."""
+        """The image in k[u]/u^n, n <= the length."""
         if n > self._n():
             raise ValueError(f"cannot truncate k[u]/u^{self._n()} to u^{n}")
-        c, f = self._coeffs, self._flat
-        return TildePoly(self.cfg, None if c is None else c[:n],
-                         None if f is None else f[:n * self.cfg.m])
+        return self._of(self.flat[:n * self.cfg.m])
 
     def u_val(self):
-        return next((i for i, a in enumerate(self.coeffs) if not a.is_zero()),
-                    len(self.coeffs))
+        return next((k for k, c in enumerate(self.flat) if c),
+                    len(self.flat)) // self.cfg.m
 
     def shift_u(self, k):
-        n = len(self.coeffs)
-        out = [self.cfg.gf.zero] * min(k, n) + list(self.coeffs[:n - k])
-        out += [self.cfg.gf.zero] * (n - len(out))
-        return TildePoly(self.cfg, tuple(out[:n]))
+        s = min(k, self._n()) * self.cfg.m
+        return self._of([0] * s + self.flat[:len(self.flat) - s])
 
     def div_exact_u(self, k):
         if k == 0:
             return self
-        if any(not a.is_zero() for a in self.coeffs[:k]):
+        s = k * self.cfg.m
+        if any(self.flat[:s]):
             raise DivisibilityError(f"not divisible by u^{k}")
-        out = list(self.coeffs[k:]) + [self.cfg.gf.zero] * k
-        return TildePoly(self.cfg, tuple(out))
+        return self._of(self.flat[s:] + [0] * s)
 
     def is_unit(self):
         return any(self.flat[:self.cfg.m])
 
     def _of(self, flat):
         """The element of k[u]/u^n with flat coordinates ``flat``."""
-        return TildePoly(self.cfg, flat=flat)
+        return TildePoly(self.cfg, flat)
 
     def _product(self, factors):
         """The flat coordinates of the product of factors, each of self's
@@ -1588,7 +1570,7 @@ class TildePoly(_Poly):
     def unit_part(self):
         """(u-valuation, unit cofactor); the cofactor of 0 is undefined."""
         v = self.u_val()
-        if v == len(self.coeffs):
+        if v == self._n():
             raise ZeroDivisionError("zero has no unit part")
         return v, self.div_exact_u(v)
 

@@ -304,7 +304,7 @@ def verify_strong_divisibility(lat):
 
 def _on(cfg, images):
     """k[u]/u^{ep} elements of a ring at a lower precision as cfg's."""
-    return tuple(TildePoly(cfg, x.coeffs) for x in images)
+    return tuple(TildePoly(cfg, x.flat) for x in images)
 
 
 def _verify(lat):
@@ -335,7 +335,8 @@ def _verify(lat):
 def _minor_is_unit(x, y):
     """Whether the minor x[0] y[1] - x[1] y[0] of two columns over
     k[u]/u^{ep} is a unit, read off its constant term."""
-    (x0, x1), (y0, y1) = [[t.coeffs[0] for t in col] for col in (x, y)]
+    (x0, x1), (y0, y1) = [[t.constant_term() for t in col]
+                          for col in (x, y)]
     return not (x0 * y1 - x1 * y0).is_zero()
 
 
@@ -474,11 +475,11 @@ def solve_eqX(rho, alpha, mu, e, j):
     shift, alpha_e = [0] * (cfg.m * (cfg.e - L)), alpha.truncate(cfg.e)
 
     def D(Z):
-        return (TildePoly(cfg, flat=shift + Z.flat[:cfg.m * L])
+        return (TildePoly(cfg, shift + Z.flat[:cfg.m * L])
                 - alpha_e).phi()
 
     mu_L, rho_L = mu.truncate(L), rho.truncate(L)
-    Y, k = TildePoly(cfg, flat=[0] * (cfg.m * L)), 0
+    Y, k = TildePoly(cfg, [0] * (cfg.m * L)), 0
     while k < L:
         Y, k = mu_L.over(rho_L, D(Y).truncate(L)), min(L, cfg.p * k + q)
     DY = D(Y)

@@ -3,9 +3,11 @@
 Subcommands: ``analyze`` (one instance document), ``sweep`` (a grid of L
 values), ``render`` (re-render a report), ``oracle`` (run the randomized
 cross-check oracles).  Instance documents are JSON; all integers are decimal
-strings or numbers, rationals are "num/den", p-adic coefficients are integer
-values mod p^prec.  Exit status: 0 when every verdict holds, 1 when some
-verdict fails, 2 on errors.
+strings (ASCII digits after an optional minus sign) or numbers, rationals
+are "num/den" of two decimal strings, p-adic coefficients are integer values
+mod p^prec.  A pseudo document reads only ``ring.p`` and ``ring.prec`` of
+its ring (``--prec`` overrides the latter).  Exit status: 0 when every
+verdict holds, 1 when some verdict fails, 2 on errors.
 
 In an L expression, ``x`` is the Teichmuller lift of the generator of the
 residue field.  On a ring with m = 1 that generator is 0, so ``x`` is 0
@@ -51,6 +53,15 @@ def _is_decimal(text):
     return digits.isascii() and digits.isdigit()
 
 
+def _parse_frac(text):
+    """"num/den" or "num", each part decimal (``_is_decimal``), as a
+    Fraction; ValueError or ZeroDivisionError otherwise."""
+    parts = text.split("/")
+    if len(parts) > 2 or not all(map(_is_decimal, parts)):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(*map(int, parts))
+
+
 def _as_int(value, path):
     if isinstance(value, int):
         return int(value)  # a bool as its int: True and 1 share a ring key
@@ -89,10 +100,7 @@ def parse_ring(doc, prec_override=None, r=2):
     if not isinstance(E, list) or len(E) != e + 1:
         raise DocError("ring.E", "expected a list of e+1 coefficients")
     E_coeffs = [_parse_witt_coord(c, f"ring.E[{i}]") for i, c in enumerate(E)]
-    prec = ring.get("prec")
-    prec = _as_int(prec, "ring.prec") if prec is not None else None
-    if prec_override is not None:
-        prec = prec_override
+    prec = _ring_prec(ring, prec_override)
     modulus = ring.get("modulus")
     if modulus is not None:
         if not isinstance(modulus, list):
@@ -102,6 +110,13 @@ def parse_ring(doc, prec_override=None, r=2):
         return _ring(p, m, e, tuple(E_coeffs), prec, r, modulus)
     except ConfigError as exc:
         raise DocError("ring", str(exc)) from None
+
+
+def _ring_prec(ring, prec_override):
+    """ring.prec, which --prec overrides; None when neither is given."""
+    prec = ring.get("prec")
+    prec = _as_int(prec, "ring.prec") if prec is not None else None
+    return prec if prec_override is None else prec_override
 
 
 @functools.cache
@@ -132,9 +147,8 @@ def _parse_k0(cfg, value, path):
     {"w": coord-form, "pexp": k}.  Returns the element at working precision
     and its exact value: its w-coordinates, as Fractions."""
     if isinstance(value, str) and "/" in value:
-        num, den = value.split("/", 1)
         try:
-            fr = Fraction(int(num), int(den))
+            fr = _parse_frac(value)
         except (ValueError, ZeroDivisionError):
             raise DocError(path, f"bad rational {value!r}") from None
         return cfg.k0_from_fraction(fr), (fr,) + (0,) * (cfg.m - 1)
@@ -394,8 +408,13 @@ def cmd_analyze(doc, prec_override=None):
                               prec_override)
     if mode == "pseudo":
         n = _as_int(_section(doc, "pseudo").get("n"), "pseudo.n")
-        p = _as_int(_section(doc, "ring").get("p"), "ring.p")
-        analysis = breuil.pseudo_counterexample(n, p, prec=prec_override)
+        ring = _section(doc, "ring")
+        try:
+            analysis = breuil.pseudo_counterexample(
+                n, _as_int(ring.get("p"), "ring.p"),
+                prec=_ring_prec(ring, prec_override))
+        except ConfigError as exc:
+            raise DocError("ring", str(exc)) from None
         return pseudo_report(analysis)
     if mode == "matrix":
         return _analyze_matrix(doc, prec_override)
@@ -545,15 +564,6 @@ def cmd_sweep(doc, prec_override=None):
 # rendering
 
 
-def _parse_frac(s):
-    if s == "inf":
-        return math.inf
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def _list_of(value, path, kind=dict):
     """A list whose items are all of ``kind`` (objects by default)."""
     if not isinstance(value, list):
@@ -570,7 +580,7 @@ def _vertex(v, path):
     if not (len(v) == 2 and all(isinstance(c, str) for c in v)):
         raise DocError(path, "expected a pair of strings")
     try:
-        return tuple(Fraction(_parse_frac(c)) for c in v)
+        return tuple(_parse_frac(c) for c in v)
     except (ValueError, ArithmeticError):
         raise DocError(path, f"not a pair of rationals: {v!r}") from None
 

@@ -45,11 +45,10 @@ def random_tilde(cfg, rng, max_deg=None):
 
 
 def random_tilde_unit(cfg, rng, max_deg=None):
-    coeffs = list(random_tilde(cfg, rng, max_deg).coeffs)
-    while coeffs[0].is_zero():
-        coeffs[0] = cfg.gf.elem(tuple(rng.randrange(cfg.p)
-                                      for _ in range(cfg.m)))
-    return cfg.tilde(coeffs)
+    x = random_tilde(cfg, rng, max_deg)
+    while not x.is_unit():
+        x.flat[:cfg.m] = [rng.randrange(cfg.p) for _ in range(cfg.m)]
+    return x
 
 
 def random_matrix(cfg, carrier, rng, d, D, vmax):

@@ -439,6 +439,26 @@ MALFORMED = {
         "rows[0].report.polygons.newton[0]"),
     "render_verdict_not_an_object": ("render", {"verdicts": [1]},
                                      "verdicts[0]"),
+    # rationals follow the decimal rule of integers, part by part
+    "phi_rational_underscore": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [["1_0/3", 0], [0, 1]], "jumps": _FILTERED_JUMPS}),
+        "filtered.phi[0][0]"),
+    "phi_rational_padded": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [[1, 0], [0, " 7/1 "]], "jumps": _FILTERED_JUMPS}),
+        "filtered.phi[1][1]"),
+    "phi_rational_non_ascii": ("analyze", _filtered_doc(_RING_7_2_2, {
+        "phi": [["1/\u0663", 0], [0, 1]], "jumps": _FILTERED_JUMPS}),
+        "filtered.phi[0][0]"),
+    "render_vertex_underscore": ("render", {"polygons": {
+        "hodge": [["0", "0"], ["1_0", "1"]]}}, "polygons.hodge[1]"),
+    "render_vertex_padded": ("render", {"polygons": {
+        "hodge": [["0", "0"], ["1", " 1/2"]]}}, "polygons.hodge[1]"),
+    "pseudo_prec_underscore": ("analyze", {
+        "mode": "pseudo", "ring": {"p": 11, "prec": "1_1"},
+        "pseudo": {"n": 2}}, "ring.prec"),
+    "pseudo_prec_above_p": ("analyze", {
+        "mode": "pseudo", "ring": {"p": 11, "prec": 12},
+        "pseudo": {"n": 2}}, "ring"),
 }
 
 
@@ -451,6 +471,18 @@ def test_malformed_document_exits_2(case, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("prec", [5, 7, 11])
+def test_pseudo_reads_ring_prec(prec, tmp_path, capsys):
+    """A pseudo document's ring.prec sets the precision of the report, and
+    --prec overrides it."""
+    path = _write(tmp_path, json.dumps({"mode": "pseudo", "pseudo": {"n": 2},
+                                        "ring": {"p": 11, "prec": prec}}))
+    assert cli.main(["analyze", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ring"]["prec"] == prec
+    assert cli.main(["analyze", "--input", path, "--prec", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["ring"]["prec"] == 8
 
 
 # phi-matrices over (7,2,2), where the residue modulus is w^2 + 1: each is

@@ -114,7 +114,7 @@ def ref_tilde_unit_inverse(x):
         for i in range(1, k + 1):
             acc = acc + x.coeffs[i] * out[k - i]
         out[k] = -(inv0 * acc)
-    return TildePoly(cfg, tuple(out))
+    return TildePoly(cfg, [c for a in out for c in a.coords])
 
 
 def ref_divrem_E(x, s):
@@ -1185,48 +1185,84 @@ def check_packed_products(cfg, seed):
                 assert xn.phi().coeffs == tuple(want)
 
 
+def ref_tilde_mul(a, b, gf):
+    """The schoolbook product in k[u]/u^n of two GFElem lists of length n."""
+    n = len(a)
+    out = [gf.zero] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
 @pytest.mark.parametrize("key, E, modulus", [
     ((7, 2, 2), [-7, 0, 1], None),
     ((7, 2, 2), [-7, 0, 1], (3, 1, 1)),
     ((7, 3, 1), [-7, 1], None),
     ((13, 1, 5), [-13, 0, 0, 0, 0, 1], None),
 ], ids=["7-2-2", "7-2-2-w2+w+3", "7-3-1", "13-1-5"])
-def test_tilde_forms_agree(key, E, modulus):
-    """An element built from its GFElem coefficients and one built from its
-    flat coordinates are one element: they compare equal, each builds the
-    other's form, and truncate, phi (against GFElem ** p; the moduli with a
-    linear term make the sigma table non-diagonal), is_unit, u_val, + and -
-    agree on them, whichever form each operand holds."""
+def test_tilde_flat_ops_match_the_gfelem_reference(key, E, modulus):
+    """Every operation of TildePoly, which runs on the flat coordinates,
+    against the same operation on a list of GFElem coefficients: ==, +, -,
+    negation, is_zero, is_unit, u_val, shift_u, div_exact_u and its
+    DivisibilityError, unit_part, monodromy, truncate, phi (against
+    GFElem ** p; the moduli with a linear term make the sigma table
+    non-diagonal) and * (the schoolbook loop, scalars included), at every
+    length of ``lengths``.  ``RingConfig.tilde`` of the GFElems and the
+    element of their coordinates are one element, and ``coeffs`` reads the
+    coefficients back."""
     cfg = RingConfig(*key, E, prec=4, r=2, modulus=modulus)
     rng = random.Random(42)
-    m, e, p = cfg.m, cfg.e, cfg.p
-    for x in tilde_samples(cfg, rng):
-        flat = [c for a in x.coeffs for c in a.coords]
-
-        def both():
-            return TildePoly(cfg, x.coeffs), TildePoly(cfg, flat=list(flat))
-
-        a, b = both()
+    gf, m, e, p = cfg.gf, cfg.m, cfg.e, cfg.p
+    xs = tilde_samples(cfg, rng)
+    refs = [x.coeffs for x in xs]
+    for ref in refs:
+        flat = [c for a in ref for c in a.coords]
+        a, b = cfg.tilde(list(ref)), TildePoly(cfg, list(flat))
         assert a == b and b == a
-        assert a.flat == flat and b.coeffs == x.coeffs
-        a, b = both()
-        assert a.is_unit() == b.is_unit() == (not x.coeffs[0].is_zero())
-        assert a.u_val() == b.u_val() == x.u_val()
+        assert a.flat == flat and b.coeffs == ref
         for n in lengths(cfg):
-            a, b = both()
-            assert a.truncate(n).coeffs == b.truncate(n).coeffs == \
-                x.coeffs[:n]
-            assert a.truncate(n).flat == b.truncate(n).flat == flat[:n * m]
-        want = [cfg.gf.zero] * (e * p)
-        for i, c in enumerate(x.coeffs[:e]):
-            want[i * p] = c ** p
-        a, b = both()
-        assert a.phi().coeffs == b.phi().coeffs == tuple(want)
-        a, b = both()
-        y = rng.choice([a, b])
-        assert (a + b).coeffs == (b + a).coeffs == (x + x).coeffs
-        assert (a - y).is_zero() and (y - b).is_zero()
-        assert (b + b).flat == (x + x).flat
+            x, y = (TildePoly(cfg, flat[:n * m]), cfg.tilde(
+                list(rng.choice(refs))).truncate(n))
+            xr, yr, zero = ref[:n], y.coeffs, [gf.zero] * n
+            assert x.coeffs == xr and len(y.flat) == n * m
+            assert (x == y) == (xr == yr)
+            assert x == cfg.tilde(list(xr)).truncate(n)
+            assert (x + y).coeffs == tuple(map(operator.add, xr, yr))
+            assert (x - y).coeffs == tuple(map(operator.sub, xr, yr))
+            assert (-x).coeffs == tuple(-c for c in xr)
+            assert (x - x).is_zero() and x.is_zero() == (xr == tuple(zero))
+            assert x.is_unit() == (not xr[0].is_zero())
+            v = next((i for i, c in enumerate(xr) if not c.is_zero()), n)
+            assert x.u_val() == v
+            assert x.monodromy().coeffs == tuple(c * (-i)
+                                                 for i, c in enumerate(xr))
+            for k in sorted({0, 1, e, v, n - 1, n, n + 1}):
+                assert x.shift_u(k).coeffs == tuple(zero[:k] + list(xr))[:n]
+                if k <= v:
+                    assert x.div_exact_u(k).coeffs == xr[k:] + tuple(
+                        zero[:k])
+                elif k <= n:
+                    with pytest.raises(DivisibilityError):
+                        x.div_exact_u(k)
+            if v == n:
+                with pytest.raises(ZeroDivisionError):
+                    x.unit_part()
+            else:
+                w, unit = x.unit_part()
+                assert w == v and unit.coeffs == xr[v:] + tuple(zero[:v])
+            assert (x * y).coeffs == ref_tilde_mul(xr, yr, gf)
+            assert (x * 3).coeffs == (3 * x).coeffs == tuple(c * 3
+                                                              for c in xr)
+            for k in sorted({1, e, n}):
+                if k <= n:
+                    assert x.truncate(k).coeffs == xr[:k]
+                    assert x.truncate(k).flat == flat[:k * m]
+            if n >= e:
+                want = [gf.zero] * (e * p)
+                for i, c in enumerate(xr[:e]):
+                    want[i * p] = c ** p
+                assert x.phi().coeffs == tuple(want)
 
 
 def test_packed_products_match_the_loop(cfg):
