@@ -1420,8 +1420,8 @@ class TildePoly(_Poly):
     """Element of k[u]/u^n, stored only as its flat F_p[w] coordinates in
     [0, p), m per coefficient (``flat``); ``coeffs`` is a view that builds
     ``GFElem``s on each read.  Every operation but ``*`` runs on ``flat``.
-    Operands of a ring operation have one length.  ``phi`` maps k[u]/u^n to k[u]/u^{ep} for
-    n >= e."""
+    Operands of a ring operation have one length.  ``phi`` maps k[u]/u^n
+    to k[u]/u^{ep} for n >= e."""
 
     __slots__ = ("flat",)
 
