@@ -62,7 +62,8 @@ Every other ring is built on one of two bases:
     valuation and the inverse, both through the norm to W.
 
 Precision model: every Witt coefficient carries an absolute precision
-(number of significant p-digits) capped by the ring precision N.
+(number of significant p-digits) capped by the ring precision N.  A ring
+at a lower precision (``RingConfig.at_prec``) is an ordinary ``RingConfig``.
 Coefficient-wise operations report ``min`` of the input precisions,
 multiplication by p gains one digit, and exact division by p costs one.
 The product, the division by a monic modulus (the reduction of a product,
@@ -79,7 +80,6 @@ the element *as known*; an element with no significant digits left raises
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
@@ -440,16 +440,6 @@ class WittRing:
         self.gf = GF(p, m, self.modulus)
         self._frob_pows = self._hensel_frobenius()
 
-    def at_cap(self, cap):
-        """This ring at the lower precision cap, sharing its residue field:
-        the sigma table reduced mod p^cap, where the Hensel root it was
-        built from is still the unique one."""
-        out = copy.copy(self)
-        out.cap, out.pc, out.ppow = cap, self.ppow[cap], self.ppow[:cap + 1]
-        out._frob_pows = tuple(tuple(c % out.pc for c in row)
-                               for row in self._frob_pows)
-        return out
-
     # coordinate-tuple arithmetic of WittElem
     def _mul(self, a, b, q):
         """The product mod q, a power of p; for m = 2, with w^2 = -h0 - h1 w,
@@ -680,7 +670,8 @@ class WittElem:
         return self.ring.gf.elem(tuple(c % self.ring.p for c in self.coords))
 
     def reduced_to(self, ring):
-        """self read in ring, this ring at a lower cap (``at_cap``)."""
+        """self read in ring, a ``WittRing`` of the same p and modulus at a
+        lower cap: coordinates mod p^cap, precision capped at cap."""
         return ring._reduced(self.coords, min(self.prec, ring.cap))
 
 
@@ -720,11 +711,9 @@ class RingConfig:
         if self.E[0].val() != 1:
             raise ConfigError("E(u) must be Eisenstein: v_p(E_0) = 1")
         self.c0 = self.E[0].div_exact_p(1)  # E(0) = p*c0 with c0 a unit
-        self._E_powers = {1: self.E}
-        self._kernels = {}
+        self._E_powers, self._kernels, self._at_prec = {1: self.E}, {}, {}
         self._c = self._s_E = self._s_E2 = None
         self._Eprime = self._teichmuller = None
-        self._parent, self._at_prec = None, {}
 
     def _as_witt(self, c):
         if isinstance(c, WittElem):
@@ -733,46 +722,41 @@ class RingConfig:
 
     def at_prec(self, c):
         """This ring at precision c, 2 <= c <= prec, built on first use and
-        kept: the same p, k, e, r and modulus, E(u) read mod p^c.  Its
-        E-powers are this ring's reduced mod p^c, and its kernels share
-        this ring's fold and phi tables (``_Kernel``): none is walked
-        again."""
+        kept: an ordinary ``RingConfig`` with the same p, k, e, r and
+        modulus and E(u) read mod p^c, which builds its own E-powers and
+        kernels, packed in its own slot width, when first used."""
         if c == self.prec:
             return self
         if not 2 <= c < self.prec:
             raise ConfigError(f"precision {c} is not in [2, {self.prec}]")
         if c not in self._at_prec:
-            low = copy.copy(self)
-            low.prec, low.witt, low._parent = c, self.witt.at_cap(c), self
-            low.E = tuple(x.reduced_to(low.witt) for x in self.E)
-            low.c0 = self.c0.reduced_to(low.witt)
-            low._E_powers, low._kernels, low._at_prec = {1: low.E}, {}, {}
-            low._c = low._s_E = low._s_E2 = None
-            low._Eprime = low._teichmuller = None
-            self._at_prec[c] = low
+            self._at_prec[c] = RingConfig(
+                self.p, self.m, self.e, [x.coords for x in self.E], prec=c,
+                r=self.r, modulus=self.witt.modulus)
         return self._at_prec[c]
 
     def _E_power(self, s):
+        """E(u)^s, built on first use as E^(s-1) E, one packed product (a raw
+        coordinate sums at most (e+1) m products below pc^2); coefficient k
+        knows the least precision of the pairs whose degrees sum to k."""
         if s == 0:
             return (self.witt.one(),)
-        if s not in self._E_powers and self._parent is not None:
-            self._E_powers[s] = tuple(x.reduced_to(self.witt)
-                                      for x in self._parent._E_power(s))
         if s not in self._E_powers:
-            half = self._E_power(s - 1)
-            prod = [self.witt.zero() for _ in range(len(half) + self.e)]
-            for i, a in enumerate(half):
-                for j, b in enumerate(self.E):
-                    prod[i + j] = prod[i + j] + a * b
-            self._E_powers[s] = tuple(prod)
+            a, e, m, witt = self._E_power(s - 1), self.e, self.m, self.witt
+            W, n = _slot_bytes((e + 1) * m * witt.pc ** 2), len(a) + e
+            flat = _unpack(_pack([c for x in a for c in x.coords], m, W) *
+                           _pack([c for x in self.E for c in x.coords], m, W),
+                           n, m, W, witt.modulus)
+            pa, pb = [x.prec for x in a], [x.prec for x in self.E]
+            precs = [min(self.prec, *pa[max(0, k - e):k + 1],
+                         *pb[max(0, k + 1 - len(a)):k + 1]) for k in range(n)]
+            self._E_powers[s] = witt.elems(witt.canon(flat, precs), precs)
         return self._E_powers[s]
 
     def _kernel(self, s):
         """The int kernel of the modulus E(u)^s, built on first use."""
         if s not in self._kernels:
-            self._kernels[s] = _Kernel(self, self._E_power(s), None if
-                                       self._parent is None else
-                                       self._parent._kernel(s))
+            self._kernels[s] = _Kernel(self, self._E_power(s))
         return self._kernels[s]
 
     # element factories ----------------------------------------------------
@@ -943,20 +927,12 @@ class _Kernel:
     are packed, unpacked and reduced.  A zero above them is known to its
     own precision P; from degree d up it caps all below it at P + mv.
 
-    Packed slots are sized to the bound 2 d m pc^2 (``_slot_bytes``), whole
-    64-bit words on every ring of the benchmark.  Two packed tables are
+    Packed slots are sized to the bound 2 d m pc^2 (``_slot_bytes``), so a
+    ring at fewer digits packs in narrower slots.  Two packed tables are
     built on first use, never with the ring, by one walk (``_table``): the
-    fold table of ``mul`` and the phi table of ``STrunc.phi``.
+    fold table of ``mul`` and the phi table of ``STrunc.phi``."""
 
-    The kernel of a ring at a lower precision c (``RingConfig.at_prec``)
-    shares its ``parent``'s, the same modulus' kernel at full precision
-    N: its tables and its slot width, which the sums of its products and
-    phi fit, as their coordinates are below p^c and the tables' below p^N,
-    and every value it returns is reduced mod p^c (``WittRing.canon``).
-    Reducing the tables mod p^c and repacking them in narrower slots cost a
-    pass over every slot, more than a first analysis at c digits saves."""
-
-    def __init__(self, cfg, coeffs, parent=None):
+    def __init__(self, cfg, coeffs):
         witt = self.witt = cfg.witt
         self.N, self.m, self.pc = cfg.prec, witt.m, witt.pc
         self.d = len(coeffs) - 1
@@ -971,10 +947,8 @@ class _Kernel:
                       for wt in self.units]
         # a product and its fold sum (d*m terms below pc^2 each) stay below
         # 2*d*m*pc^2
-        self.W = parent.W if parent else _slot_bytes(
-            2 * self.d * self.m * self.pc ** 2)
+        self.W = _slot_bytes(2 * self.d * self.m * self.pc ** 2)
         self._phi = self._fold = None
-        self._parent = parent
 
     def reduce(self, flat, precs, cap):
         """Division by M of (flat, precs) with at most cap digits known:
@@ -1084,23 +1058,22 @@ class _Kernel:
 
     def _table(self, vec, step, count, basis):
         """Packed b (u^(step*k) vec mod M), canonical at full precision, at
-        index k*len(basis) + t for b = basis[t], k < count."""
-        N, d, m, pc, h = self.N, self.d, self.m, self.pc, self.witt.modulus
+        index k*len(basis) + t for b = basis[t], k < count; basis[0] is 1."""
+        N, d, m, pc, witt = self.N, self.d, self.m, self.pc, self.witt
         table = []
         for k in range(count):
             if k:
                 vec = [c % pc for c in self.reduce(
                     [0] * (step * m) + vec, [N] * (d + step), N)[0][:d * m]]
+            table.append(_pack(vec, m, self.W))
             table += [_pack([c for i in range(0, d * m, m) for c in
-                             _coord_mul(b, vec[i:i + m], h, pc)], m, self.W)
-                      for b in basis]
+                             witt._mul(b, vec[i:i + m], pc)], m, self.W)
+                      for b in basis[1:]]
         return table
 
     def fold(self):
         """The fold table: F[k*m + t] is w^t (u^(d+k) mod M), k < d - 1
         (built once)."""
-        if self._fold is None and self._parent is not None:
-            self._fold = self._parent.fold()
         if self._fold is None:
             d, m = self.d, self.m
             top = [0] * (d * m - m) + [1] + [0] * (m - 1)     # u^(d-1)
@@ -1112,8 +1085,6 @@ class _Kernel:
         (built once).  sigma is Z_p-linear, so phi of sum_k x_k u^k,
         x_k = sum_t x_{k,t} w^t, is sum x_{k,t} T[k*m + t]; T[m] is u^p mod
         M."""
-        if self._phi is None and self._parent is not None:
-            self._phi = self._parent.phi_table()
         if self._phi is None:
             one = [1] + [0] * (self.d * self.m - 1)
             self._phi = self._table(one, self.witt.p, self.d,
@@ -1165,9 +1136,9 @@ class _WPoly(_Poly):
         return self.cfg.witt.elems(self.flat, self.precs)
 
     def reduced_to(self, cfg):
-        """self read in cfg, its ring at a lower precision
-        (``RingConfig.at_prec``): coordinates mod p^c, precisions capped at
-        c."""
+        """self read in cfg, the ring at a lower precision c that
+        ``RingConfig.at_prec`` builds: coordinates mod p^c, precisions
+        capped at c."""
         c = cfg.prec
         precs = [min(P, c) for P in self.precs]
         return type(self)(cfg, cfg.witt.canon(self.flat, precs), precs)
@@ -1500,10 +1471,15 @@ class TildePoly(_Poly):
                     len(self.flat)) // self.cfg.m
 
     def shift_u(self, k):
+        """self u^k, k >= 0: zero for k >= n."""
+        if k < 0:
+            raise ValueError(f"shift by u^{k} in k[u]/u^{self._n()}")
         s = min(k, self._n()) * self.cfg.m
         return self._of([0] * s + self.flat[:len(self.flat) - s])
 
     def div_exact_u(self, k):
+        if not 0 <= k <= self._n():
+            raise ValueError(f"division by u^{k} in k[u]/u^{self._n()}")
         if k == 0:
             return self
         s = k * self.cfg.m

@@ -205,7 +205,8 @@ class StrongLattice:
     @functools.cached_property
     def low(self):
         """The values the mod-p readers read, at R + 2 digits, built once
-        per lattice: this lattice over ``cfg.at_prec(R + 2)``, with E^2
+        per lattice: this lattice over ``cfg.at_prec(R + 2)``, an ordinary
+        ring at that precision with its own tables, kept by cfg, with E^2
         that ring's own (so its phi is formed once per ring), and p L_2
         and lambda there."""
         cfg = self.cfg.at_prec(min(R + 2, self.cfg.prec))

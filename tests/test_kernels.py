@@ -490,6 +490,171 @@ def test_a_new_ring_builds_no_packed_table(key):
     assert cfg._kernel(cfg.p)._fold is None
 
 
+# ---------------------------------------------------------------------------
+# E(u)^s, the table walk and the ring at a lower precision
+
+
+def ref_E_power(cfg, s):
+    """E^s by the schoolbook loop of WittElem products, E^(s-1) times E."""
+    if s == 0:
+        return (cfg.witt.one(),)
+    half = ref_E_power(cfg, s - 1)
+    prod = [cfg.witt.zero() for _ in range(len(half) + cfg.e)]
+    for i, a in enumerate(half):
+        for j, b in enumerate(cfg.E):
+            prod[i + j] = prod[i + j] + a * b
+    return tuple(prod)
+
+
+def ref_table(kernel, vec, step, count, basis):
+    """``_Kernel._table`` with every basis element, 1 included, multiplied
+    through ``_coord_mul``."""
+    N, d, m, pc = kernel.N, kernel.d, kernel.m, kernel.pc
+    table = []
+    for k in range(count):
+        if k:
+            vec = [c % pc for c in kernel.reduce(
+                [0] * (step * m) + vec, [N] * (d + step), N)[0][:d * m]]
+        table += [_pack([c for i in range(0, d * m, m) for c in
+                         arith._coord_mul(b, vec[i:i + m],
+                                          kernel.witt.modulus, pc)],
+                        m, kernel.W) for b in basis]
+    return table
+
+
+def seeded_E(p, m, e, seed):
+    """A seeded Eisenstein E(u) over W(F_{p^m}), as coordinate tuples: p
+    times random coordinates below u^e, a unit times p at u^0."""
+    rng = random.Random(seed)
+
+    def coords():
+        return tuple(rng.randrange(p ** 9) for _ in range(m))
+
+    low = [tuple(p * c for c in coords()) for _ in range(e)]
+    low[0] = (p * (1 + p * rng.randrange(p ** 8)),) + low[0][1:]
+    return low + [(1,) + (0,) * (m - 1)]
+
+
+# (p, m, e) -> (E, prec): seeded E on m = 1, 2 and 3
+E_RINGS = {(7, 1, 2): (seeded_E(7, 1, 2, 1), 7),
+           (11, 2, 3): (seeded_E(11, 2, 3, 2), 6),
+           (7, 3, 2): (seeded_E(7, 3, 2, 3), 5),
+           (5, 2, 1): (seeded_E(5, 2, 1, 4), 5)}
+
+
+def E_ring(key):
+    E, prec = E_RINGS[key]
+    return RingConfig(*key, E, prec=prec, r=2)
+
+
+def rough_E_ring():
+    """(7, 2, 2) at prec 7 with E's coefficients known to 5, 3 and 6
+    digits."""
+    w = RingConfig(7, 2, 2, [-7, 0, 1], prec=7).w
+    return RingConfig(7, 2, 2, [w(-7, 5), w((14, 7), 3), w(1, 6)], prec=7)
+
+
+def test_packed_E_powers_match_the_schoolbook_loop():
+    """Coordinates and precisions of every E^s, s <= p."""
+    cfgs = [RingConfig(*key, E, prec=prec, r=2) for key, (E, prec) in
+            {**RINGS, **NON_MONOMIAL}.items()]
+    cfgs += [E_ring(key) for key in E_RINGS] + [rough_E_ring()]
+    assert {x.prec for x in cfgs[-1]._E_power(2)} == {3, 5, 6}
+    for cfg in cfgs:
+        for s in range(cfg.p + 1):
+            assert [(x.coords, x.prec) for x in cfg._E_power(s)] == \
+                [(x.coords, x.prec) for x in ref_E_power(cfg, s)]
+
+
+def test_table_walk_matches_the_coord_mul_walk(cfg):
+    """The fold and phi tables, whose first basis element is 1, against
+    the walk that multiplies every basis element."""
+    for s in (1, cfg.p):
+        kernel = cfg._kernel(s)
+        d, m = kernel.d, kernel.m
+        top = [0] * (d * m - m) + [1] + [0] * (m - 1)
+        assert kernel.fold() == ref_table(kernel, top, 1, d,
+                                          kernel.units)[m:]
+        one = [1] + [0] * (d * m - 1)
+        assert kernel.phi_table() == ref_table(kernel, one, cfg.p, d,
+                                               cfg.witt._frob_pows)
+
+
+def unpacked(kernel, table):
+    return [_unpack(x, kernel.d, kernel.m, kernel.W, kernel.witt.modulus)
+            for x in table]
+
+
+@pytest.mark.parametrize("key", sorted(E_RINGS),
+                         ids=lambda key: "%d-%d-%d" % key)
+def test_a_ring_at_lower_precision_is_the_ring_read_mod_p_c(key):
+    """at_prec(c) reads E, c0, every E^s (s <= p) and the fold and phi
+    tables of E, E^2 and E^p as the ring at full precision does, mod p^c,
+    from tables of its own in its own slot width."""
+    cfg = E_ring(key)
+    for c in range(2, cfg.prec):
+        low, q = cfg.at_prec(c), cfg.p ** c
+        assert isinstance(low, RingConfig) and low.prec == c
+        assert (low.p, low.m, low.e, low.r) == (cfg.p, cfg.m, cfg.e, cfg.r)
+        assert low.witt.modulus == cfg.witt.modulus and low.witt.pc == q
+        assert low.witt._frob_pows == tuple(tuple(x % q for x in row)
+                                           for row in cfg.witt._frob_pows)
+        for s in range(cfg.p + 1):
+            assert [(x.coords, x.prec) for x in low._E_power(s)] == \
+                [(tuple(y % q for y in x.coords), min(x.prec, c))
+                 for x in cfg._E_power(s)]
+        assert low.c0 == cfg.c0.reduced_to(low.witt)
+        assert low.c0.prec == c - 1
+        for s in (1, 2, cfg.p):
+            kernel, high = low._kernel(s), cfg._kernel(s)
+            assert kernel.W == _slot_bytes(2 * kernel.d * kernel.m * q * q)
+            for table in ("fold", "phi_table"):
+                assert unpacked(kernel, getattr(kernel, table)()) == [
+                    [x % q for x in row] for row in
+                    unpacked(high, getattr(high, table)())]
+
+
+def test_at_prec_bounds_cache_and_first_use():
+    """at_prec(prec) is the ring, c outside [2, prec] raises, a second call
+    returns the same ring, and a new one builds no E^s, kernel or table
+    until it is used; at (13,2,4) prec 13 it packs in 8 bytes, not 16."""
+    cfg = RingConfig(13, 2, 4, [-13, 0, 0, 0, 1], prec=13)
+    assert cfg.at_prec(13) is cfg
+    for c in (1, 14):
+        with pytest.raises(arith.ConfigError, match=f"precision {c} "):
+            cfg.at_prec(c)
+    low = cfg.at_prec(4)
+    assert cfg.at_prec(4) is low and cfg._at_prec == {4: low}
+    assert low._kernels == {} and low._E_powers == {1: low.E}
+    assert cfg._kernels == {}
+    low.s_E().phi()
+    kernel = low._kernel(13)
+    assert kernel._phi is not None and kernel._fold is None
+    assert (kernel.W, cfg._kernel(13).W) == (8, 16)
+
+
+def test_u_powers_out_of_range_raise(cfg):
+    """div_exact_u(k) takes 0 <= k <= n and shift_u(k) takes k >= 0; out of
+    range each raises ValueError naming k and n.  shift_u(k) for k >= n
+    is zero, and div_exact_u(n) divides zero."""
+    x = random_tilde_unit(cfg, random.Random(43))
+    for y in (cfg.tilde_zero(), x, x.truncate(cfg.e), x.truncate(1)):
+        n = y._n()
+        for k in (-1, n + 1, n + 5):
+            with pytest.raises(ValueError, match=rf"u\^{k} in k\[u\]/u\^{n}$"):
+                y.div_exact_u(k)
+        for k in (-1, -n - 1):
+            with pytest.raises(ValueError, match=rf"u\^{k} in k\[u\]/u\^{n}$"):
+                y.shift_u(k)
+        for k in (n, n + 1, 3 * n):
+            assert y.shift_u(k).flat == [0] * (n * cfg.m)
+        assert y.shift_u(0) == y and y.div_exact_u(0) == y
+    zero = cfg.tilde_zero()
+    assert zero.div_exact_u(zero._n()) == zero
+    with pytest.raises(DivisibilityError):
+        x.div_exact_u(x._n())
+
+
 def test_cached_teichmuller_generator_is_a_fresh_lift(cfg):
     x = cfg.teichmuller_generator()
     fresh = cfg.witt.teichmuller(cfg.gf.gen())
